@@ -220,8 +220,8 @@ def _fields(node, *wanted: str):
     if node["type"] not in wanted:
         raise DocumentError(f"unexpected node type {node['type']!r}")
     kids = node.get("children")
-    if not isinstance(kids, list) or not kids:
-        raise DocumentError(f"{node['type']} node without children")
+    if not isinstance(kids, list) or len(kids) < 2:
+        raise DocumentError(f"{node['type']} node needs at least two children")
     return kids
 
 

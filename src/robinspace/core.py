@@ -54,7 +54,9 @@ class NotRobinson(RobinsonError):
 
 # Expensive self-audits in the tree builders (re-deriving component
 # partitions, re-checking mmodule-ness of intermediate classes).  Off by
-# default so benchmarks measure the algorithms, not the audits.
+# default so benchmarks measure the algorithms, not the audits.  Audits
+# only assert: they never change a return value or which exception is
+# raised (tests/test_debug_checks.py runs the tree tests with them on).
 debug_checks = False
 
 

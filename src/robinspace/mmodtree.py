@@ -164,18 +164,13 @@ def _connected(
     reps = [dg.leaves(t)[0] for t in forest]
     partner = None
     for t in range(1, ell):
-        if rows[reps[0]][reps[t]] != rho:
-            continue
-        if all(
+        if rows[reps[0]][reps[t]] == rho and all(
             rows[reps[0]][reps[h]] == rows[reps[t]][reps[h]]
             for h in range(1, ell)
             if h != t
         ):
-            if partner is not None:
-                raise NotRobinson("two classes both complete the same mmodule")
             partner = t
-            if not core.debug_checks:
-                break
+            break
     if partner is None:
         return Cup(tuple(_from_dendrogram(matrix, t) for t in forest))
 

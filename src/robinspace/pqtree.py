@@ -224,12 +224,11 @@ def conical_apex(
 
     Only four distances per candidate are inspected; on the PQ-tree of
     a Robinson space this is equivalent to checking the apex against
-    every sibling.
+    every sibling.  The first candidate that passes is the apex.
     """
     rows = matrix.rows
     reps = [_first_leaf(c) for c in children]
     k = len(reps)
-    found = None
     for i in range(1, k - 1):
         v = rows[reps[0]][reps[i]]
         if (
@@ -237,13 +236,8 @@ def conical_apex(
             and v == rows[reps[i]][reps[i + 1]]
             and v == rows[reps[i]][reps[k - 1]]
         ):
-            if found is not None:
-                # ambiguous apex: not the PQ-tree of a Robinson space
-                return None if not core.debug_checks else found
-            found = (v, i)
-            if not core.debug_checks:
-                break
-    return found
+            return v, i
+    return None
 
 
 def classify(

@@ -1,17 +1,36 @@
 """Partition refinement by pivots, on point classes and on trees.
 
+One engine (``_refine``) runs every refinement here: the copoint partition
+at a point, stable partitions and their tree-carved form.  A class is a
+list of points with a FIFO queue of pivots from outside it.  Classes are
+refined in order, each until it is a single point or its queue runs out.
+The first queued pivot that sees the class at two distances splits it in
+place, and the pivots in front of it are dropped.  Each part inherits a
+queue of its sibling parts' points followed by the pivots its class had
+left, and the first part is refined next.  Callers differ only in how the
+parts are laid out: distance buckets for point classes, carved subtrees
+for tree classes.
+
 The ordered-output discipline is fixed deliberately: pivot queues are FIFO,
 splits happen in place so class positions never cross, and copoint
 partitions lay the parts of a split out radially around the attachment
 point.  The universal proximity order of copoint partitions depends on
 exactly this discipline, so it is pinned here and property-tested rather
 than left to taste.
+
+Most pivots split nothing, so ``_next_split`` skips them in bulk: one
+``operator.itemgetter`` over a window of queued pivots reads each point's
+distances to all of them, and the points' tuples are compared in C; the
+window widens 4, 16, 64, ... pivots, so a split near the front stays
+cheap.  The scan reads d(q, x) as ``rows[x][q]``, so it relies on the
+symmetry that ``DissimilarityMatrix`` guarantees.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Sequence
+from itertools import compress, count
+from operator import itemgetter, ne
+from typing import Callable, Iterable, Sequence
 
 from .core import DissimilarityMatrix, RobinsonError
 from .dendrogram import Internal, Leaf, Tree, leaves
@@ -29,6 +48,98 @@ class PivotIsLeaf(RobinsonError):
     pass
 
 
+# split(payload, points, pivot, earlier) -> the parts as (payload, points)
+# pairs in layout order; ``earlier`` holds the points of the final classes,
+# which all precede the class being split.
+Split = Callable[[object, list[int], int, set[int]], list[tuple[object, list[int]]]]
+
+
+def _refine(
+    rows: list[list[int]], parts: list[tuple[object, list[int]]], tail: list[int], split: Split
+) -> list:
+    """Refine ordered (payload, points) classes, each first queued with its
+    siblings' points then ``tail``; return the final payloads in order."""
+    out: list = []
+    earlier: set[int] = set()
+    work: list[tuple[object, list[int], list[int]]] = []
+    _push(work, parts, tail)
+    while work:
+        payload, pts, queue = work.pop()
+        at = _next_split(rows, pts, queue)
+        if at == len(queue):
+            out.append(payload)
+            earlier.update(pts)
+        else:
+            _push(work, split(payload, pts, queue[at], earlier), queue[at + 1 :])
+    return out
+
+
+def _push(work: list, parts: list[tuple[object, list[int]]], tail: list[int]) -> None:
+    # Stacked in reverse so the first part pops first.  A single point
+    # never splits, so it needs no queue.
+    ext = [x for _, pts in parts for x in pts]
+    b = len(ext)
+    ext += tail
+    for payload, pts in reversed(parts):
+        a = b - len(pts)
+        work.append((payload, pts, ext[:a] + ext[b:] if len(pts) > 1 else []))
+        b = a
+
+
+def _next_split(rows: list[list[int]], pts: list[int], queue: list[int]) -> int:
+    """Index of the first pivot in ``queue`` that sees ``pts`` at two
+    distances, or ``len(queue)`` when none does."""
+    end = len(queue)
+    lead = rows[pts[0]]
+    others = [rows[x] for x in pts[1:]]
+    lo, width = 0, 4
+    while lo < end:
+        hi = min(lo + width, end)
+        get = itemgetter(*queue[lo:hi])
+        ref = get(lead)
+        seen = list(map(get, others))
+        if seen.count(ref) != len(seen):
+            if hi - lo == 1:  # one pivot: itemgetter gave bare values
+                return lo
+            return lo + min(
+                next(compress(count(), map(ne, ref, got))) for got in seen if got != ref
+            )
+        lo, width = hi, width * 4
+    return end
+
+
+def _buckets(rq: list[int], pts: Iterable[int]) -> dict[int, list[int]]:
+    """Points grouped by distance, input order kept inside each group."""
+    out: dict[int, list[int]] = {}
+    for x in pts:
+        out.setdefault(rq[x], []).append(x)
+    return out
+
+
+def _split_points(rows: list[list[int]], center: int | None = None) -> Split:
+    """Parts of a point class by distance to the pivot.
+
+    Without a center, parts are laid out by increasing distance.  With
+    one, a pivot that is not in an earlier class splits radially: parts
+    within d(pivot, center) of the pivot sit between center and pivot,
+    nearest the center last; parts beyond d(pivot, center) are on the far
+    side of the center, nearest first.
+    """
+
+    def split(_payload, pts: list[int], q: int, earlier: set[int]):
+        rq = rows[q]
+        buckets = _buckets(rq, pts)
+        if center is None or q in earlier:
+            weights = sorted(buckets)
+        else:
+            s = rq[center]
+            weights = sorted((w for w in buckets if w <= s), reverse=True)
+            weights += sorted(w for w in buckets if w > s)
+        return [(buckets[w], buckets[w]) for w in weights]
+
+    return split
+
+
 def refine_by_pivot(
     matrix: DissimilarityMatrix, q: int, cls: Sequence[int]
 ) -> list[tuple[int, ...]]:
@@ -36,10 +147,7 @@ def refine_by_pivot(
     input order preserved within each class."""
     if q in cls:
         raise PivotInsideClass(f"pivot {q} belongs to the class being refined")
-    rq = matrix.rows[q]
-    buckets: dict[int, list[int]] = {}
-    for x in cls:
-        buckets.setdefault(rq[x], []).append(x)
+    buckets = _buckets(matrix.rows[q], cls)
     return [tuple(buckets[w]) for w in sorted(buckets)]
 
 
@@ -65,72 +173,8 @@ def stable_partition(
     """
     classes = [list(c) for c in partition]
     _check_partition(classes)
-    rows = matrix.rows
-    seq: list[tuple[list[int], deque[int]]] = []
-    for i, cls in enumerate(classes):
-        zq: deque[int] = deque()
-        for j, other in enumerate(classes):
-            if j != i:
-                zq.extend(other)
-        seq.append((list(cls), zq))
-    _refine_seq(rows, seq)
-    return [tuple(pts) for pts, _ in seq]
-
-
-def _refine_seq(
-    rows: list[list[int]],
-    seq: list[tuple[list[int], deque[int]]],
-    center: int | None = None,
-) -> None:
-    """Run the split loop over an ordered class list, in place.
-
-    Splits replace their class in position, so two points in different
-    classes never change relative order.  Without a center, parts are
-    laid out by increasing distance to the pivot.  With one, a pivot
-    from a later class splits its class radially: parts within
-    d(pivot, center) of the pivot sit between center and pivot, nearest
-    the center last; parts beyond d(pivot, center) are on the far side
-    of the center, nearest first.
-    """
-    pos: dict[int, int] = {}
-
-    def reindex() -> None:
-        pos.clear()
-        for where, (pts, _) in enumerate(seq):
-            for x in pts:
-                pos[x] = where
-
-    reindex()
-    k = 0
-    while k < len(seq):
-        pts, zq = seq[k]
-        if len(pts) == 1 or not zq:
-            k += 1
-            continue
-        q = zq.popleft()
-        rq = rows[q]
-        buckets: dict[int, list[int]] = {}
-        for x in pts:
-            buckets.setdefault(rq[x], []).append(x)
-        if len(buckets) == 1:
-            continue
-        if center is None or pos[q] < k:
-            weights = sorted(buckets)
-        else:
-            s = rq[center]
-            weights = sorted((w for w in buckets if w <= s), reverse=True)
-            weights += sorted(w for w in buckets if w > s)
-        parts = [buckets[w] for w in weights]
-        repl: list[tuple[list[int], deque[int]]] = []
-        for i, part in enumerate(parts):
-            z2: deque[int] = deque()
-            for j, sibling in enumerate(parts):
-                if j != i:
-                    z2.extend(sibling)
-            z2.extend(zq)
-            repl.append((part, z2))
-        seq[k : k + 1] = repl
-        reindex()
+    final = _refine(matrix.rows, [(c, c) for c in classes], [], _split_points(matrix.rows))
+    return [tuple(c) for c in final]
 
 
 def copoint_partition(
@@ -142,50 +186,33 @@ def copoint_partition(
     order valid for every compatible order, which is what the radial
     split rule in the refinement loop buys (plain ascending distance is
     wrong as soon as a pivot beyond the class has the far side of p in
-    hand).
+    hand).  The first pivot is p itself, whose radial layout around
+    itself is plain ascending distance.
     """
     rest = sorted(x for x in subset if x != p)
     if not rest:
         return [(p,)]
     rows = matrix.rows
-    first = refine_by_pivot(matrix, p, rest)
-    seq: list[tuple[list[int], deque[int]]] = []
-    for i, cls in enumerate(first):
-        zq: deque[int] = deque()
-        for j, other in enumerate(first):
-            if j != i:
-                zq.extend(other)
-        seq.append((list(cls), zq))
-    _refine_seq(rows, seq, center=p)
-    return [(p,)] + [tuple(pts) for pts, _ in seq]
-
-
-def _scan_reach(rq: list[int], tree: Tree, info: dict[int, tuple[int, int]]) -> tuple[int, int]:
-    # Bottom-up (lo, hi) of d(q, leaf) per node, iteratively.
-    stack: list[tuple[Tree, bool]] = [(tree, False)]
-    while stack:
-        node, done = stack.pop()
-        if isinstance(node, Leaf):
-            v = rq[node.point]
-            info[id(node)] = (v, v)
-        elif not done:
-            stack.append((node, True))
-            for child in node.children:
-                stack.append((child, False))
-        else:
-            lo = hi = None
-            for child in node.children:
-                clo, chi = info[id(child)]
-                lo = clo if lo is None or clo < lo else lo
-                hi = chi if hi is None or chi > hi else hi
-            info[id(node)] = (lo, hi)
-    return info[id(tree)]
+    final = _refine(rows, [(rest, rest)], [p], _split_points(rows, center=p))
+    return [(p,)] + [tuple(c) for c in final]
 
 
 def _pivot_forest(rows: list[list[int]], q: int, tree: Tree) -> list[Tree]:
     rq = rows[q]
+    # Bottom-up (lo, hi) of d(q, leaf) per node, iteratively.
     info: dict[int, tuple[int, int]] = {}
-    lo, hi = _scan_reach(rq, tree, info)
+    stack: list[tuple[Tree, bool]] = [(tree, False)]
+    while stack:
+        node, done = stack.pop()
+        if isinstance(node, Leaf):
+            info[id(node)] = (rq[node.point],) * 2
+        elif not done:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+        else:
+            spans = [info[id(child)] for child in node.children]
+            info[id(node)] = (min(s[0] for s in spans), max(s[1] for s in spans))
+    lo, hi = info[id(tree)]
     if lo == hi:
         return [tree]
     out: list[Tree] = []
@@ -223,43 +250,13 @@ def pivot_tree(matrix: DissimilarityMatrix, q: int, tree: Tree) -> list[Tree]:
 
 def stable_trees(matrix: DissimilarityMatrix, trees: Sequence[Tree]) -> list[Tree]:
     """Tree-shaped stable partition: same classes as stable_partition, but
-    every output class arrives as a tree carved out of the inputs."""
+    every output class arrives as a tree carved out of the inputs.  The
+    carve runs only for a pivot already known to split its tree."""
     leaf_sets = [leaves(t) for t in trees]
-    _check_partition([list(s) for s in leaf_sets])
+    _check_partition(leaf_sets)
     rows = matrix.rows
-    out: list[Tree] = []
-    for i, t in enumerate(trees):
-        zq: deque[int] = deque()
-        for j, other in enumerate(leaf_sets):
-            if j != i:
-                zq.extend(other)
-        out.extend(_refine_tree(rows, t, zq))
-    return out
 
+    def split(tree, _pts, q: int, _earlier):
+        return [(sub, leaves(sub)) for sub in _pivot_forest(rows, q, tree)]
 
-def _refine_tree(rows: list[list[int]], tree: Tree, zq: deque[int]) -> list[Tree]:
-    out: list[Tree] = []
-    work: list[tuple[Tree, deque[int]]] = [(tree, zq)]
-    while work:
-        t, pivots = work.pop()
-        while True:
-            if not pivots or isinstance(t, Leaf):
-                out.append(t)
-                break
-            q = pivots.popleft()
-            forest = _pivot_forest(rows, q, t)
-            if len(forest) == 1:
-                t = forest[0]
-                continue
-            forest_leaves = [leaves(s) for s in forest]
-            items = []
-            for i, sub in enumerate(forest):
-                z2: deque[int] = deque()
-                for j, other in enumerate(forest_leaves):
-                    if j != i:
-                        z2.extend(other)
-                z2.extend(pivots)
-                items.append((sub, z2))
-            work.extend(reversed(items))
-            break
-    return out
+    return _refine(rows, list(zip(trees, leaf_sets)), [], split)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from robinspace import mmodtree as mm
+from robinspace import core, mmodtree as mm
 from robinspace.core import DissimilarityMatrix
 
 
@@ -116,3 +116,14 @@ def equal3() -> DissimilarityMatrix:
 @pytest.fixture
 def nonrob4() -> DissimilarityMatrix:
     return NONROB4
+
+
+@pytest.fixture
+def debug_checks():
+    """Run the test with the builders' self-audits on, then restore the flag."""
+    saved = core.debug_checks
+    core.debug_checks = True
+    try:
+        yield
+    finally:
+        core.debug_checks = saved

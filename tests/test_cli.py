@@ -437,6 +437,28 @@ def test_translate_rejects_boolean_point(capsys, tmp_path):
         cli.doc_to_tree({"kind": "mmodule", "root": _leaf(False)}, 1)
 
 
+def test_translate_rejects_unary_node(capsys, tmp_path):
+    # P(P(0 1 2 3)) on the demo matrix used to print cap(cap(0 1 2 3))
+    doc = {"kind": "pq", "root": {"type": "P", "children": [
+        {"type": "P", "children": [_leaf(p) for p in range(4)]}]}}
+    assert _translate(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    with pytest.raises(DocumentError):
+        cli.doc_to_tree({"kind": "mmodule", "root": {"type": "cap", "children": [_leaf(0)]}}, 1)
+
+
+def test_translate_rejects_unary_chain(capsys, tmp_path):
+    node = {"type": "P", "children": [_leaf(p) for p in range(4)]}
+    for _ in range(330):
+        node = {"type": "P", "children": [node]}
+    assert _translate(tmp_path, {"kind": "pq", "root": node}) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_translate_deep_document_exits_2(tmp_path):
     # a fresh interpreter keeps the default recursion limit, as a user's would
     depth = 3000

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -120,6 +125,40 @@ def test_refusal_names_violating_triple_on_planted_obstruction(profile):
     x, y, z = got.violation
     assert len({x, y, z}) == 3
     assert rows[x][z] < max(rows[x][y], rows[y][z])
+
+
+CATERPILLAR = """
+import sys
+from robinspace import copoints, core, mmodtree as mm
+
+n = 3000
+limit = sys.getrecursionlimit()
+# d(i, j) = max(i, j): an ultrametric whose dendrogram is a chain n deep
+vals = list(range(n))
+m = core.DissimilarityMatrix([[i] * i + [0] + vals[i + 1 :] for i in vals])
+got = copoints.recognize_robinson(m)
+assert got.accepted
+assert sorted(got.witness) == vals and core.is_compatible_order(m, got.witness)
+tree = mm.mmodule_tree(m, vals)
+assert sorted(mm.leaf_points(tree)) == vals
+assert not any(isinstance(node, mm.Cup) for node in mm.iter_nodes(tree))
+print(limit)
+"""
+
+
+def test_deep_caterpillar_recognized_from_default_recursion_limit():
+    # a fresh interpreter starts at the default recursion limit, as a
+    # user's would; the builders must lift it themselves
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cop.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", CATERPILLAR], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "RecursionError" not in proc.stderr
+    assert int(proc.stdout) < 3000
 
 
 def test_recognize_singleton():

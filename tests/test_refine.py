@@ -1,11 +1,16 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import refine_reference as reference
 from conftest import EQUAL3, WORKED12, robinson_matrices
-from robinspace import core, dendrogram as dg, oracle, refine
+from robinspace import cli, core, dendrogram as dg, mmodtree as mm, oracle, refine
 from robinspace.refine import NotAPartition, PivotInsideClass, PivotIsLeaf
+
+PROFILES = ("generic", "ultrametric", "flat-heavy", "tie-heavy")
 
 
 def test_refine_by_pivot_orders_and_preserves():
@@ -157,3 +162,71 @@ def test_proximity_order_is_universal(m):
                     for x in ca:
                         lo, hi = min(pp, where[x]), max(pp, where[x])
                         assert not any(lo < where[y] < hi for y in cb)
+
+
+@st.composite
+def generated_partitions(draw, max_n: int = 64):
+    """A generated matrix of any profile and an ordered partition of its points."""
+    n = draw(st.integers(1, max_n))
+    m = cli.generate_matrix(n, draw(st.integers(0, 10**6)), draw(st.sampled_from(PROFILES)))
+    pts = draw(st.permutations(range(n)))
+    cuts = draw(st.lists(st.integers(1, max(1, n - 1)), max_size=3, unique=True)) if n > 1 else []
+    bounds = [0, *sorted(cuts), n]
+    return m, [list(pts[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_partitions())
+def test_engine_matches_reference_loops(case):
+    m, classes = case
+    pts = list(range(m.n))
+    for p in pts:
+        assert refine.copoint_partition(m, p, pts) == reference.copoint_partition(m, p, pts)
+    sub = classes[0]
+    for p in sub:
+        assert refine.copoint_partition(m, p, sub) == reference.copoint_partition(m, p, sub)
+    assert refine.stable_partition(m, classes) == reference.stable_partition(m, classes)
+    # dataclass equality: the same classes, in the same order, carved to
+    # the same shapes with the same weights
+    trees = [dg.build_dendrogram(m, c) for c in classes]
+    assert refine.stable_trees(m, trees) == reference.stable_trees(m, trees)
+
+
+def _with_reference_refinement(build):
+    with mock.patch.object(mm, "stable_trees", reference.stable_trees):
+        return build()
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_mmodule_tree_matches_reference_loops(profile):
+    for n, seed in ((2, 0), (13, 1), (64, 2), (200, 3)):
+        m = cli.generate_matrix(n, seed, profile)
+        want = _with_reference_refinement(lambda: mm.mmodule_tree(m, range(n)))
+        assert mm.mmodule_tree(m, range(n)) == want
+
+
+def test_tree_carve_runs_only_for_splitting_pivots(monkeypatch):
+    m = cli.generate_matrix(160, 3, "tie-heavy")
+    pts = range(m.n)
+
+    def counting(module, tally):
+        carve = module._pivot_forest
+
+        def wrapped(rows, q, tree):
+            forest = carve(rows, q, tree)
+            tally.append(len(forest))
+            return forest
+
+        return wrapped
+
+    old: list[int] = []
+    monkeypatch.setattr(reference, "_pivot_forest", counting(reference, old))
+    want = _with_reference_refinement(lambda: mm.mmodule_tree(m, pts))
+    splits = sum(k > 1 for k in old)
+    assert 0 < splits < len(old)
+
+    new: list[int] = []
+    monkeypatch.setattr(refine, "_pivot_forest", counting(refine, new))
+    assert mm.mmodule_tree(m, pts) == want
+    assert len(new) == splits
+    assert all(k > 1 for k in new)
