@@ -15,7 +15,7 @@ import argparse
 import statistics
 from dataclasses import dataclass
 
-from robinspace import cli, copoints, dendrogram, mmodtree, pqtree
+from robinspace import cli, copoints, core, dendrogram, mmodtree, pqtree
 
 
 @dataclass
@@ -27,7 +27,7 @@ class SurveyConfig:
 
 
 def dendro_height(tree) -> int:
-    if isinstance(tree, dendrogram.Leaf):
+    if isinstance(tree, core.Leaf):
         return 0
     return 1 + max(dendro_height(c) for c in tree.children)
 
@@ -44,7 +44,7 @@ def survey(config: SurveyConfig, profile: str) -> dict[str, float]:
         order_counts.append(count)
         flat += count == 2
         t_mm = mmodtree.mmodule_tree(matrix, range(config.n))
-        for node in mmodtree.iter_nodes(t_mm):
+        for node in core.iter_nodes(t_mm):
             if isinstance(node, mmodtree.Cup):
                 cups += 1
             elif isinstance(node, mmodtree.Cap):

@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Any, Callable, Sequence
 
 from . import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, translate
-from .core import DissimilarityMatrix, NotRobinson, RobinsonError
+from .core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError, leaf_points
 
 
 class MatrixParseError(ValueError):
@@ -300,7 +300,7 @@ def dot_tree(kind: str, tree, scale: int) -> str:
     counter = 0
 
     def label(node) -> str:
-        if isinstance(node, (pq.Leaf, mm.Leaf, dg.Leaf)):
+        if isinstance(node, Leaf):
             return str(node.point)
         if isinstance(node, pq.P):
             return "P"
@@ -319,7 +319,7 @@ def dot_tree(kind: str, tree, scale: int) -> str:
         me = counter
         counter += 1
         lines.append(f'  n{me} [label="{label(node)}"];')
-        if not isinstance(node, (pq.Leaf, mm.Leaf, dg.Leaf)):
+        if not isinstance(node, Leaf):
             for child in node.children:
                 lines.append(f"  n{me} -- n{walk(child)};")
         return me
@@ -429,13 +429,13 @@ def cmd_tree(args) -> int:
     else:
         # pq and mmodule trees only exist for Robinson spaces; the raw
         # builders emit junk on anything else, so gate on a verified witness
+        # and serve the mmodule tree by translating the verified PQ-tree
         result = copoints.recognize_robinson(matrix)
         if not result.accepted:
             raise NotRobinson(result.reason)
-        if args.tree == "pq":
-            tree = result.tree
-        else:
-            tree = mm.mmodule_tree(matrix, range(matrix.n))
+        tree = result.tree
+        if args.tree == "mmodule":
+            tree = translate.pq_to_mmodule_tree(matrix, tree)
     _emit(args.tree, tree, matrix, args.format)
     return 0
 
@@ -460,7 +460,7 @@ def cmd_translate(args) -> int:
         raise DocumentError("tree document is nested too deeply") from None
     if kind == "dendrogram":
         raise DocumentError("dendrogram documents have no translation")
-    leaves = pq.leaf_points(tree) if kind == "pq" else mm.leaf_points(tree)
+    leaves = leaf_points(tree)
     if len(leaves) != matrix.n or set(leaves) != set(range(matrix.n)):
         raise DocumentError("tree leaves are not the matrix points, each once")
     target = args.to or ("mmodule" if kind == "pq" else "pq")
@@ -470,6 +470,11 @@ def cmd_translate(args) -> int:
         out = translate.pq_to_mmodule_tree(matrix, tree)
     else:
         out = translate.mmodule_to_pq_tree(matrix, tree)
+    # a tree with the right leaves can still order them wrongly; its PQ
+    # side must give a compatible order, an O(n^2) check
+    violation = core.violating_triple(matrix, pq.canonical_order(tree if kind == "pq" else out))
+    if violation is not None:
+        raise DocumentError(f"tree does not fit the matrix: its order breaks at {violation}")
     _emit(target, out, matrix, args.format)
     return 0
 

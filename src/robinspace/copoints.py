@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import core
-from . import mmodtree
 from . import pqtree as pq
 from . import refine
-from .core import DissimilarityMatrix, NotRobinson, RobinsonError
+from .core import DissimilarityMatrix, NotRobinson, first_leaf, leaf_points
 from .pqtree import Order, PQTree
 
 
@@ -34,47 +33,6 @@ class SideConflict(NotRobinson):
 
 class NoAdmissibleHole(NotRobinson):
     """No insertion slot for a new apex preserves the Robinson property."""
-
-
-class CorrespondenceViolation(RobinsonError):
-    pass
-
-
-IndexSet = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CopointPartition:
-    """Copoints attached at p, classes[0] == (p,), rest in proximity order."""
-
-    p: int
-    classes: tuple[IndexSet, ...]
-
-
-def copoints_at(
-    matrix: DissimilarityMatrix, p: int, subset: Iterable[int]
-) -> CopointPartition:
-    return CopointPartition(p, tuple(refine.copoint_partition(matrix, p, subset)))
-
-
-def frontiers(matrix: DissimilarityMatrix, cp: CopointPartition) -> list[bool]:
-    """Flag the copoints whose initial segment [{p}, .., Ci] is an mmodule.
-
-    Quadratic marking: each copoint only needs its nearest predecessor
-    that sees it at the same distance as p does; everything strictly
-    between is witnessed apart.
-    """
-    rows = matrix.rows
-    reps = [c[0] for c in cp.classes]
-    k = len(cp.classes) - 1
-    marked = [False] * (k + 1)
-    for jp in range(1, k + 1):
-        r = reps[jp]
-        want = rows[cp.p][r]
-        j = max(h for h in range(jp) if rows[reps[h]][r] == want)
-        for h in range(j + 1, jp):
-            marked[h] = True
-    return [not marked[h] for h in range(1, k + 1)]
 
 
 def next_frontier(
@@ -160,10 +118,13 @@ def admissible_hole(
     keeps the row monotone: everything from j rightward stays within
     delta of the far end, and the gap jumped spans at least delta.
     """
-    try:
-        return pq.gap_position(matrix.rows, list(children), delta)
-    except NotRobinson as exc:
-        raise NoAdmissibleHole(str(exc)) from None
+    rows = matrix.rows
+    reps = [first_leaf(c) for c in children]
+    last = reps[-1]
+    for j in range(1, len(reps)):
+        if rows[reps[j]][last] <= delta and rows[reps[j - 1]][reps[j]] >= delta:
+            return j
+    raise NoAdmissibleHole("no admissible gap along the spine")
 
 
 def pq_tree2(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:
@@ -225,7 +186,7 @@ def copoints_to_pq_tree(
     if hit is not None and hit[0] == delta:
         _, apex = hit
         apex_child = alpha.children[apex]
-        apex_pts = pq.leaf_points(apex_child)
+        apex_pts = leaf_points(apex_child)
         split = len(core.delta_graph_components(matrix, apex_pts, delta)) > 1
         kids = list(alpha.children)
         if split:
@@ -268,88 +229,4 @@ def recognize_robinson(matrix: DissimilarityMatrix) -> RecognitionResult:
         return RecognitionResult(True, tree=tree, witness=order)
     return RecognitionResult(
         False, reason="constructed order fails verification", violation=violation
-    )
-
-
-def copoints_from_mmodule_tree(
-    tree: mmodtree.MModuleTree, p: int
-) -> list[IndexSet]:
-    """Read the copoints at p off the mmodule tree.
-
-    Walking from the root toward p: a Cup node contributes each
-    off-path child as one copoint; a Cap node contributes all its
-    off-path children fused into a single copoint.
-    """
-    out: list[IndexSet] = []
-    node = tree
-    while not isinstance(node, mmodtree.Leaf):
-        down = None
-        for child in node.children:
-            if p in mmodtree.leaf_set(child):
-                down = child
-                break
-        if down is None:
-            raise ValueError(f"point {p} is not a leaf of the tree")
-        rest = [c for c in node.children if c is not down]
-        if isinstance(node, mmodtree.Cup):
-            out.extend(tuple(sorted(mmodtree.leaf_points(c))) for c in rest)
-        else:
-            fused = sorted(x for c in rest for x in mmodtree.leaf_points(c))
-            out.append(tuple(fused))
-        node = down
-    return out
-
-
-@dataclass(frozen=True)
-class UpsilonReport:
-    p: int
-    matched: tuple[tuple[int, ...], ...]
-
-
-def upsilon_frontier_check(
-    matrix: DissimilarityMatrix, tree: PQTree, p: int
-) -> UpsilonReport:
-    """Cross-check the path above p against the frontier copoints.
-
-    The standard (non-split) internal nodes containing p must carry
-    exactly the initial copoint segments that are both flagged as
-    frontiers and realized as node sets of the tree.
-    """
-    path = []
-    node = tree
-    while True:
-        path.append(node)
-        if isinstance(node, pq.Leaf):
-            if node.point != p:
-                raise ValueError(f"point {p} is not a leaf of the tree")
-            break
-        node = next(c for c in node.children if p in pq.leaf_set(c))
-
-    split_children = set()
-    for n_, info in pq.classify(matrix, tree).items():
-        if info.apex is not None and info.split:
-            split_children.add(n_.children[info.apex])
-    standard = {
-        pq.leaf_set(n_)
-        for n_ in path
-        if not isinstance(n_, pq.Leaf) and n_ not in split_children
-    }
-
-    cp = copoints_at(matrix, p, pq.leaf_points(tree))
-    flags = frontiers(matrix, cp)
-    node_sets = {pq.leaf_set(n_) for n_ in pq.iter_nodes(tree)}
-    run = set(cp.classes[0])
-    fronts = set()
-    for idx, c in enumerate(cp.classes[1:]):
-        run |= set(c)
-        if flags[idx] and frozenset(run) in node_sets:
-            fronts.add(frozenset(run))
-
-    if standard != fronts:
-        raise CorrespondenceViolation(
-            f"at {p}: standard path sets {sorted(map(sorted, standard))} "
-            f"vs frontier segments {sorted(map(sorted, fronts))}"
-        )
-    return UpsilonReport(
-        p, tuple(sorted((tuple(sorted(s)) for s in standard), key=lambda t: (len(t), t)))
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class RobinsonError(Exception):
@@ -58,6 +58,51 @@ class NotRobinson(RobinsonError):
 # only assert: they never change a return value or which exception is
 # raised (tests/test_debug_checks.py runs the tree tests with them on).
 debug_checks = False
+
+
+@dataclass(frozen=True)
+class Leaf:
+    """The one leaf type of every tree in the package (PQ, mmodule, dendrogram)."""
+
+    point: int
+
+
+# Tree walkers shared by all three tree kinds: an internal node is anything
+# with ``.children``.  Iterative, because trees can be chains of depth n.
+
+
+def iter_nodes(tree) -> Iterator:
+    """Every node, parents before children, children left to right."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, Leaf):
+            stack.extend(reversed(node.children))
+
+
+def leaf_points(tree) -> list[int]:
+    """Leaf points left to right."""
+    out: list[int] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(node.point)
+        else:
+            stack.extend(reversed(node.children))
+    return out
+
+
+def leaf_set(tree) -> frozenset[int]:
+    return frozenset(leaf_points(tree))
+
+
+def first_leaf(tree) -> int:
+    """Point of the leftmost leaf."""
+    while not isinstance(tree, Leaf):
+        tree = tree.children[0]
+    return tree.point
 
 
 @dataclass
@@ -145,42 +190,6 @@ def violating_triple(
     return None
 
 
-def delta_star(matrix: DissimilarityMatrix, subset: Iterable[int]) -> int:
-    """Largest edge of a minimum spanning tree on ``subset``.
-
-    Equivalently the smallest delta whose at-most-delta graph is connected,
-    and the root weight of the dendrogram.  Prim's algorithm grown from the
-    smallest index, ties resolved toward smaller indices.
-    """
-    pts = sorted(subset)
-    if len(pts) < 2:
-        raise SubsetTooSmall("delta_star needs at least two points")
-    rows = matrix.rows
-    k = len(pts)
-    row0 = rows[pts[0]]
-    dist = [row0[x] for x in pts]
-    visited = [False] * k
-    visited[0] = True
-    result = 0
-    for _ in range(k - 1):
-        best = -1
-        best_d = None
-        for i in range(k):
-            if not visited[i] and (best_d is None or dist[i] < best_d):
-                best_d = dist[i]
-                best = i
-        visited[best] = True
-        if best_d > result:
-            result = best_d
-        ru = rows[pts[best]]
-        for i in range(k):
-            if not visited[i]:
-                v = ru[pts[i]]
-                if v < dist[i]:
-                    dist[i] = v
-    return result
-
-
 def _components(rows: list[list[int]], pts: list[int], adjacent) -> list[tuple[int, ...]]:
     # BFS from increasing start indices; pts must be sorted.
     k = len(pts)
@@ -214,13 +223,11 @@ def delta_graph_components(
     return _components(matrix.rows, pts, lambda v: v != delta)
 
 
-def rho_components(matrix: DissimilarityMatrix, subset: Iterable[int]) -> list[tuple[int, ...]]:
-    """Components of the strictly-below-delta-star graph on ``subset``."""
-    pts = sorted(subset)
-    if len(pts) == 1:
-        return [tuple(pts)]
-    rho = delta_star(matrix, pts)
-    return _components(matrix.rows, pts, lambda v: v < rho)
+def components_below(
+    matrix: DissimilarityMatrix, subset: Iterable[int], bound: int
+) -> list[tuple[int, ...]]:
+    """Connected components of the graph whose edges are pairs at distance < bound."""
+    return _components(matrix.rows, sorted(subset), lambda v: v < bound)
 
 
 def is_mmodule(

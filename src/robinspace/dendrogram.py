@@ -11,9 +11,9 @@ ancestor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .core import DissimilarityMatrix, RobinsonError
+from .core import DissimilarityMatrix, Leaf, RobinsonError, iter_nodes, leaf_points
 
 
 class EmptySubset(RobinsonError):
@@ -27,11 +27,6 @@ class NotALeaf(RobinsonError):
 
 
 @dataclass
-class Leaf:
-    point: int
-
-
-@dataclass
 class Internal:
     """Weighted node; ``weight`` is None only for generic unweighted trees
     handled by the refinement engine, never for dendrograms."""
@@ -41,28 +36,6 @@ class Internal:
 
 
 Tree = Leaf | Internal
-
-
-def leaves(tree: Tree) -> list[int]:
-    """Leaf points in tree order (iterative: trees can be chains)."""
-    out: list[int] = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.point)
-        else:
-            stack.extend(reversed(node.children))
-    return out
-
-
-def iter_nodes(tree: Tree) -> Iterator[Tree]:
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Internal):
-            stack.extend(reversed(node.children))
 
 
 def _insert(u: int, rho: int, tree: Tree) -> Tree:
@@ -160,18 +133,10 @@ def subdominant_distance(tree: Tree, x: int, y: int) -> int:
     return lca.weight
 
 
-def cluster_of(tree: Tree, node: Tree) -> tuple[int, ...]:
-    """Sorted leaf set of a node belonging to ``tree``."""
-    for candidate in iter_nodes(tree):
-        if candidate is node:
-            return tuple(sorted(leaves(node)))
-    raise ValueError("node does not belong to this tree")
-
-
 def clusters(tree: Tree) -> set[tuple[tuple[int, ...], int]]:
     """All (sorted leaf set, weight) pairs of internal nodes — handy in tests."""
     out = set()
     for node in iter_nodes(tree):
         if isinstance(node, Internal):
-            out.add((tuple(sorted(leaves(node))), node.weight))
+            out.add((tuple(sorted(leaf_points(node))), node.weight))
     return out

@@ -24,17 +24,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from . import core
 from . import dendrogram as dg
-from .core import DissimilarityMatrix, NotRobinson
+from .core import DissimilarityMatrix, Leaf, NotRobinson, first_leaf, leaf_points, leaf_set
 from .refine import stable_trees
-
-
-@dataclass(frozen=True)
-class Leaf:
-    point: int
 
 
 @dataclass(frozen=True)
@@ -59,31 +54,6 @@ class Cap:
 MModuleTree = Union[Leaf, Cup, Cap]
 
 
-def leaf_points(tree: MModuleTree) -> list[int]:
-    out: list[int] = []
-    stack: list[MModuleTree] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.point)
-        else:
-            stack.extend(reversed(node.children))
-    return out
-
-
-def leaf_set(tree: MModuleTree) -> frozenset[int]:
-    return frozenset(leaf_points(tree))
-
-
-def iter_nodes(tree: MModuleTree) -> Iterator[MModuleTree]:
-    stack: list[MModuleTree] = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, Leaf):
-            stack.extend(reversed(node.children))
-
-
 def mmodule_tree(matrix: DissimilarityMatrix, subset: Iterable[int]) -> MModuleTree:
     """Build the mmodule tree of the given points.
 
@@ -98,16 +68,15 @@ def mmodule_tree(matrix: DissimilarityMatrix, subset: Iterable[int]) -> MModuleT
 
 
 def _from_dendrogram(matrix: DissimilarityMatrix, dtree: dg.Tree) -> MModuleTree:
-    if isinstance(dtree, dg.Leaf):
-        return Leaf(dtree.point)
+    if isinstance(dtree, Leaf):
+        return dtree
     rho = dtree.weight
     comp_trees = list(dtree.children)
-    comps = [dg.leaves(t) for t in comp_trees]
+    comps = [leaf_points(t) for t in comp_trees]
     if core.debug_checks:
         pts = sorted(p for c in comps for p in c)
-        assert rho == core.delta_star(matrix, pts)
         assert sorted(tuple(sorted(c)) for c in comps) == sorted(
-            core.rho_components(matrix, pts)
+            core.components_below(matrix, pts, rho)
         )
 
     # Distances between distinct components are >= rho by construction;
@@ -161,7 +130,7 @@ def _connected(
         )
     # Any member represents its class: classes are pairwise mmodules, so
     # cross distances do not depend on the chosen points.
-    reps = [dg.leaves(t)[0] for t in forest]
+    reps = [first_leaf(t) for t in forest]
     partner = None
     for t in range(1, ell):
         if rows[reps[0]][reps[t]] == rho and all(
@@ -181,7 +150,7 @@ def _connected(
             "connected space split into fewer than three maximal mmodules"
         )
     if core.debug_checks:
-        assert sorted(dg.leaves(forest[0])) == sorted(comps[first])
+        assert sorted(leaf_points(forest[0])) == sorted(comps[first])
     merged = _adjoin(forest[0], forest[partner], rho)
     kids = [_from_dendrogram(matrix, merged)]
     kids.extend(
@@ -236,29 +205,6 @@ def _one_sided(
 
 def _glue(trees: list[dg.Tree], rho: int) -> dg.Tree:
     return trees[0] if len(trees) == 1 else dg.Internal(rho, trees)
-
-
-def maximal_mmodules(
-    matrix: DissimilarityMatrix, subset: Iterable[int]
-) -> list[tuple[int, ...]]:
-    """Maximal proper mmodules of the subset, sorted lexicographically.
-
-    Children of a ``Cup`` root partition the set into its maximal
-    mmodules; under a ``Cap`` root they are instead the complements of
-    the children's leaf sets.
-    """
-    pts = sorted(subset)
-    if len(pts) < 2:
-        raise core.SubsetTooSmall(
-            f"need at least 2 points, got {len(pts)}"
-        )
-    tree = mmodule_tree(matrix, pts)
-    if isinstance(tree, Cup):
-        tops = [tuple(sorted(leaf_points(c))) for c in tree.children]
-    else:
-        whole = set(pts)
-        tops = [tuple(sorted(whole - leaf_set(c))) for c in tree.children]
-    return sorted(tops)
 
 
 def is_mmodule_via_tree(tree: MModuleTree, candidate: Iterable[int]) -> bool:

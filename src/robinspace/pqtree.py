@@ -6,13 +6,12 @@ children may only be read left-to-right or right-to-left.  Arity-2
 internal nodes are always P (the two conventions agree there); Q-nodes
 have arity at least 3.
 
-Beyond the order bookkeeping (counting, enumeration, membership,
-equivalence), this module classifies internal nodes by their boundary
-weight: a Q-node is *conical* when one interior child sits at a single
-distance from all the others, and that child is further a *split* node
-when its own points fall apart at that distance.  The classification is
-what lets the translation routines move between PQ-trees and mmodule
-trees without touching the matrix more than O(1) times per node.
+Beyond the order bookkeeping (counting, enumeration, equivalence), this
+module reads boundary weights off internal nodes: a Q-node is *conical*
+when one interior child sits at a single distance from all the others
+(``conical_apex``).  That is what lets the translation routines move
+between PQ-trees and mmodule trees without touching the matrix more than
+O(1) times per node.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
-from . import core
-from .core import DissimilarityMatrix, NotRobinson, RobinsonError
+from .core import DissimilarityMatrix, Leaf, RobinsonError, first_leaf, iter_nodes, leaf_points
 
 
 class TooManyOrders(RobinsonError):
@@ -31,11 +29,6 @@ class TooManyOrders(RobinsonError):
         super().__init__(f"tree represents {count} orders, cap is {cap}")
         self.count = count
         self.cap = cap
-
-
-@dataclass(frozen=True)
-class Leaf:
-    point: int
 
 
 @dataclass(frozen=True)
@@ -50,39 +43,6 @@ class Q:
 
 PQTree = Union[Leaf, P, Q]
 Order = tuple[int, ...]
-
-
-def pnode(*children: PQTree) -> P:
-    return P(tuple(children))
-
-
-def qnode(*children: PQTree) -> Q:
-    return Q(tuple(children))
-
-
-def leaf_points(tree: PQTree) -> list[int]:
-    out: list[int] = []
-    stack: list[PQTree] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.point)
-        else:
-            stack.extend(reversed(node.children))
-    return out
-
-
-def leaf_set(tree: PQTree) -> frozenset[int]:
-    return frozenset(leaf_points(tree))
-
-
-def iter_nodes(tree: PQTree) -> Iterator[PQTree]:
-    stack: list[PQTree] = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, Leaf):
-            stack.extend(reversed(node.children))
 
 
 def canonical_order(tree: PQTree) -> Order:
@@ -129,45 +89,6 @@ def _orders(node: PQTree) -> list[Order]:
     return out
 
 
-def represents_order(tree: PQTree, order: Iterable[int]) -> bool:
-    """Top-down membership test: every node's leaves must occupy a
-    contiguous stretch of the order, and Q-nodes must keep (or exactly
-    reverse) their child sequence."""
-    seq = tuple(order)
-    pts = leaf_points(tree)
-    if sorted(seq) != sorted(pts):
-        return False
-    pos = {p: i for i, p in enumerate(seq)}
-
-    def span(node: PQTree) -> tuple[int, int, int] | None:
-        if isinstance(node, Leaf):
-            i = pos[node.point]
-            return (i, i, 1)
-        spans = []
-        for child in node.children:
-            s = span(child)
-            if s is None:
-                return None
-            spans.append(s)
-        lo = min(s[0] for s in spans)
-        hi = max(s[1] for s in spans)
-        size = sum(s[2] for s in spans)
-        if hi - lo + 1 != size:
-            return None
-        if isinstance(node, Q):
-            fwd = all(
-                spans[t + 1][0] == spans[t][1] + 1 for t in range(len(spans) - 1)
-            )
-            bwd = fwd or all(
-                spans[t][0] == spans[t + 1][1] + 1 for t in range(len(spans) - 1)
-            )
-            if not bwd:
-                return None
-        return (lo, hi, size)
-
-    return span(tree) is not None
-
-
 def normal_form(tree: PQTree) -> PQTree:
     """Canonical representative of the equivalence class of the tree.
 
@@ -195,28 +116,6 @@ def equivalent(t1: PQTree, t2: PQTree) -> bool:
     return normal_form(t1) == normal_form(t2)
 
 
-@dataclass(frozen=True)
-class NodeClassification:
-    """Boundary-weight facts about one internal node.
-
-    ``delta`` is the uniform cross-child distance for a P-node, or the
-    apex distance for a conical Q-node (None for a non-conical Q).
-    ``apex`` is the index of the conical child; ``split`` says whether
-    that child's points disconnect at distance ``delta``.
-    """
-
-    delta: int | None
-    apex: int | None
-    split: bool
-
-
-def _first_leaf(tree: PQTree) -> int:
-    node = tree
-    while not isinstance(node, Leaf):
-        node = node.children[0]
-    return node.point
-
-
 def conical_apex(
     matrix: DissimilarityMatrix, children: tuple[PQTree, ...]
 ) -> tuple[int, int] | None:
@@ -227,7 +126,7 @@ def conical_apex(
     every sibling.  The first candidate that passes is the apex.
     """
     rows = matrix.rows
-    reps = [_first_leaf(c) for c in children]
+    reps = [first_leaf(c) for c in children]
     k = len(reps)
     for i in range(1, k - 1):
         v = rows[reps[0]][reps[i]]
@@ -238,35 +137,6 @@ def conical_apex(
         ):
             return v, i
     return None
-
-
-def classify(
-    matrix: DissimilarityMatrix, tree: PQTree
-) -> dict[PQTree, NodeClassification]:
-    """Classification of every internal node, keyed by the node itself.
-
-    Within one PQ-tree all subtrees are distinct (each point occurs
-    once), so nodes are usable as dictionary keys.
-    """
-    out: dict[PQTree, NodeClassification] = {}
-    rows = matrix.rows
-    for node in iter_nodes(tree):
-        if isinstance(node, Leaf):
-            continue
-        if isinstance(node, P):
-            a = _first_leaf(node.children[0])
-            b = _first_leaf(node.children[1])
-            out[node] = NodeClassification(rows[a][b], None, False)
-            continue
-        hit = conical_apex(matrix, node.children)
-        if hit is None:
-            out[node] = NodeClassification(None, None, False)
-            continue
-        delta, apex = hit
-        apex_pts = leaf_points(node.children[apex])
-        split = len(core.delta_graph_components(matrix, apex_pts, delta)) > 1
-        out[node] = NodeClassification(delta, apex, split)
-    return out
 
 
 def tree_delta_star(
@@ -281,8 +151,8 @@ def tree_delta_star(
     if isinstance(tree, Leaf):
         return (None, None)
     if isinstance(tree, P):
-        a = _first_leaf(tree.children[0])
-        b = _first_leaf(tree.children[1])
+        a = first_leaf(tree.children[0])
+        b = first_leaf(tree.children[1])
         return (matrix.rows[a][b], None)
     hit = conical_apex(matrix, tree.children)
     if hit is None:
@@ -306,85 +176,14 @@ def normalize(matrix: DissimilarityMatrix, tree: PQTree) -> PQTree:
     if isinstance(tree, Q) and len(kids) > 2:
         return Q(tuple(kids))
     rows = matrix.rows
-    delta = rows[_first_leaf(kids[0])][_first_leaf(kids[1])]
+    delta = rows[first_leaf(kids[0])][first_leaf(kids[1])]
     i = 0
     while i < len(kids):
         c = kids[i]
         if isinstance(c, P):
-            inner = rows[_first_leaf(c.children[0])][_first_leaf(c.children[1])]
+            inner = rows[first_leaf(c.children[0])][first_leaf(c.children[1])]
             if inner == delta:
                 kids[i : i + 1] = list(c.children)
                 continue
         i += 1
     return P(tuple(kids))
-
-
-def delta_pq_tree(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:
-    """Construct the PQ-tree of a Robinson space by top-weight splits.
-
-    Disconnected point sets (at the top weight) recurse on their
-    components: a plain P-node when every component stays within the
-    top weight, otherwise the lone wide component contributes a
-    reversible spine and the rest are inserted into its unique
-    admissible gap.  Connected sets reduce to the flat quotient by
-    maximal mmodules, whose two opposite orders seed the root Q.
-    """
-    pts = sorted(subset)
-    core.ensure_recursion_headroom(len(pts))
-    return _delta_pq(matrix, pts)
-
-
-def _delta_pq(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
-    if len(pts) == 1:
-        return Leaf(pts[0])
-    delta = core.delta_star(matrix, pts)
-    comps = core.delta_graph_components(matrix, pts, delta)
-    if len(comps) == 1:
-        return _connected_pq(matrix, pts)
-    large = None
-    for idx, c in enumerate(comps):
-        if len(c) > 1 and core.diameter_and_pair(matrix, c)[0] > delta:
-            if large is not None:
-                raise NotRobinson("two components exceed the top weight")
-            large = idx
-    if large is None:
-        kids = tuple(_delta_pq(matrix, list(c)) for c in comps)
-        return normalize(matrix, P(kids))
-    spine_tree = _delta_pq(matrix, list(comps[large]))
-    if isinstance(spine_tree, Q) or (
-        isinstance(spine_tree, P) and len(spine_tree.children) == 2
-    ):
-        betas = list(spine_tree.children)
-    else:
-        raise NotRobinson("wide component has no reversible spine")
-    extra = [
-        _delta_pq(matrix, list(c)) for i, c in enumerate(comps) if i != large
-    ]
-    filler = extra[0] if len(extra) == 1 else P(tuple(extra))
-    pos = gap_position(matrix.rows, betas, delta)
-    return normalize(matrix, Q(tuple(betas[:pos] + [filler] + betas[pos:])))
-
-
-def gap_position(rows: list[list[int]], betas: list[PQTree], delta: int) -> int:
-    # Smallest insertion point with everything to the right within delta
-    # of the far end and a jump of at least delta across the gap.
-    reps = [_first_leaf(b) for b in betas]
-    last = reps[-1]
-    for pos in range(1, len(betas)):
-        if rows[reps[pos]][last] <= delta and rows[reps[pos - 1]][reps[pos]] >= delta:
-            return pos
-    raise NotRobinson("no admissible gap along the spine")
-
-
-def _connected_pq(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
-    from . import copoints  # deferred: copoints builds on this module's types
-    from . import mmodtree
-
-    mtree = mmodtree.mmodule_tree(matrix, pts)
-    if not isinstance(mtree, mmodtree.Cup):
-        raise NotRobinson("connected space whose maximal mmodules do not partition")
-    classes = [sorted(mmodtree.leaf_points(c)) for c in mtree.children]
-    flat = copoints.pq_tree2(core.quotient(matrix, classes), range(len(classes)))
-    sigma = canonical_order(flat)
-    kids = tuple(_delta_pq(matrix, classes[c]) for c in sigma)
-    return normalize(matrix, Q(kids))

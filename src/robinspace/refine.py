@@ -32,8 +32,8 @@ from itertools import compress, count
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Sequence
 
-from .core import DissimilarityMatrix, RobinsonError
-from .dendrogram import Internal, Leaf, Tree, leaves
+from .core import DissimilarityMatrix, Leaf, RobinsonError, leaf_points
+from .dendrogram import Internal, Tree
 
 
 class PivotInsideClass(RobinsonError):
@@ -243,7 +243,7 @@ def pivot_tree(matrix: DissimilarityMatrix, q: int, tree: Tree) -> list[Tree]:
     weight; everything else recurses.  Output order: recursions first in
     child order, then joins by increasing distance.
     """
-    if q in leaves(tree):
+    if q in leaf_points(tree):
         raise PivotIsLeaf(f"pivot {q} is a leaf of the tree")
     return _pivot_forest(matrix.rows, q, tree)
 
@@ -252,11 +252,11 @@ def stable_trees(matrix: DissimilarityMatrix, trees: Sequence[Tree]) -> list[Tre
     """Tree-shaped stable partition: same classes as stable_partition, but
     every output class arrives as a tree carved out of the inputs.  The
     carve runs only for a pivot already known to split its tree."""
-    leaf_sets = [leaves(t) for t in trees]
+    leaf_sets = [leaf_points(t) for t in trees]
     _check_partition(leaf_sets)
     rows = matrix.rows
 
     def split(tree, _pts, q: int, _earlier):
-        return [(sub, leaves(sub)) for sub in _pivot_forest(rows, q, tree)]
+        return [(sub, leaf_points(sub)) for sub in _pivot_forest(rows, q, tree)]
 
     return _refine(rows, list(zip(trees, leaf_sets)), [], split)

@@ -13,14 +13,13 @@ Both directions visit each node once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import core
 from . import mmodtree as mm
 from . import pqtree as pq
-from .copoints import CorrespondenceViolation, pq_tree2
-from .core import DissimilarityMatrix, NotRobinson
+from .copoints import pq_tree2
+from .core import DissimilarityMatrix, Leaf, NotRobinson, first_leaf, leaf_points
 
 
 class NoBipartition(NotRobinson):
@@ -40,13 +39,13 @@ def pq_to_mmodule_tree(
     dissolves into its children (when the apex points fall apart at the
     apex distance).
     """
-    core.ensure_recursion_headroom(len(pq.leaf_points(tree)))
+    core.ensure_recursion_headroom(len(leaf_points(tree)))
     return _to_mmodule(matrix, tree)
 
 
 def _to_mmodule(matrix: DissimilarityMatrix, tree: pq.PQTree) -> mm.MModuleTree:
-    if isinstance(tree, pq.Leaf):
-        return mm.Leaf(tree.point)
+    if isinstance(tree, Leaf):
+        return tree
     if isinstance(tree, pq.P):
         return mm.Cap(tuple(_to_mmodule(matrix, b) for b in tree.children))
     hit = pq.conical_apex(matrix, tree.children)
@@ -79,13 +78,13 @@ def mmodule_to_pq_tree(
     spine is cut once and the remaining children, wrapped in a P-node
     when there are several, take the gap.
     """
-    core.ensure_recursion_headroom(len(mm.leaf_points(tree)))
+    core.ensure_recursion_headroom(len(leaf_points(tree)))
     return _to_pq(matrix, tree)
 
 
 def _to_pq(matrix: DissimilarityMatrix, tree: mm.MModuleTree) -> pq.PQTree:
-    if isinstance(tree, mm.Leaf):
-        return pq.Leaf(tree.point)
+    if isinstance(tree, Leaf):
+        return tree
     if isinstance(tree, mm.Cup):
         ordered = _union_order(matrix, tree.children)
         return pq.Q(tuple(_to_pq(matrix, b) for b in ordered))
@@ -105,7 +104,7 @@ def _to_pq(matrix: DissimilarityMatrix, tree: mm.MModuleTree) -> pq.PQTree:
 def _union_order(
     matrix: DissimilarityMatrix, children: tuple[mm.MModuleTree, ...]
 ) -> list[mm.MModuleTree]:
-    reps = [mm.leaf_points(b)[0] for b in children]
+    reps = [first_leaf(b) for b in children]
     rank = {x: i for i, x in enumerate(pq.canonical_order(pq_tree2(matrix, reps)))}
     return [b for _, b in sorted(zip(reps, children), key=lambda rb: rank[rb[0]])]
 
@@ -136,7 +135,7 @@ def find_bipartition(
     ell = len(children)
     if ell < 2:
         raise NoBipartition("a spine has at least two children")
-    pts = [pq.leaf_points(c) for c in children]
+    pts = [leaf_points(c) for c in children]
     head_last = pts[-1][0]
     far = -1
     for i in range(ell - 1):
@@ -148,85 +147,3 @@ def find_bipartition(
         if rows[pts[i][-1]][pts[i + 1][0]] >= delta:
             return i + 1
     raise NoBipartition("no wide enough gap after the far block")
-
-
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    """Outcome of matching the two trees node by node.
-
-    Leaf sets appear as sorted tuples.  ``matched`` holds the internal
-    groupings present in both trees; the two unmatched fields hold what
-    each side keeps to itself — necessarily large children of special
-    nodes and split apex children, in that order.
-    """
-
-    matched: tuple[tuple[int, ...], ...]
-    unmatched_mmodule: tuple[tuple[int, ...], ...]
-    unmatched_pq: tuple[tuple[int, ...], ...]
-
-
-def node_correspondence(
-    matrix: DissimilarityMatrix, pqt: pq.PQTree, mt: mm.MModuleTree
-) -> CorrespondenceReport:
-    """Check the node-to-node bijection between the two trees.
-
-    Every grouping named by both trees must agree on its kind (plain
-    copartition with P, union with non-conical Q, special copartition
-    with conical Q).  A grouping private to the mmodule tree must be
-    the large child of a special node, and one private to the PQ-tree
-    must be a split apex child; anything else raises
-    ``CorrespondenceViolation``.
-    """
-    if pq.leaf_set(pqt) != mm.leaf_set(mt):
-        raise CorrespondenceViolation("trees cover different point sets")
-
-    pq_kind: dict[tuple[int, ...], str] = {}
-    split_sets: set[tuple[int, ...]] = set()
-    for node, facts in pq.classify(matrix, pqt).items():
-        key = tuple(sorted(pq.leaf_points(node)))
-        if isinstance(node, pq.P):
-            pq_kind[key] = "plain copartition / P"
-        elif facts.delta is None:
-            pq_kind[key] = "union / non-conical Q"
-        else:
-            pq_kind[key] = "special copartition / conical Q"
-            if facts.split:
-                split_sets.add(tuple(sorted(pq.leaf_points(node.children[facts.apex]))))
-
-    mm_kind: dict[tuple[int, ...], str] = {}
-    large_sets: set[tuple[int, ...]] = set()
-    for node in mm.iter_nodes(mt):
-        if isinstance(node, mm.Leaf):
-            continue
-        key = tuple(sorted(mm.leaf_points(node)))
-        if isinstance(node, mm.Cup):
-            mm_kind[key] = "union / non-conical Q"
-        elif node.special is None:
-            mm_kind[key] = "plain copartition / P"
-        else:
-            mm_kind[key] = "special copartition / conical Q"
-            large_sets.add(tuple(sorted(mm.leaf_points(node.children[node.large_child]))))
-
-    matched = sorted(set(pq_kind) & set(mm_kind))
-    for key in matched:
-        if pq_kind[key] != mm_kind[key]:
-            raise CorrespondenceViolation(
-                f"grouping {key} is a {mm_kind[key]} node on one side"
-                f" and a {pq_kind[key]} node on the other"
-            )
-    spare_mm = set(mm_kind) - set(pq_kind)
-    # large children sit around an interior apex, so they are never blocks
-    if spare_mm != {s for s in large_sets if len(s) > 1}:
-        off = spare_mm.symmetric_difference(large_sets)
-        raise CorrespondenceViolation(
-            f"mmodule-side mismatch is not explained by large children: {sorted(off)}"
-        )
-    spare_pq = set(pq_kind) - set(mm_kind)
-    if spare_pq != split_sets:
-        off = spare_pq.symmetric_difference(split_sets)
-        raise CorrespondenceViolation(
-            f"pq-side mismatch is not explained by split apex children: {sorted(off)}"
-        )
-    return CorrespondenceReport(
-        tuple(matched), tuple(sorted(spare_mm)), tuple(sorted(spare_pq))
-    )

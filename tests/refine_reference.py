@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from robinspace.core import DissimilarityMatrix
-from robinspace.dendrogram import Internal, Leaf, Tree, leaves
+from robinspace.core import DissimilarityMatrix, Leaf, leaf_points as leaves
+from robinspace.dendrogram import Internal, Tree
 
 
 def refine_by_pivot(

@@ -22,6 +22,7 @@ from robinspace import (
     mmodtree as mm,
     oracle,
     pqtree as pq,
+    reference,
     refine,
     translate,
 )
@@ -71,11 +72,11 @@ def _random_symmetric(rng: random.Random, n: int, hi: int) -> DissimilarityMatri
 
 
 def _expected_pq12() -> pq.PQTree:
-    return pq.qnode(
-        pq.qnode(pq.Leaf(0), pq.pnode(pq.Leaf(2), pq.Leaf(1)), pq.Leaf(3)),
-        pq.pnode(pq.Leaf(6), pq.Leaf(5), pq.Leaf(4)),
-        pq.qnode(pq.Leaf(7), pq.Leaf(8), pq.pnode(pq.Leaf(10), pq.Leaf(9)), pq.Leaf(11)),
-    )
+    return pq.Q((
+        pq.Q((pq.Leaf(0), pq.P((pq.Leaf(2), pq.Leaf(1))), pq.Leaf(3))),
+        pq.P((pq.Leaf(6), pq.Leaf(5), pq.Leaf(4))),
+        pq.Q((pq.Leaf(7), pq.Leaf(8), pq.P((pq.Leaf(10), pq.Leaf(9))), pq.Leaf(11))),
+    ))
 
 
 def _expected_mm12() -> mm.MModuleTree:
@@ -99,7 +100,7 @@ def test_01_worked_example(capsys):
 
     expected_pq = _expected_pq12()
     assert pq.equivalent(cop.pq_tree2(WORKED12, pts), expected_pq)
-    assert pq.equivalent(pq.delta_pq_tree(WORKED12, pts), expected_pq)
+    assert pq.equivalent(reference.delta_pq_tree(WORKED12, pts), expected_pq)
 
     expected_mm = _expected_mm12()
     built = mm.mmodule_tree(WORKED12, pts)
@@ -108,13 +109,13 @@ def test_01_worked_example(capsys):
     assert canon_mm(translated) == canon_mm(expected_mm)
     right_block = next(
         node
-        for node in mm.iter_nodes(built)
+        for node in core.iter_nodes(built)
         if not isinstance(node, mm.Leaf)
-        and mm.leaf_set(node) == frozenset({7, 8, 9, 10, 11})
+        and core.leaf_set(node) == frozenset({7, 8, 9, 10, 11})
     )
     assert right_block.special == 2
     large = right_block.children[right_block.large_child]
-    assert mm.leaf_set(large) == frozenset({7, 8, 11})
+    assert core.leaf_set(large) == frozenset({7, 8, 11})
 
     for p in range(12):
         classes = refine.copoint_partition(WORKED12, p, pts)
@@ -200,7 +201,7 @@ def test_04_mmodules_and_copoints_match_oracle(capsys):
         for p in pts:
             brute = set(oracle.brute_copoints(matrix, pts, p))
             fast = set(refine.copoint_partition(matrix, p, pts))
-            via_tree = set(cop.copoints_from_mmodule_tree(tree, p)) | {(p,)}
+            via_tree = set(reference.copoints_from_mmodule_tree(tree, p)) | {(p,)}
             assert brute == fast == via_tree, (i, p)
     _report(capsys, 4, "mmodules and copoints equal brute oracles", t0, "200 instances")
 
@@ -238,7 +239,7 @@ def test_06_subdominant_ultrametric(capsys):
         for a in range(n):
             for b in range(a + 1, n):
                 assert dg.subdominant_distance(tree, a, b) == sub[a][b], (i, a, b)
-        for node in dg.iter_nodes(tree):
+        for node in core.iter_nodes(tree):
             if isinstance(node, dg.Internal):
                 for child in node.children:
                     if isinstance(child, dg.Internal):
@@ -262,30 +263,30 @@ def test_07_ultrametric_specializations(capsys):
         t_mm = mm.mmodule_tree(matrix, range(n))
         t_dg = dg.build_dendrogram(matrix, range(n))
 
-        for node in pq.iter_nodes(t_pq):
+        for node in core.iter_nodes(t_pq):
             if isinstance(node, pq.Q):
                 assert len(node.children) < 3, i
 
-        for node in mm.iter_nodes(t_mm):
+        for node in core.iter_nodes(t_mm):
             assert not isinstance(node, mm.Cup), i
             if isinstance(node, mm.Cap):
-                own = _diameter(matrix, mm.leaf_points(node))
+                own = _diameter(matrix, core.leaf_points(node))
                 for child in node.children:
-                    assert _diameter(matrix, mm.leaf_points(child)) < own, i
+                    assert _diameter(matrix, core.leaf_points(child)) < own, i
 
         pq_family = {
-            frozenset(pq.leaf_points(node))
-            for node in pq.iter_nodes(t_pq)
+            frozenset(core.leaf_points(node))
+            for node in core.iter_nodes(t_pq)
             if not isinstance(node, pq.Leaf)
         }
         mm_family = {
-            frozenset(mm.leaf_points(node))
-            for node in mm.iter_nodes(t_mm)
+            frozenset(core.leaf_points(node))
+            for node in core.iter_nodes(t_mm)
             if not isinstance(node, mm.Leaf)
         }
         dg_family = {
-            frozenset(dg.leaves(node))
-            for node in dg.iter_nodes(t_dg)
+            frozenset(core.leaf_points(node))
+            for node in core.iter_nodes(t_dg)
             if isinstance(node, dg.Internal)
         }
         assert pq_family == mm_family == dg_family, i
@@ -307,8 +308,8 @@ def test_08_structural_bounds(capsys):
 
         tree = mm.mmodule_tree(matrix, pts)
         subsets = [pts] + [
-            mm.leaf_points(node)
-            for node in mm.iter_nodes(tree)
+            core.leaf_points(node)
+            for node in core.iter_nodes(tree)
             if not isinstance(node, mm.Leaf)
         ]
         for subset in subsets:
@@ -328,13 +329,13 @@ def test_08_structural_bounds(capsys):
 
 def test_09_order_counting(capsys):
     t0 = time.perf_counter()
-    spine = pq.qnode(
-        pq.pnode(pq.Leaf(0), pq.Leaf(1), pq.Leaf(2)),
+    spine = pq.Q((
+        pq.P((pq.Leaf(0), pq.Leaf(1), pq.Leaf(2))),
         pq.Leaf(3),
         pq.Leaf(4),
         pq.Leaf(5),
         pq.Leaf(6),
-    )
+    ))
     assert pq.count_orders(spine) == 12
 
     rng = random.Random("accept9")

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -288,9 +291,13 @@ def test_ascii_frozen(capsys, tmp_path):
         "Q[Q[0 P(2 1) 3] P(6 5 4) Q[7 8 P(10 9) 11]]"
     )
     assert cli.main(["tree", "-i", str(path), "-t", "mmodule", "-f", "ascii"]) == 0
+    # translated from the PQ-tree above, so children follow its orders
     assert capsys.readouterr().out.strip() == (
-        "cup(cap@2(10 9 *cup(11 8 7)) cap(6 5 4) cap@2(cap(2 1) *cap(3 0)))"
+        "cup(cap@2(*cap(0 3) cap(2 1)) cap(6 5 4) cap@2(*cup(7 8 11) 10 9))"
     )
+    assert cli.main(["tree", "-i", str(path), "-t", "mmodule"]) == 0
+    _, served = cli.doc_to_tree(json.loads(capsys.readouterr().out), 1)
+    assert canon_mm(served) == canon_mm(mm.mmodule_tree(WORKED12, range(12)))
     assert cli.main(["tree", "-i", str(path), "-t", "dendrogram", "-f", "ascii"]) == 0
     assert capsys.readouterr().out.strip() == (
         "(6: (2: 11 10 9 (1: 8 7)) (5: (1: 6 5 4) (2: 3 (1: 2 1) 0)))"
@@ -344,6 +351,36 @@ def test_tree_json_kinds(capsys, tmp_path):
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == kind
         cli.doc_to_tree(doc, 1)
+
+
+def test_tree_commands_build_no_second_tree(monkeypatch, capsys, tmp_path):
+    # both trees come from the one verified PQ-tree
+    def refuse(*args):
+        raise AssertionError("a second tree was built")
+
+    monkeypatch.setattr(mm, "mmodule_tree", refuse)
+    monkeypatch.setattr(dg, "build_dendrogram", refuse)
+    path = tmp_path / "m.txt"
+    path.write_text(WORKED12_TEXT)
+    for kind in ("pq", "mmodule"):
+        assert cli.main(["tree", "-i", str(path), "-t", kind]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == kind
+
+
+# the builders lift the recursion limit for n points, which hypothesis reports
+@pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(cli.PROFILES), st.integers(1, 64), st.integers(0, 10**6))
+def test_served_mmodule_tree_equals_direct_construction(profile, n, seed):
+    matrix = cli.generate_matrix(n, seed, profile)
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        path.write_text(cli.serialize_matrix(matrix))
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["tree", "-i", str(path), "-t", "mmodule"]) == 0
+    _, served = cli.doc_to_tree(json.loads(out.getvalue()), matrix.scale)
+    assert canon_mm(served) == canon_mm(mm.mmodule_tree(matrix, range(n)))
 
 
 def test_tree_rejects_non_robinson(tmp_path):
@@ -454,6 +491,28 @@ def test_translate_rejects_unary_chain(capsys, tmp_path):
     for _ in range(330):
         node = {"type": "P", "children": [node]}
     assert _translate(tmp_path, {"kind": "pq", "root": node}) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_translate_rejects_misfit_pq_tree(capsys, tmp_path):
+    # the demo's leaves, each once, in an order the matrix refuses
+    doc = {"kind": "pq", "root": {"type": "Q", "children": [_leaf(p) for p in (0, 2, 1, 3)]}}
+    assert _translate(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "(0, 2, 1)" in captured.err
+
+
+def test_translate_rejects_misfit_mmodule_tree(capsys, tmp_path):
+    # the demo's tree cap(cap(3 2) cap(1 0)) with leaves 1 and 2 swapped
+    def pair(a, b):
+        return {"type": "cap", "children": [_leaf(a), _leaf(b)]}
+
+    doc = {"kind": "mmodule", "root": {"type": "cap", "children": [pair(3, 1), pair(2, 0)]}}
+    assert _translate(tmp_path, doc) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

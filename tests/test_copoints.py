@@ -17,6 +17,7 @@ from conftest import (
     symmetric_matrices,
 )
 from robinspace import cli, copoints as cop, core, mmodtree as mm, oracle, pqtree as pq, refine
+from robinspace import reference
 from robinspace.core import DissimilarityMatrix
 from robinspace.pqtree import Leaf, P, Q
 
@@ -30,24 +31,23 @@ FIG12 = Q(
 
 
 def test_copoints_at_frozen():
-    cp = cop.copoints_at(WORKED12, 0, range(12))
-    assert cp.p == 0
-    assert cp.classes == ((0,), (1, 2), (3,), (4, 5, 6), (7, 8, 9, 10, 11))
+    classes = refine.copoint_partition(WORKED12, 0, range(12))
+    assert classes == [(0,), (1, 2), (3,), (4, 5, 6), (7, 8, 9, 10, 11)]
 
 
 def test_frontiers_frozen():
-    cp = cop.copoints_at(WORKED12, 0, range(12))
-    assert cop.frontiers(WORKED12, cp) == [False, True, False, True]
+    classes = refine.copoint_partition(WORKED12, 0, range(12))
+    assert reference.frontiers(WORKED12, classes) == [False, True, False, True]
 
 
 def test_next_frontier_traces():
-    cp0 = cop.copoints_at(WORKED12, 0, range(12))
-    left, i, right = cop.next_frontier(WORKED12, 0, [list(c) for c in cp0.classes[1:]])
+    cp0 = refine.copoint_partition(WORKED12, 0, range(12))
+    left, i, right = cop.next_frontier(WORKED12, 0, [list(c) for c in cp0[1:]])
     assert (left, i) == ([], 2)
     assert right == [[4, 5, 6], [7, 8, 9, 10, 11]]
 
-    cp7 = cop.copoints_at(WORKED12, 7, range(7, 12))
-    left, i, right = cop.next_frontier(WORKED12, 7, [list(c) for c in cp7.classes[1:]])
+    cp7 = refine.copoint_partition(WORKED12, 7, range(7, 12))
+    left, i, right = cop.next_frontier(WORKED12, 7, [list(c) for c in cp7[1:]])
     assert (left, i) == ([], 0)
     assert right == [[8], [9, 10], [11]]
 
@@ -140,8 +140,8 @@ got = copoints.recognize_robinson(m)
 assert got.accepted
 assert sorted(got.witness) == vals and core.is_compatible_order(m, got.witness)
 tree = mm.mmodule_tree(m, vals)
-assert sorted(mm.leaf_points(tree)) == vals
-assert not any(isinstance(node, mm.Cup) for node in mm.iter_nodes(tree))
+assert sorted(core.leaf_points(tree)) == vals
+assert not any(isinstance(node, mm.Cup) for node in core.iter_nodes(tree))
 print(limit)
 """
 
@@ -168,13 +168,13 @@ def test_recognize_singleton():
 
 def test_copoints_from_mmodule_tree_frozen():
     tree = mm.mmodule_tree(WORKED12, range(12))
-    assert set(cop.copoints_from_mmodule_tree(tree, 0)) == {
+    assert set(reference.copoints_from_mmodule_tree(tree, 0)) == {
         (1, 2),
         (3,),
         (4, 5, 6),
         (7, 8, 9, 10, 11),
     }
-    assert set(cop.copoints_from_mmodule_tree(tree, 4)) == {
+    assert set(reference.copoints_from_mmodule_tree(tree, 4)) == {
         (5, 6),
         (0, 1, 2, 3),
         (7, 8, 9, 10, 11),
@@ -185,16 +185,16 @@ def test_copoints_from_mmodule_tree_all_points():
     tree = mm.mmodule_tree(WORKED12, range(12))
     for p in range(12):
         want = set(refine.copoint_partition(WORKED12, p, range(12))[1:])
-        assert set(cop.copoints_from_mmodule_tree(tree, p)) == want
+        assert set(reference.copoints_from_mmodule_tree(tree, p)) == want
 
 
 def test_upsilon_frontier_frozen():
     t12 = cop.pq_tree2(WORKED12, range(12))
-    assert cop.upsilon_frontier_check(WORKED12, t12, 0).matched == (
+    assert reference.upsilon_frontier_check(WORKED12, t12, 0).matched == (
         (0, 1, 2, 3),
         tuple(range(12)),
     )
-    assert cop.upsilon_frontier_check(WORKED12, t12, 9).matched == (
+    assert reference.upsilon_frontier_check(WORKED12, t12, 9).matched == (
         (7, 8, 9, 10, 11),
         tuple(range(12)),
     )
@@ -203,7 +203,7 @@ def test_upsilon_frontier_frozen():
 def test_upsilon_frontier_all_points():
     t12 = cop.pq_tree2(WORKED12, range(12))
     for p in range(12):
-        rep = cop.upsilon_frontier_check(WORKED12, t12, p)
+        rep = reference.upsilon_frontier_check(WORKED12, t12, p)
         assert rep.p == p
 
 
@@ -232,6 +232,6 @@ def test_every_pq_internal_is_a_block_interval(m):
     tree = cop.pq_tree2(m, range(m.n))
     order = pq.canonical_order(tree)
     where = {x: i for i, x in enumerate(order)}
-    for node in pq.iter_nodes(tree):
-        pts = sorted(where[x] for x in pq.leaf_points(node))
+    for node in core.iter_nodes(tree):
+        pts = sorted(where[x] for x in core.leaf_points(node))
         assert pts == list(range(pts[0], pts[0] + len(pts)))

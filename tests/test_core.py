@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from conftest import EQUAL3, FLAT3, WORKED12, robinson_matrices
-from robinspace import core
+from robinspace import core, reference
 from robinspace.core import (
     AsymmetricInput,
     DissimilarityMatrix,
@@ -15,6 +15,7 @@ from robinspace.core import (
     NotAnMModulePartition,
     SubsetTooSmall,
 )
+from robinspace.dendrogram import build_dendrogram
 
 
 def test_validate_accepts_worked_example():
@@ -88,17 +89,13 @@ def test_compatible_order_matches_triple_definition():
 
 
 def test_delta_star_frozen():
-    assert core.delta_star(FLAT3, range(3)) == 1
-    assert core.delta_star(EQUAL3, range(3)) == 1
-    assert core.delta_star(WORKED12, range(12)) == 6
-    assert core.delta_star(WORKED12, [0, 1, 2, 3]) == 2
-    assert core.delta_star(WORKED12, [7, 8, 9, 10, 11]) == 2
-    assert core.delta_star(WORKED12, [0, 7]) == 8
-
-
-def test_delta_star_needs_two_points():
-    with pytest.raises(SubsetTooSmall):
-        core.delta_star(WORKED12, [3])
+    # delta star, the largest minimum-spanning-tree edge, is the dendrogram's root weight
+    assert build_dendrogram(FLAT3, range(3)).weight == 1
+    assert build_dendrogram(EQUAL3, range(3)).weight == 1
+    assert build_dendrogram(WORKED12, range(12)).weight == 6
+    assert build_dendrogram(WORKED12, [0, 1, 2, 3]).weight == 2
+    assert build_dendrogram(WORKED12, [7, 8, 9, 10, 11]).weight == 2
+    assert build_dendrogram(WORKED12, [0, 7]).weight == 8
 
 
 def test_delta_graph_components_frozen():
@@ -118,12 +115,12 @@ def test_delta_graph_components_frozen():
 
 
 def test_rho_components_frozen():
-    assert core.rho_components(WORKED12, range(12)) == [
+    assert reference.rho_components(WORKED12, range(12)) == [
         (0, 1, 2, 3, 4, 5, 6),
         (7, 8, 9, 10, 11),
     ]
-    assert core.rho_components(WORKED12, [5]) == [(5,)]
-    assert core.rho_components(EQUAL3, range(3)) == [(0,), (1,), (2,)]
+    assert reference.rho_components(WORKED12, [5]) == [(5,)]
+    assert reference.rho_components(EQUAL3, range(3)) == [(0,), (1,), (2,)]
 
 
 def test_is_mmodule():
@@ -156,7 +153,7 @@ def test_diameter_and_pair():
 @given(robinson_matrices(max_n=7))
 def test_delta_star_is_min_connecting_threshold(m):
     n = m.n
-    rho = core.delta_star(m, range(n))
+    rho = build_dendrogram(m, range(n)).weight
     at_most = lambda bound: core._components(
         m.rows, list(range(n)), lambda v, b=bound: v <= b
     )
@@ -168,11 +165,11 @@ def test_delta_star_is_min_connecting_threshold(m):
 @given(robinson_matrices(max_n=6))
 def test_rho_components_cover_and_separate(m):
     # a partition, and no edge strictly below delta_star crosses it
-    comps = core.rho_components(m, range(m.n))
+    comps = reference.rho_components(m, range(m.n))
     flat = sorted(x for c in comps for x in c)
     assert flat == list(range(m.n))
     if m.n >= 2:
-        rho = core.delta_star(m, range(m.n))
+        rho = build_dendrogram(m, range(m.n)).weight
         for a, ca in enumerate(comps):
             for cb in comps[a + 1 :]:
                 assert all(m.rows[x][y] >= rho for x in ca for y in cb)

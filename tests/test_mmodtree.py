@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings
 
 from conftest import EQUAL3, FLAT3, WORKED12, canon_mm, robinson_matrices
-from robinspace import cli, core, mmodtree as mm, oracle
+from robinspace import cli, core, mmodtree as mm, oracle, reference
 from robinspace.mmodtree import Cap, Cup, Leaf
 
 
@@ -35,13 +35,13 @@ def test_worked_example_large_child_and_weight():
     assert isinstance(got, Cup)
     specials = [
         node
-        for node in mm.iter_nodes(got)
+        for node in core.iter_nodes(got)
         if isinstance(node, Cap) and node.special is not None
     ]
     assert len(specials) == 2
     assert all(node.special == 2 for node in specials)
     larges = sorted(
-        tuple(sorted(mm.leaf_points(node.children[node.large_child])))
+        tuple(sorted(core.leaf_points(node.children[node.large_child])))
         for node in specials
     )
     assert larges == [(0, 3), (7, 8, 11)]
@@ -63,18 +63,18 @@ def test_equal3_plain_cap():
 def test_small_subsets():
     assert mm.mmodule_tree(WORKED12, [4]) == Leaf(4)
     pair = mm.mmodule_tree(WORKED12, [9, 10])
-    assert isinstance(pair, Cap) and mm.leaf_set(pair) == frozenset({9, 10})
+    assert isinstance(pair, Cap) and core.leaf_set(pair) == frozenset({9, 10})
 
 
 def test_maximal_mmodules_frozen():
-    assert mm.maximal_mmodules(WORKED12, range(12)) == [
+    assert reference.maximal_mmodules(WORKED12, range(12)) == [
         (0, 1, 2, 3),
         (4, 5, 6),
         (7, 8, 9, 10, 11),
     ]
     # under a copartition root the maximal mmodules are child complements
-    assert mm.maximal_mmodules(EQUAL3, range(3)) == [(0, 1), (0, 2), (1, 2)]
-    assert mm.maximal_mmodules(FLAT3, range(3)) == [(0, 2), (1,)]
+    assert reference.maximal_mmodules(EQUAL3, range(3)) == [(0, 1), (0, 2), (1, 2)]
+    assert reference.maximal_mmodules(FLAT3, range(3)) == [(0, 2), (1,)]
 
 
 def test_is_mmodule_via_tree_worked_example():
@@ -92,7 +92,7 @@ def test_ultrametric_trees_are_all_cap():
     for seed in range(5):
         matrix = cli.generate_matrix(24, seed, "ultrametric")
         tree = mm.mmodule_tree(matrix, range(24))
-        for node in mm.iter_nodes(tree):
+        for node in core.iter_nodes(tree):
             assert not isinstance(node, Cup)
 
 
@@ -111,7 +111,7 @@ def test_tree_answers_match_brute_mmodules(m):
 def test_maximal_mmodules_match_brute(m):
     if m.n < 2:
         return
-    got = mm.maximal_mmodules(m, range(m.n))
+    got = reference.maximal_mmodules(m, range(m.n))
     mods = [s for s in oracle.brute_mmodules(m, range(m.n)) if 0 < len(s) < m.n]
     want = sorted(
         s for s in mods if not any(set(s) < set(t) for t in mods)
@@ -123,20 +123,20 @@ def test_maximal_mmodules_match_brute(m):
 def test_every_internal_node_is_an_mmodule(m):
     tree = mm.mmodule_tree(m, range(m.n))
     pts = list(range(m.n))
-    for node in mm.iter_nodes(tree):
-        assert core.is_mmodule(m, pts, mm.leaf_points(node))
+    for node in core.iter_nodes(tree):
+        assert core.is_mmodule(m, pts, core.leaf_points(node))
 
 
 @given(robinson_matrices(max_n=8))
 def test_special_nodes_carry_uniform_cross_distance(m):
     tree = mm.mmodule_tree(m, range(m.n))
-    for node in mm.iter_nodes(tree):
+    for node in core.iter_nodes(tree):
         if isinstance(node, Cap) and node.special is not None:
-            parts = [mm.leaf_points(c) for c in node.children]
+            parts = [core.leaf_points(c) for c in node.children]
             for i, a in enumerate(parts):
                 for b in parts[i + 1 :]:
                     for x in a:
                         for y in b:
                             assert m.rows[x][y] == node.special
-            large = mm.leaf_points(node.children[node.large_child])
+            large = core.leaf_points(node.children[node.large_child])
             assert core.diameter_and_pair(m, large)[0] > node.special

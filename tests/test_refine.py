@@ -73,7 +73,7 @@ def test_copoint_partition_singleton():
 def test_pivot_tree_splits_inner_blocks():
     tree = dg.build_dendrogram(WORKED12, range(7))
     forest = refine.pivot_tree(WORKED12, 7, tree)
-    assert [sorted(dg.leaves(s)) for s in forest] == [[4, 5, 6], [0, 1, 2, 3]]
+    assert [sorted(core.leaf_points(s)) for s in forest] == [[4, 5, 6], [0, 1, 2, 3]]
 
 
 def test_pivot_tree_rejects_leaf_pivot():
@@ -93,7 +93,7 @@ def test_stable_trees_matches_stable_partition():
         dg.build_dendrogram(WORKED12, range(7, 12)),
     ]
     carved = refine.stable_trees(WORKED12, trees)
-    assert [tuple(sorted(dg.leaves(s))) for s in carved] == [
+    assert [tuple(sorted(core.leaf_points(s))) for s in carved] == [
         (4, 5, 6),
         (0, 1, 2, 3),
         (7, 8, 9, 10, 11),

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import EQUAL3, FLAT3, WORKED12, canon_mm, robinson_matrices
-from robinspace import copoints as cop, core, mmodtree as mm, pqtree as pq, translate as tr
-from robinspace.copoints import CorrespondenceViolation
+from robinspace import copoints as cop, core, mmodtree as mm, pqtree as pq, reference
+from robinspace import translate as tr
+from robinspace.dendrogram import build_dendrogram
+from robinspace.reference import CorrespondenceViolation
 from robinspace.pqtree import Leaf, P, Q
 from robinspace.translate import NoBipartition
 
@@ -25,7 +27,7 @@ def test_worked_example_backward():
 def test_worked_example_correspondence():
     t12 = cop.pq_tree2(WORKED12, range(12))
     mt12 = mm.mmodule_tree(WORKED12, range(12))
-    rep = tr.node_correspondence(WORKED12, t12, mt12)
+    rep = reference.node_correspondence(WORKED12, t12, mt12)
     assert sorted(rep.matched) == [
         (0, 1, 2, 3),
         (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
@@ -46,7 +48,7 @@ def test_flat3_translations():
     assert forward.special == 1
     assert isinstance(forward.children[forward.large_child], mm.Cap)
     assert pq.equivalent(tr.mmodule_to_pq_tree(FLAT3, forward), t)
-    rep = tr.node_correspondence(FLAT3, t, forward)
+    rep = reference.node_correspondence(FLAT3, t, forward)
     assert rep.unmatched_mmodule == ((0, 2),)
     assert rep.unmatched_pq == ()
 
@@ -78,7 +80,7 @@ def test_find_bipartition_rejects():
 
 def test_correspondence_rejects_mismatched_kinds():
     with pytest.raises(CorrespondenceViolation):
-        tr.node_correspondence(
+        reference.node_correspondence(
             FLAT3,
             cop.pq_tree2(FLAT3, range(3)),
             mm.mmodule_tree(EQUAL3, range(3)),
@@ -116,7 +118,7 @@ def test_roundtrips_are_identities(m):
 def test_correspondence_holds_between_constructions(m):
     t = cop.pq_tree2(m, range(m.n))
     mt = mm.mmodule_tree(m, range(m.n))
-    rep = tr.node_correspondence(m, t, mt)
+    rep = reference.node_correspondence(m, t, mt)
     # unmatched sets on either side only ever come from the two known
     # sources, and those never overlap the matched groupings
     matched = set(rep.matched)
@@ -128,7 +130,7 @@ def test_correspondence_holds_between_constructions(m):
 @given(robinson_matrices(max_n=9))
 def test_special_weight_is_subset_top_weight(m):
     mt = mm.mmodule_tree(m, range(m.n))
-    for node in mm.iter_nodes(mt):
+    for node in core.iter_nodes(mt):
         if isinstance(node, mm.Cap) and node.special is not None:
-            pts = mm.leaf_points(node)
-            assert node.special == core.delta_star(m, pts)
+            pts = core.leaf_points(node)
+            assert node.special == build_dendrogram(m, pts).weight
