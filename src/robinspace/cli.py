@@ -413,7 +413,7 @@ def cmd_recognize(args) -> int:
             "order": list(result.witness),
             "tree": tree_to_doc("pq", result.tree, matrix),
         }
-        print(json.dumps(report, indent=2))
+        print(_dumps(report, result.tree))
         return 0
     report = {"robinson": False, "reason": result.reason}
     if result.violation is not None:
@@ -442,11 +442,29 @@ def cmd_tree(args) -> int:
 
 def _emit(kind: str, tree, matrix: DissimilarityMatrix, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(tree_to_doc(kind, tree, matrix), indent=2))
+        print(_dumps(tree_to_doc(kind, tree, matrix), tree))
     elif fmt == "dot":
         sys.stdout.write(dot_tree(kind, tree, matrix.scale))
     else:
         print(ascii_tree(kind, tree, matrix.scale))
+
+
+# Indentation grows with depth, so an indented document of a tree d levels
+# deep is O(n*d) bytes: 162 MB for a 3,000-point caterpillar.  Deeper
+# trees print compact, on one line.
+INDENT_MAX_DEPTH = 100
+
+
+def _dumps(report: dict, tree) -> str:
+    """JSON text of a report holding ``tree``: indented by 2 unless the tree
+    is more than ``INDENT_MAX_DEPTH`` levels deep, then compact."""
+    depth, level = 0, [tree]
+    while level and depth <= INDENT_MAX_DEPTH:
+        depth += 1
+        level = [c for node in level if not isinstance(node, Leaf) for c in node.children]
+    if depth > INDENT_MAX_DEPTH:
+        return json.dumps(report, separators=(",", ":"))
+    return json.dumps(report, indent=2)
 
 
 def cmd_translate(args) -> int:
@@ -466,10 +484,15 @@ def cmd_translate(args) -> int:
     target = args.to or ("mmodule" if kind == "pq" else "pq")
     if target == kind:
         raise DocumentError(f"document already holds a {kind} tree")
-    if kind == "pq":
-        out = translate.pq_to_mmodule_tree(matrix, tree)
-    else:
-        out = translate.mmodule_to_pq_tree(matrix, tree)
+    # the translators trust the document's claims; one the matrix refutes
+    # is a bad document, not a verdict on the matrix
+    try:
+        if kind == "pq":
+            out = translate.pq_to_mmodule_tree(matrix, tree)
+        else:
+            out = translate.mmodule_to_pq_tree(matrix, tree)
+    except NotRobinson as exc:
+        raise DocumentError(f"tree does not fit the matrix: {exc}") from None
     # a tree with the right leaves can still order them wrongly; its PQ
     # side must give a compatible order, an O(n^2) check
     violation = core.violating_triple(matrix, pq.canonical_order(tree if kind == "pq" else out))
@@ -503,7 +526,7 @@ def cmd_bench(args) -> int:
     }
     for rep in range(args.reps):
         for size in sizes:
-            matrix = generate_matrix(size, args.seed + rep, "generic")
+            matrix = generate_matrix(size, args.seed + rep, args.profile)
             pts = range(size)
             warm = rep == 0
             per_op = samples[size]
@@ -537,7 +560,13 @@ def cmd_bench(args) -> int:
     if args.format == "json":
         print(
             json.dumps(
-                {"sizes": sizes, "reps": args.reps, "medians": medians, "ratios": ratios},
+                {
+                    "profile": args.profile,
+                    "sizes": sizes,
+                    "reps": args.reps,
+                    "medians": medians,
+                    "ratios": ratios,
+                },
                 indent=2,
             )
         )
@@ -623,6 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--profile", choices=PROFILES, default="generic")
     p.add_argument("--format", "-f", choices=("json", "text"), default="text")
     p.set_defaults(run=cmd_bench)
     return top

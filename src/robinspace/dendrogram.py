@@ -1,11 +1,15 @@
 """Single-linkage dendrograms as vertex-weighted trees.
 
-The dendrogram of the subdominant ultrametric is built by a Prim-style sweep:
-points are visited in order of their current best distance to the visited
-set, and each new point is inserted along the first-child chain at the level
-of its connecting weight.  Weights strictly increase from leaves to root, and
-the subdominant distance of two points is the weight of their lowest common
-ancestor.
+The dendrogram of the subdominant ultrametric is built by Prim's sweep over
+the minimum spanning tree (Gower & Ross, 1969): points are visited in order
+of their current best distance to the visited set, ties toward the smaller
+index, and each new point is inserted along the first-child chain at the
+level of its connecting weight.  The sweep is compacted: it keeps only the
+unvisited points, in ascending order, beside their best distances, and
+shrinks both by one each step, so a k-point subset costs about k^2/2 entry
+visits, each in C or in one list comprehension.  Weights strictly increase
+from leaves to root, and the subdominant distance of two points is the
+weight of their lowest common ancestor.
 """
 
 from __future__ import annotations
@@ -56,37 +60,30 @@ def _insert(u: int, rho: int, tree: Tree) -> Tree:
 def build_dendrogram(matrix: DissimilarityMatrix, subset: Iterable[int]) -> Tree:
     """Dendrogram of the subdominant ultrametric on ``subset``.
 
-    Visits points by Prim's rule starting from the smallest index, ties
-    toward the smaller index; child order records insertion history and is
-    not part of the contract.
+    Visits points by Prim's rule starting from the smallest index: the next
+    point is the unvisited one nearest to the visited set, ties toward the
+    smaller index, and it is inserted at the level of that distance.  The
+    unvisited points are kept in ascending order beside their best
+    distances, so each step runs over live entries only, in C (``min``,
+    ``index``) and one list comprehension (the merge with the new point's
+    row).  Child order records insertion history and is not part of the
+    contract.
     """
     pts = sorted(subset)
     if not pts:
         raise EmptySubset("cannot build a dendrogram on no points")
-    if len(pts) == 1:
-        return Leaf(pts[0])
     rows = matrix.rows
-    k = len(pts)
-    row0 = rows[pts[0]]
-    dist = [row0[x] for x in pts]
-    visited = [False] * k
-    visited[0] = True
     tree: Tree = Leaf(pts[0])
-    for _ in range(k - 1):
-        best = -1
-        best_d = None
-        for i in range(k):
-            if not visited[i] and (best_d is None or dist[i] < best_d):
-                best_d = dist[i]
-                best = i
-        visited[best] = True
-        tree = _insert(pts[best], best_d, tree)
-        ru = rows[pts[best]]
-        for i in range(k):
-            if not visited[i]:
-                v = ru[pts[i]]
-                if v < dist[i]:
-                    dist[i] = v
+    rem = pts[1:]
+    dist = list(map(rows[pts[0]].__getitem__, rem))
+    while rem:
+        best_d = min(dist)
+        # index() finds the first minimum: the smallest such point
+        i = dist.index(best_d)
+        u = rem.pop(i)
+        del dist[i]
+        tree = _insert(u, best_d, tree)
+        dist = [a if a < b else b for a, b in zip(dist, map(rows[u].__getitem__, rem))]
     return tree
 
 

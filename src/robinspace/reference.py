@@ -12,7 +12,10 @@ constructions against these, which follow the paper's other routes:
 * ``frontiers``, ``upsilon_frontier_check`` and
   ``copoints_from_mmodule_tree`` relate copoints to tree nodes;
 * ``rho_components`` and ``maximal_mmodules`` restate the components
-  below the top weight and the maximal mmodules from their definitions.
+  below the top weight and the maximal mmodules from their definitions;
+* ``prim_dendrogram_loop`` is the single-linkage sweep as a plain index
+  loop, and ``witness_dendrogram`` reads the dendrogram off a compatible
+  order in linear time, a cross-check at sizes the oracles cannot reach.
 """
 
 from __future__ import annotations
@@ -391,3 +394,70 @@ def maximal_mmodules(
         whole = set(pts)
         tops = [tuple(sorted(whole - leaf_set(c))) for c in tree.children]
     return sorted(tops)
+
+
+# --- dendrograms by other routes -------------------------------------------------
+
+
+def prim_dendrogram_loop(matrix: DissimilarityMatrix, subset: Iterable[int]) -> dg.Tree:
+    """``build_dendrogram`` as a plain index loop over all k points per step.
+
+    The same Prim visiting order (first minimum, so ties go to the smaller
+    index) and the same insertions, so the trees are equal under ``==``.
+    """
+    pts = sorted(subset)
+    if not pts:
+        raise dg.EmptySubset("cannot build a dendrogram on no points")
+    if len(pts) == 1:
+        return Leaf(pts[0])
+    rows = matrix.rows
+    k = len(pts)
+    row0 = rows[pts[0]]
+    dist = [row0[x] for x in pts]
+    visited = [False] * k
+    visited[0] = True
+    tree: dg.Tree = Leaf(pts[0])
+    for _ in range(k - 1):
+        best = -1
+        best_d = None
+        for i in range(k):
+            if not visited[i] and (best_d is None or dist[i] < best_d):
+                best_d = dist[i]
+                best = i
+        visited[best] = True
+        tree = dg._insert(pts[best], best_d, tree)
+        ru = rows[pts[best]]
+        for i in range(k):
+            if not visited[i]:
+                v = ru[pts[i]]
+                if v < dist[i]:
+                    dist[i] = v
+    return tree
+
+
+def witness_dendrogram(matrix: DissimilarityMatrix, order: Sequence[int]) -> dg.Tree:
+    """Single-linkage dendrogram read off a compatible order in O(n).
+
+    On a Robinson space the path along a compatible order is a minimum
+    spanning tree (d(l, l+1) <= d(i, l+1) <= d(i, k) for i <= l < k), so
+    the Cartesian tree of its n-1 adjacent weights, with equal adjacent
+    weights merged into one node, has the clusters of the dendrogram.
+    Built with a stack of open nodes, weights decreasing toward the top.
+    """
+    rows = matrix.rows
+    current: dg.Tree = Leaf(order[0])
+    stack: list[dg.Internal] = []
+    for a, b in zip(order, order[1:]):
+        w = rows[a][b]
+        while stack and stack[-1].weight < w:
+            stack[-1].children.append(current)
+            current = stack.pop()
+        if stack and stack[-1].weight == w:
+            stack[-1].children.append(current)
+        else:
+            stack.append(dg.Internal(w, [current]))
+        current = Leaf(b)
+    while stack:
+        stack[-1].children.append(current)
+        current = stack.pop()
+    return current

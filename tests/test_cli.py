@@ -518,8 +518,42 @@ def test_translate_rejects_misfit_mmodule_tree(capsys, tmp_path):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_translate_rejects_misfit_special_node(capsys, tmp_path):
+    # cap@3(*cap(0 1) 2 3): the matrix is Robinson, the document's special
+    # node is not, so the document is unusable, not the matrix
+    doc = {
+        "kind": "mmodule",
+        "root": {
+            "type": "cap",
+            "special": "3",
+            "largeChild": 0,
+            "children": [{"type": "cap", "children": [_leaf(0), _leaf(1)]}, _leaf(2), _leaf(3)],
+        },
+    }
+    assert _translate(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tree does not fit the matrix: ")
+    assert captured.err.count("\n") == 1
+
+
+def _run_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """``robinspace`` in a fresh interpreter, at the default recursion limit
+    as a user's would be."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "robinspace.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 def test_translate_deep_document_exits_2(tmp_path):
-    # a fresh interpreter keeps the default recursion limit, as a user's would
     depth = 3000
     text = (
         '{"kind": "pq", "root": '
@@ -532,20 +566,33 @@ def test_translate_deep_document_exits_2(tmp_path):
     mpath.write_text(DEMO_TEXT)
     dpath = tmp_path / "deep.json"
     dpath.write_text(text)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "robinspace.cli", "translate", "-i", str(dpath), "-m", str(mpath)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _run_fresh("translate", "-i", str(dpath), "-m", str(mpath))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+
+def test_recognize_deep_tree_prints_compact(tmp_path):
+    # the caterpillar d(i, j) = max(i, j): its PQ-tree is n - 1 levels deep,
+    # and an indented document of it would be about 40 MB
+    n = 1500
+    path = tmp_path / "caterpillar.txt"
+    rows = (" ".join(str(max(i, j)) for j in range(i + 1, n)) for i in range(n - 1))
+    path.write_text("\n".join(rows) + "\n")
+    proc = _run_fresh("recognize", "-i", str(path))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert len(proc.stdout) < 1_000_000
+    # one line; too deep for json.loads at the default recursion limit
+    assert proc.stdout.count("\n") == 1
+    assert proc.stdout.startswith('{"robinson":true,"order":[')
+
+
+def test_shallow_tree_prints_indented(capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(DEMO_TEXT)
+    assert cli.main(["tree", "-i", str(path), "-t", "dendrogram"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 # --- generator ----------------------------------------------------------------
@@ -607,6 +654,15 @@ def test_bench_small_json_shape(capsys):
     assert set(report["medians"]["32"]) == set(cli.BENCH_OPS)
     assert set(report["ratios"]) == {"64/32"}
     assert all(v > 0 for v in report["medians"]["64"].values())
+
+
+def test_bench_profile(capsys):
+    argv = ["bench", "--profile", "tie-heavy", "--sizes", "32,64", "--reps", "1", "-f", "json"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["profile"] == "tie-heavy"
+    assert set(report["medians"]) == {"32", "64"}
+    assert set(report["ratios"]) == {"64/32"}
 
 
 def test_bench_text_format(capsys):

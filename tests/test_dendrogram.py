@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import EQUAL3, FLAT3, WORKED12, robinson_matrices, symmetric_matrices
-from robinspace import dendrogram as dg, oracle
+from robinspace import cli, copoints, dendrogram as dg, oracle, reference
+from robinspace.core import DissimilarityMatrix
 from robinspace.core import iter_nodes, leaf_points
 from robinspace.dendrogram import EmptySubset, Internal, Leaf, NotALeaf
 
@@ -105,3 +106,54 @@ def test_leaves_partition_under_every_internal(m):
         if isinstance(node, Internal):
             seen = [x for c in node.children for x in leaf_points(c)]
             assert len(seen) == len(set(seen))
+
+
+# --- the sweep against the plain loop and the witness -------------------------
+
+
+@st.composite
+def _subsets(draw, n: int) -> list[int]:
+    """A nonempty subset of range(n), sizes 1 and 2 drawn often."""
+    size = draw(st.integers(1, min(2, n)) | st.integers(1, n))
+    return draw(st.permutations(range(n)))[:size]
+
+
+@st.composite
+def _profile_inputs(draw):
+    profile = draw(st.sampled_from(cli.PROFILES))
+    m = cli.generate_matrix(draw(st.integers(1, 48)), draw(st.integers(0, 10**6)), profile)
+    return m, draw(_subsets(m.n))
+
+
+@st.composite
+def _tied_inputs(draw):
+    """Symmetric matrices over a 2- or 3-value alphabet: ties everywhere,
+    mostly not Robinson."""
+    n = draw(st.integers(1, 14))
+    alphabet = draw(st.lists(st.integers(0, 9), min_size=2, max_size=3, unique=True))
+    k = n * (n - 1) // 2
+    vals = iter(draw(st.lists(st.sampled_from(alphabet), min_size=k, max_size=k)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = next(vals)
+    return DissimilarityMatrix(rows, 1), draw(_subsets(n))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_profile_inputs(), _tied_inputs()))
+def test_sweep_equals_plain_loop(case):
+    # same shape, child order and weights as the loop the sweep replaced
+    m, subset = case
+    assert dg.build_dendrogram(m, subset) == reference.prim_dendrogram_loop(m, subset)
+
+
+@pytest.mark.parametrize("profile", cli.PROFILES)
+def test_clusters_match_witness_dendrogram_at_large_n(profile):
+    n = 1024
+    m = cli.generate_matrix(n, 1, profile)
+    result = copoints.recognize_robinson(m)
+    assert result.accepted
+    want = dg.clusters(reference.witness_dendrogram(m, result.witness))
+    assert dg.clusters(dg.build_dendrogram(m, range(n))) == want
+
