@@ -10,9 +10,10 @@ that is again an mmodule, hence a node of the PQ-tree.  The remaining
 single-copoint case inserts p's subtree into the PQ-tree of that
 copoint, guided by the cone structure of its root.
 
-``recognize_robinson`` wraps the construction in a verdict: construct,
-then verify the canonical order, so a bogus tree can never slip
-through on non-Robinson input.
+``recognize_robinson`` wraps the construction in a verdict: validate,
+construct, then verify the canonical order, so a bogus tree can never
+slip through on non-Robinson input.  ``recognize_validated`` is the same
+verdict without the validation, for matrices that are valid already.
 """
 
 from __future__ import annotations
@@ -219,6 +220,12 @@ def recognize_robinson(matrix: DissimilarityMatrix) -> RecognitionResult:
     input construction cannot fail, so a refusal is trustworthy too.
     """
     core.validate(matrix)
+    return recognize_validated(matrix)
+
+
+def recognize_validated(matrix: DissimilarityMatrix) -> RecognitionResult:
+    """``recognize_robinson`` on a matrix already known to pass
+    ``core.validate`` (a parsed file), without checking it again."""
     try:
         tree = pq_tree2(matrix, range(matrix.n))
     except NotRobinson as exc:

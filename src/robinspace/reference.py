@@ -15,15 +15,20 @@ constructions against these, which follow the paper's other routes:
   below the top weight and the maximal mmodules from their definitions;
 * ``prim_dendrogram_loop`` is the single-linkage sweep as a plain index
   loop, and ``witness_dendrogram`` reads the dendrogram off a compatible
-  order in linear time, a cross-check at sizes the oracles cannot reach.
+  order in linear time, a cross-check at sizes the oracles cannot reach;
+* ``parse_matrix_all_tokens`` parses a matrix file through one table
+  built over every token at once, the streamed ``cli.parse_matrix``'s
+  differential reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Any, Iterable, Sequence
 
 from . import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, refine
+from .cli import MatrixParseError, _scan_weight
 from .core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError
 from .core import iter_nodes, leaf_points, leaf_set
 from .pqtree import P, PQTree, Q
@@ -461,3 +466,68 @@ def witness_dendrogram(matrix: DissimilarityMatrix, order: Sequence[int]) -> dg.
         stack[-1].children.append(current)
         current = stack.pop()
     return current
+
+
+# --- matrix files, every token held at once ------------------------------------------
+
+
+def parse_matrix_all_tokens(text: str) -> DissimilarityMatrix:
+    """``cli.parse_matrix`` as one table built over every token of the file.
+
+    All token strings stay alive until the rows are built, and the
+    triangle grid is validated like a square file.  Same rows, scale and
+    errors as the streamed parse.
+    """
+    lines: list[tuple[int, list[str]]] = []
+    for ln, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        if "," in line:
+            line = line.replace(",", " ")
+        tokens = line.split()
+        if tokens:
+            lines.append((ln, tokens))
+    if not lines:
+        raise MatrixParseError(1, 1, "no matrix entries found")
+
+    # distinct tokens in first-seen order: the first bad one is the first in
+    # reading order.  Values overwrite the placeholders in place.
+    table: dict[str, Any] = dict.fromkeys(
+        chain.from_iterable(tokens for _, tokens in lines)
+    )
+    scale = 10 ** max(len(token.partition(".")[2].rstrip("0")) for token in table)
+    shared: dict[int, int] = {}
+    try:
+        for token in table:
+            value, places = _scan_weight(token)
+            value = value * scale // 10**places  # exact: dropped places are 0
+            table[token] = shared.setdefault(value, value)
+    except ValueError as exc:
+        ln, tokens = next((ln, tokens) for ln, tokens in lines if token in tokens)
+        raise MatrixParseError(ln, tokens.index(token) + 1, str(exc)) from None
+    del shared
+
+    rows = [list(map(table.__getitem__, tokens)) for _, tokens in lines]
+    r = len(rows)
+    sizes = [len(row) for row in rows]
+    square = sizes == [r] * r
+    if not square and sizes != list(range(r, 0, -1)):
+        ln = lines[min(range(r), key=lambda i: sizes[i] == sizes[0])][0]
+        raise MatrixParseError(
+            ln, 1, f"row lengths {sizes} fit neither a square nor an upper triangle"
+        )
+    del lines, table
+    if not square:
+        n = r + 1
+        grid = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            grid[i][i + 1 :] = row
+        # zip reads columns lazily; column j takes only rows above j, whose
+        # entries right of their diagonal are never overwritten
+        for j, column in enumerate(zip(*grid)):
+            grid[j][:j] = column[:j]
+        rows = grid
+
+    matrix = DissimilarityMatrix(rows, scale)
+    core.validate(matrix)
+    return matrix

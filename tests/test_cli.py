@@ -572,19 +572,38 @@ def test_translate_deep_document_exits_2(tmp_path):
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
 
-def test_recognize_deep_tree_prints_compact(tmp_path):
-    # the caterpillar d(i, j) = max(i, j): its PQ-tree is n - 1 levels deep,
-    # and an indented document of it would be about 40 MB
-    n = 1500
+def _caterpillar(tmp_path, n: int) -> str:
+    """Triangle file of d(i, j) = max(i, j), whose trees are n - 1 levels deep."""
     path = tmp_path / "caterpillar.txt"
     rows = (" ".join(str(max(i, j)) for j in range(i + 1, n)) for i in range(n - 1))
     path.write_text("\n".join(rows) + "\n")
-    proc = _run_fresh("recognize", "-i", str(path))
+    return str(path)
+
+
+def test_recognize_deep_tree_prints_compact(tmp_path):
+    # an indented document of the caterpillar's PQ-tree would be about 40 MB
+    proc = _run_fresh("recognize", "-i", _caterpillar(tmp_path, 1500))
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert len(proc.stdout) < 1_000_000
     # one line; too deep for json.loads at the default recursion limit
     assert proc.stdout.count("\n") == 1
     assert proc.stdout.startswith('{"robinson":true,"order":[')
+
+
+@pytest.mark.parametrize("fmt", ["json", "ascii", "dot"])
+def test_deep_dendrogram_prints_in_every_format(tmp_path, fmt):
+    # every writer (json's encoder too) recurses once per level
+    n = 1500
+    proc = _run_fresh("tree", "-i", _caterpillar(tmp_path, n), "-t", "dendrogram", "-f", fmt)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    if fmt == "json":
+        assert proc.stdout.count("\n") == 1
+        assert proc.stdout.startswith('{"kind":"dendrogram","root":{')
+    elif fmt == "ascii":
+        assert proc.stdout.startswith(f"({n - 1}: {n - 1} ({n - 2}: {n - 2} (")
+    else:
+        assert proc.stdout.count(" -- ") == 2 * (n - 1)
 
 
 def test_shallow_tree_prints_indented(capsys, tmp_path):
