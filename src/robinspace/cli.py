@@ -7,10 +7,11 @@ matrices) and ``bench`` (median wall times and doubling ratios).
 
 Matrix files hold one row per line, full square or upper-triangular,
 whitespace- or comma-separated, with nonnegative decimal weights;
-``#`` starts a comment.  Points are the 0-based row indices.  Parsing
-streams the lines through one table of distinct tokens, scans each
-distinct token once and interns the weights (equal values share one int
-object); a square file is validated once, a triangle needs no check.
+``#`` starts a comment.  Points are the 0-based row indices.  Parsing is
+one pass over the lines: each line's tokens map straight to interned ints
+through one table that scans each distinct token once (equal values share
+one int object); a square file is validated once, a triangle needs no
+check.
 JSON tree documents are the canonical interchange; weights inside them stay
 decimal strings so nothing is lost to binary floats.  Exit status is 0
 for success, 1 when the space is not Robinson, 2 for unusable input.
@@ -73,56 +74,100 @@ def _weight_from_str(token: str, scale: int) -> int:
 # --- matrix files ------------------------------------------------------------
 
 
+class _Finer(Exception):
+    """A token needs more decimal places than the table's scale holds."""
+
+
+class _Weights(dict):
+    """Token -> interned int weight at scale ``10**places``.
+
+    A token is scanned the first time it is looked up.  Only a padded or
+    non-ASCII spelling (``01``, ``1.50``, ``٣``) can share its value with
+    another token; it takes the int of its canonical spelling
+    (``weight_str``) from the same table, so equal values share one int
+    object and no second table keyed by value is needed.
+    """
+
+    def __init__(self, places: int) -> None:
+        super().__init__()
+        self.places = places
+        self.scale = 10**places
+
+    def __missing__(self, token: str) -> int:
+        value, places = _scan_weight(token)
+        shift = self.places - places
+        if shift < 0:  # exact when the dropped places are trailing zeros
+            if len(token) - len(token.rstrip("0")) < -shift:
+                raise _Finer
+            value //= 10**-shift
+        elif shift:
+            value *= 10**shift
+        # canonical: ASCII, no leading zero, no trailing zero after the point
+        if token.isascii() and not (
+            token[0] == "0" and token[1:2].isdigit() or places and token[-1] == "0"
+        ):
+            self[token] = value
+        else:
+            self[token] = value = self[weight_str(value, self.scale)]
+        return value
+
+
 def parse_matrix(text: str) -> DissimilarityMatrix:
     """Parse a matrix file (full square or upper triangle), validated.
 
-    The lines are streamed: each line's tokens are mapped through one
-    table to a single shared string per distinct token, so the line's
-    own strings die with it and only the distinct tokens stay alive.
-    Once the file ends, the canonical scale is fixed, each distinct token
-    is scanned once into an interned int in the same table (so the first
-    bad token in reading order falls out of the walk), and every row is
-    turned into ints by table lookups.  A square file is validated once
+    One pass over the lines maps each line's tokens straight to interned
+    ints through one table (``_Weights``), which scans each distinct token
+    the first time it is seen, so a line's strings die with it and only
+    the distinct tokens stay alive.  The table holds values at the most
+    decimal places seen so far; when a token needs more, its line is read
+    again with a fresh table at the new scale, and the rows read under an
+    earlier scale are converted once at the end, by canonical spelling
+    through the final table.  No row is converted twice, so the parse
+    stays O(entries) however often the scale grows.  Errors come in a
+    fixed order: the first bad token in reading order, then the shape,
+    then the first validation defect.  A square file is validated once
     here; a triangle is symmetric with a zero diagonal by construction.
 
-    Measured in a fresh process on a 2-CPU host (Python 3.11.7) against a
-    parse that holds every token string until the rows are built: an
-    n=2048 square file of generated integer weights peaks at 90 MB of RSS
-    instead of 362 MB, in 1.1-1.4 s instead of 1.6-1.7 s; a square file of
-    all-distinct six-place decimals at n=2048 takes the same 10.5-11.2 s
-    with 493 MB instead of 622 MB.  An all-distinct triangle holds the
-    same distinct strings either way and peaks equally (449 MB).
+    Measured in a fresh process on a 2-CPU host (Python 3.11.7), four
+    alternating pairs against a parse that maps tokens to shared strings
+    and remaps every row through a second table: an n=2048 square file of
+    all-distinct six-place decimals parses in 5.0-6.9 s with 390 MB of
+    peak RSS (was 8.6-10.7 s and 488 MB), the triangle in 4.0-4.9 s with
+    340 MB (was 5.3-7.3 s and 446 MB).  A generated integer square file at
+    n=2048 peaks at about 90 MB either way.
     """
-    canon: dict[str, Any] = {}
-    rows: list[list] = []
+    table = _Weights(0)
+    rows: list[list[int]] = []
     line_nos: list[int] = []
+    start = 0  # first row read under ``table``
+    earlier: list[tuple[int, int, int]] = []  # (rows start:stop, scale) per earlier table
     for ln, line in enumerate(text.splitlines(), 1):
         if "#" in line:
             line = line.split("#", 1)[0]
         if "," in line:
             line = line.replace(",", " ")
         tokens = line.split()
-        if tokens:
-            rows.append(list(map(canon.setdefault, tokens, tokens)))
-            line_nos.append(ln)
+        if not tokens:
+            continue
+        try:
+            try:
+                row = list(map(table.__getitem__, tokens))
+            except _Finer:
+                earlier.append((start, len(rows), table.scale))
+                start = len(rows)
+                table = _Weights(max(len(t.partition(".")[2].rstrip("0")) for t in tokens))
+                row = list(map(table.__getitem__, tokens))
+        except ValueError:
+            for col, token in enumerate(tokens, 1):
+                try:
+                    _scan_weight(token)
+                except ValueError as exc:
+                    raise MatrixParseError(ln, col, str(exc)) from None
+            raise
+        rows.append(row)
+        line_nos.append(ln)
     if not rows:
         raise MatrixParseError(1, 1, "no matrix entries found")
-
-    # canon holds the distinct tokens in first-seen order; the values
-    # overwrite the tokens in place, so no second table of that size is
-    # built.  The canonical scale keeps only the decimal places some token
-    # needs.
-    scale = 10 ** max(len(token.partition(".")[2].rstrip("0")) for token in canon)
-    shared: dict[int, int] = {}
-    try:
-        for token in canon:
-            value, places = _scan_weight(token)
-            value = value * scale // 10**places  # exact: dropped places are 0
-            canon[token] = shared.setdefault(value, value)
-    except ValueError as exc:
-        i = next(i for i, row in enumerate(rows) if token in row)
-        raise MatrixParseError(line_nos[i], rows[i].index(token) + 1, str(exc)) from None
-    del shared
 
     r = len(rows)
     sizes = list(map(len, rows))
@@ -132,10 +177,14 @@ def parse_matrix(text: str) -> DissimilarityMatrix:
         raise MatrixParseError(
             ln, 1, f"row lengths {sizes} fit neither a square nor an upper triangle"
         )
-    for i, row in enumerate(rows):  # in place, so the grid never exists twice
-        rows[i] = list(map(canon.__getitem__, row))
-    del canon
-    matrix = DissimilarityMatrix(rows, scale)
+    for first, stop, scale in earlier:  # in place, so the grid never exists twice
+        spelled = {
+            v: table[weight_str(v, scale)] for v in set(chain.from_iterable(rows[first:stop]))
+        }
+        for i in range(first, stop):
+            rows[i] = list(map(spelled.__getitem__, rows[i]))
+    matrix = DissimilarityMatrix(rows, table.scale)
+    del table
     if square:
         core.validate(matrix)
         return matrix
@@ -526,6 +575,7 @@ BENCH_OPS: tuple[str, ...] = (
     "pq-tree",
     "pq-to-mmodule",
     "mmodule-to-pq",
+    "verify",
 )
 
 
@@ -554,6 +604,9 @@ def cmd_bench(args) -> int:
             )
             per_op["mmodule-to-pq"].append(
                 _timed(warm, translate.mmodule_to_pq_tree, matrix, mtree)[0]
+            )
+            per_op["verify"].append(
+                _timed(warm, core.violating_triple, matrix, pq.canonical_order(ptree))[0]
             )
     medians: dict[str, dict[str, float]] = {}
     if args.reps:

@@ -37,17 +37,6 @@ class SubsetTooSmall(RobinsonError):
     pass
 
 
-class NotAnMModulePartition(RobinsonError):
-    """A quotient was requested over a class that is not an mmodule.
-
-    The witness (z, x, y) has x, y in one class and d(z,x) != d(z,y).
-    """
-
-    def __init__(self, z: int, x: int, y: int) -> None:
-        super().__init__(f"point {z} separates {x} and {y}")
-        self.witness = (z, x, y)
-
-
 class NotRobinson(RobinsonError):
     """The input admits no compatible order (detected structurally)."""
 
@@ -163,7 +152,8 @@ def intern_weights(matrix: DissimilarityMatrix) -> None:
 
 
 def is_compatible_order(matrix: DissimilarityMatrix, order: Sequence[int]) -> bool:
-    """True iff distances never decrease moving away from the diagonal."""
+    """True iff distances never decrease moving away from the diagonal
+    (on a matrix that passes ``validate``, see ``violating_triple``)."""
     return violating_triple(matrix, order) is None
 
 
@@ -172,12 +162,33 @@ def violating_triple(
 ) -> tuple[int, int, int] | None:
     """A triple x, y, z in order with d(x,z) < max(d(x,y), d(y,z)), or None.
 
-    Checking each entry against its two inner neighbours is equivalent to the
-    all-triples condition d(x,z) >= max(d(x,y), d(y,z)) for x < y < z along
-    the order, and keeps the test quadratic; the neighbour that is larger
-    names the triple.
+    Precondition: ``matrix`` passes ``validate`` and ``order`` lists
+    distinct points; the check reads columns as rows, so it is exact only
+    on a symmetric matrix.  Every production caller has such a matrix.
+
+    Checking each entry against its two inner neighbours is equivalent to
+    the all-triples condition d(x,z) >= max(d(x,y), d(y,z)) for x < y < z
+    along the order: each point's row, read along the order, must be
+    non-increasing left of the point and non-decreasing right of it.
+    ``zip`` over the rows taken in order yields every column read along
+    the order, which by symmetry is that point's row, and timsort confirms
+    a sorted run in one C pass.  Only when a row fails does the index loop
+    run, to name the first triple in its order (the one
+    ``reference.violating_triple_loop`` names); the neighbour that is
+    larger names the triple.
     """
     rows = matrix.rows
+    at: list[int | None] = [None] * len(rows)
+    for a, x in enumerate(order):
+        at[x] = a
+    for a, seen in zip(at, zip(*map(rows.__getitem__, order))):
+        if a is None:
+            continue
+        left, right = seen[:a], seen[a + 1 :]
+        if list(right) != sorted(right) or list(left) != sorted(left, reverse=True):
+            break
+    else:
+        return None
     m = len(order)
     for a in range(m):
         ra = rows[order[a]]
@@ -228,58 +239,6 @@ def components_below(
 ) -> list[tuple[int, ...]]:
     """Connected components of the graph whose edges are pairs at distance < bound."""
     return _components(matrix.rows, sorted(subset), lambda v: v < bound)
-
-
-def is_mmodule(
-    matrix: DissimilarityMatrix, subset: Iterable[int], candidate: Iterable[int]
-) -> bool:
-    """True iff every point of subset outside candidate sees one distance on it."""
-    cand = list(candidate)
-    if not cand:
-        return True
-    inside = set(cand)
-    rows = matrix.rows
-    first = cand[0]
-    for z in subset:
-        if z in inside:
-            continue
-        rz = rows[z]
-        want = rz[first]
-        for x in cand:
-            if rz[x] != want:
-                return False
-    return True
-
-
-def quotient(
-    matrix: DissimilarityMatrix, partition: Sequence[Sequence[int]]
-) -> DissimilarityMatrix:
-    """Quotient space over a partition into mmodules, one point per class.
-
-    Class i of the result stands for partition[i].  Raises
-    NotAnMModulePartition with a witness when any cross-class distance is
-    ambiguous.
-    """
-    rows = matrix.rows
-    parts = [list(p) for p in partition]
-    ground: list[int] = [x for p in parts for x in p]
-    for pi, part in enumerate(parts):
-        if len(part) < 2:
-            continue
-        x0 = part[0]
-        inside = set(part)
-        for z in ground:
-            if z in inside:
-                continue
-            rz = rows[z]
-            want = rz[x0]
-            for x in part[1:]:
-                if rz[x] != want:
-                    raise NotAnMModulePartition(z, x0, x)
-    m = len(parts)
-    reps = [p[0] for p in parts]
-    out = [[rows[reps[i]][reps[j]] if i != j else 0 for j in range(m)] for i in range(m)]
-    return DissimilarityMatrix(out, matrix.scale)
 
 
 def diameter_and_pair(

@@ -11,8 +11,12 @@ constructions against these, which follow the paper's other routes:
   and an mmodule tree one to one;
 * ``frontiers``, ``upsilon_frontier_check`` and
   ``copoints_from_mmodule_tree`` relate copoints to tree nodes;
+* ``is_mmodule`` and ``quotient`` test an mmodule and build the quotient
+  over a partition into mmodules from their definitions;
 * ``rho_components`` and ``maximal_mmodules`` restate the components
   below the top weight and the maximal mmodules from their definitions;
+* ``violating_triple_loop`` is the order check as a plain index loop,
+  ``core.violating_triple``'s differential reference;
 * ``prim_dendrogram_loop`` is the single-linkage sweep as a plain index
   loop, and ``witness_dendrogram`` reads the dendrogram off a compatible
   order in linear time, a cross-check at sizes the oracles cannot reach;
@@ -36,6 +40,17 @@ from .pqtree import P, PQTree, Q
 
 class CorrespondenceViolation(RobinsonError):
     pass
+
+
+class NotAnMModulePartition(RobinsonError):
+    """A quotient was requested over a class that is not an mmodule.
+
+    The witness (z, x, y) has x, y in one class and d(z,x) != d(z,y).
+    """
+
+    def __init__(self, z: int, x: int, y: int) -> None:
+        super().__init__(f"point {z} separates {x} and {y}")
+        self.witness = (z, x, y)
 
 
 IndexSet = tuple[int, ...]
@@ -97,7 +112,7 @@ def _connected_pq(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
     if not isinstance(mtree, mm.Cup):
         raise NotRobinson("connected space whose maximal mmodules do not partition")
     classes = [sorted(leaf_points(c)) for c in mtree.children]
-    flat = copoints.pq_tree2(core.quotient(matrix, classes), range(len(classes)))
+    flat = copoints.pq_tree2(quotient(matrix, classes), range(len(classes)))
     sigma = pq.canonical_order(flat)
     kids = tuple(_delta_pq(matrix, classes[c]) for c in sigma)
     return pq.normalize(matrix, Q(kids))
@@ -363,6 +378,61 @@ def _path_to(tree, p: int) -> list:
     return path
 
 
+# --- mmodules and quotients from their definitions ---------------------------------
+
+
+def is_mmodule(
+    matrix: DissimilarityMatrix, subset: Iterable[int], candidate: Iterable[int]
+) -> bool:
+    """True iff every point of subset outside candidate sees one distance on it."""
+    cand = list(candidate)
+    if not cand:
+        return True
+    inside = set(cand)
+    rows = matrix.rows
+    first = cand[0]
+    for z in subset:
+        if z in inside:
+            continue
+        rz = rows[z]
+        want = rz[first]
+        for x in cand:
+            if rz[x] != want:
+                return False
+    return True
+
+
+def quotient(
+    matrix: DissimilarityMatrix, partition: Sequence[Sequence[int]]
+) -> DissimilarityMatrix:
+    """Quotient space over a partition into mmodules, one point per class.
+
+    Class i of the result stands for partition[i].  Raises
+    NotAnMModulePartition with a witness when any cross-class distance is
+    ambiguous.
+    """
+    rows = matrix.rows
+    parts = [list(p) for p in partition]
+    ground: list[int] = [x for p in parts for x in p]
+    for pi, part in enumerate(parts):
+        if len(part) < 2:
+            continue
+        x0 = part[0]
+        inside = set(part)
+        for z in ground:
+            if z in inside:
+                continue
+            rz = rows[z]
+            want = rz[x0]
+            for x in part[1:]:
+                if rz[x] != want:
+                    raise NotAnMModulePartition(z, x0, x)
+    m = len(parts)
+    reps = [p[0] for p in parts]
+    out = [[rows[reps[i]][reps[j]] if i != j else 0 for j in range(m)] for i in range(m)]
+    return DissimilarityMatrix(out, matrix.scale)
+
+
 # --- components and maximal mmodules ---------------------------------------------
 
 
@@ -399,6 +469,32 @@ def maximal_mmodules(
         whole = set(pts)
         tops = [tuple(sorted(whole - leaf_set(c))) for c in tree.children]
     return sorted(tops)
+
+
+# --- the order check as a plain index loop ------------------------------------------
+
+
+def violating_triple_loop(
+    matrix: DissimilarityMatrix, order: Sequence[int]
+) -> tuple[int, int, int] | None:
+    """``core.violating_triple`` as the index loop over every entry.
+
+    Each entry is checked against its two inner neighbours, in order of
+    the row's position and then the column's, and the first failure
+    names the triple; ``core.violating_triple`` runs this loop only after
+    its sorted-run check fails, so both name the same triple.
+    """
+    rows = matrix.rows
+    m = len(order)
+    for a in range(m):
+        ra = rows[order[a]]
+        for b in range(a + 2, m):
+            v = ra[order[b]]
+            if v < ra[order[b - 1]]:
+                return order[a], order[b - 1], order[b]
+            if v < rows[order[a + 1]][order[b]]:
+                return order[a], order[a + 1], order[b]
+    return None
 
 
 # --- dendrograms by other routes -------------------------------------------------

@@ -3,19 +3,19 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
-from conftest import EQUAL3, FLAT3, WORKED12, robinson_matrices
-from robinspace import core, reference
+from conftest import EQUAL3, FLAT3, NONROB4, WORKED12, robinson_matrices
+from robinspace import cli, copoints, core, pqtree as pq, reference
 from robinspace.core import (
     AsymmetricInput,
     DissimilarityMatrix,
     EmptyMatrix,
     NonzeroDiagonal,
-    NotAnMModulePartition,
     SubsetTooSmall,
 )
 from robinspace.dendrogram import build_dendrogram
+from robinspace.reference import NotAnMModulePartition
 
 
 def test_validate_accepts_worked_example():
@@ -88,6 +88,51 @@ def test_compatible_order_matches_triple_definition():
             assert m.rows[x][z] < max(m.rows[x][y], m.rows[y][z])
 
 
+@st.composite
+def checked_orders(draw) -> tuple[DissimilarityMatrix, list[int]]:
+    """A symmetric matrix and an order over all its points or a subset.
+
+    Generated profiles with their compatible canonical order, the same with
+    one entry perturbed, or a random 2- or 3-value alphabet; the order is
+    that base order or a shuffle of it, cut to a subsequence half the time.
+    """
+    n = draw(st.integers(1, 10))
+    source = draw(st.sampled_from(["profile", "perturbed", "alphabet"]))
+    if source == "alphabet":
+        size = draw(st.sampled_from([2, 3]))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = draw(st.integers(0, size - 1))
+        base = list(range(n))
+    else:
+        m = cli.generate_matrix(n, draw(st.integers(0, 10**6)), draw(st.sampled_from(cli.PROFILES)))
+        base = pq.canonical_order(copoints.pq_tree2(m, range(n)))
+        rows = [list(row) for row in m.rows]
+        if source == "perturbed" and n > 1:
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            rows[i][j] = rows[j][i] = draw(st.integers(0, max(map(max, rows)) + 1))
+    order = draw(st.permutations(base)) if draw(st.booleans()) else base
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        order = [x for x, k in zip(order, keep) if k]
+    return DissimilarityMatrix(rows), order
+
+
+@settings(max_examples=1500, deadline=None)
+@given(checked_orders())
+def test_violating_triple_matches_index_loop(case):
+    m, order = case
+    assert core.violating_triple(m, order) == reference.violating_triple_loop(m, order)
+
+
+@pytest.mark.parametrize("length", range(4))
+def test_violating_triple_on_short_orders(length):
+    for order in itertools.permutations(range(4), length):
+        want = reference.violating_triple_loop(NONROB4, order)
+        assert core.violating_triple(NONROB4, order) == want, order
+
+
 def test_delta_star_frozen():
     # delta star, the largest minimum-spanning-tree edge, is the dendrogram's root weight
     assert build_dendrogram(FLAT3, range(3)).weight == 1
@@ -124,21 +169,21 @@ def test_rho_components_frozen():
 
 
 def test_is_mmodule():
-    assert core.is_mmodule(WORKED12, range(12), [9, 10])
-    assert core.is_mmodule(WORKED12, range(12), [4, 5, 6])
-    assert not core.is_mmodule(WORKED12, range(12), [0, 1])
-    assert core.is_mmodule(WORKED12, range(12), [])
-    assert core.is_mmodule(WORKED12, range(12), [3])
+    assert reference.is_mmodule(WORKED12, range(12), [9, 10])
+    assert reference.is_mmodule(WORKED12, range(12), [4, 5, 6])
+    assert not reference.is_mmodule(WORKED12, range(12), [0, 1])
+    assert reference.is_mmodule(WORKED12, range(12), [])
+    assert reference.is_mmodule(WORKED12, range(12), [3])
 
 
 def test_quotient_of_blocks():
-    q = core.quotient(WORKED12, [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9, 10, 11]])
+    q = reference.quotient(WORKED12, [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9, 10, 11]])
     assert q.rows == [[0, 5, 8], [5, 0, 6], [8, 6, 0]]
 
 
 def test_quotient_rejects_non_mmodule():
     with pytest.raises(NotAnMModulePartition) as exc:
-        core.quotient(WORKED12, [[0, 4], [1, 2, 3], [5, 6], [7, 8, 9, 10, 11]])
+        reference.quotient(WORKED12, [[0, 4], [1, 2, 3], [5, 6], [7, 8, 9, 10, 11]])
     z, x, y = exc.value.witness
     assert WORKED12.rows[z][x] != WORKED12.rows[z][y]
 

@@ -1,9 +1,9 @@
 """Import layering of the package, read from its source with ``ast``.
 
 The production modules never reach the test-side modules (``reference``,
-``oracle``), ``pqtree`` stays below the constructions that use it, and
-every import sits at module level, so the graph read here is the whole
-graph.
+``oracle``) and define none of the helpers kept there, ``pqtree`` stays
+below the constructions that use it, and every import sits at module
+level, so the graph read here is the whole graph.
 """
 
 from __future__ import annotations
@@ -50,11 +50,30 @@ def _imported(name: str) -> set[str]:
 def test_layering_sees_every_module():
     assert {"core", "pqtree", "copoints", "reference", "oracle"} <= set(MODULES)
     assert _imported("reference") >= {"core", "copoints", "mmodtree", "pqtree"}
+    assert _defined("reference") >= TEST_ONLY_NAMES
 
 
 @pytest.mark.parametrize("name", PRODUCTION)
 def test_production_module_imports_no_test_side_module(name):
     assert not _imported(name) & TEST_SIDE
+
+
+# test-only helpers that live beside the oracles
+TEST_ONLY_NAMES = {"quotient", "is_mmodule", "violating_triple_loop", "parse_matrix_all_tokens"}
+
+
+def _defined(name: str) -> set[str]:
+    """Functions and classes defined at module level in ``name``."""
+    return {
+        node.name
+        for node in _tree(name).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+@pytest.mark.parametrize("name", PRODUCTION)
+def test_production_module_defines_no_test_only_name(name):
+    assert not _defined(name) & TEST_ONLY_NAMES
 
 
 def test_pqtree_sits_below_the_constructions():

@@ -124,7 +124,7 @@ def test_every_internal_node_is_an_mmodule(m):
     tree = mm.mmodule_tree(m, range(m.n))
     pts = list(range(m.n))
     for node in core.iter_nodes(tree):
-        assert core.is_mmodule(m, pts, core.leaf_points(node))
+        assert reference.is_mmodule(m, pts, core.leaf_points(node))
 
 
 @given(robinson_matrices(max_n=8))

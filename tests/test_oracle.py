@@ -17,7 +17,7 @@ from conftest import (
     robinson_matrices,
     symmetric_matrices,
 )
-from robinspace import core, oracle
+from robinspace import core, oracle, reference
 from robinspace.oracle import InstanceTooLarge
 
 
@@ -155,7 +155,7 @@ def test_mmodules_against_definition(m):
     pts = list(range(m.n))
     for r in range(m.n + 1):
         for cand in itertools.combinations(pts, r):
-            assert (cand in mods) == core.is_mmodule(m, pts, cand)
+            assert (cand in mods) == reference.is_mmodule(m, pts, cand)
 
 
 @settings(max_examples=60)

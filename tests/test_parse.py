@@ -1,5 +1,6 @@
-"""The streamed matrix-file parser against the one that holds every token,
-its memory bound, the single validation per request, and the serializer."""
+"""The one-pass matrix-file parser against the one that holds every token,
+its scale changes, its memory and work bounds, the single validation per
+request, and the serializer."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from robinspace.core import DissimilarityMatrix
 # tokens the scan must refuse, or (the last two) accept in a surprising way:
 # "²" passes isdigit but not int(), "٣" is the digit three
 BAD_TOKENS = ("x", "-1", "1e2", "1.", ".5", "+3", "1.2.3", "0x1", "²", "٣")
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
 @st.composite
@@ -24,7 +26,10 @@ def spellings(draw, value: int, places: int) -> str:
     frac_s = str(frac).zfill(places) if places else ""
     frac_s += "0" * draw(st.integers(0, 2))
     whole_s = "0" * draw(st.integers(0, 1)) + str(whole)
-    return f"{whole_s}.{frac_s}" if frac_s else whole_s
+    spelled = f"{whole_s}.{frac_s}" if frac_s else whole_s
+    if draw(st.integers(0, 7)) == 0:  # int() reads other decimal digits too
+        spelled = spelled.translate(ARABIC_INDIC)
+    return spelled
 
 
 @st.composite
@@ -135,6 +140,66 @@ def test_parse_peak_memory_is_a_few_grids(profile, shape):
         tracemalloc.stop()
     assert m.rows == rows
     assert peak <= 3 * 8 * n * n, peak / (8 * n * n)
+
+
+BAD_X = "not a nonnegative decimal: 'x'"
+
+
+# the scale grows on a later line (then with values above the small-int
+# cache, so ``_outcome`` sees that equal values read under the two scales
+# share one int); a triangle whose last line needs the most places; a bad
+# token after a token that grows the scale
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("0 1 2\n1 0 1.5\n2 1.5 0\n", ([[0, 10, 20], [10, 0, 15], [20, 15, 0]], 10)),
+        (
+            "0 100 200\n100 0 150.5\n200 150.5 0\n",
+            ([[0, 1000, 2000], [1000, 0, 1505], [2000, 1505, 0]], 10),
+        ),
+        (
+            "1 2 3\n1.5 2.50\n0.125\n",
+            (
+                [[0, 1000, 2000, 3000], [1000, 0, 1500, 2500], [2000, 1500, 0, 125],
+                 [3000, 2500, 125, 0]],
+                1000,
+            ),
+        ),
+        ("0 1.5 x\n1.5 0 1\nx 1 0\n", (MatrixParseError, f"line 1, entry 3: {BAD_X}", 1, 3)),
+        ("0 1 2\n1 0 0.5 x\n2 0.5 0\n", (MatrixParseError, f"line 2, entry 4: {BAD_X}", 2, 4)),
+    ],
+)
+def test_parse_when_the_scale_grows(text, want):
+    got = _outcome(cli.parse_matrix, text)
+    assert got == want
+    assert got == _outcome(reference.parse_matrix_all_tokens, text)
+
+
+def test_parse_work_stays_linear_when_the_scale_grows_on_every_line(monkeypatch):
+    # line i of a triangle needs i + 1 places and every value is distinct:
+    # each line grows the scale, and every earlier row must be converted
+    # once, not once per growth (no CLI path may be cubic)
+    n = 60
+    lines = [" ".join(f"{j}.{'0' * i}1" for j in range(n - 1 - i)) for i in range(n - 1)]
+    text = "\n".join(lines) + "\n"
+    entries = n * (n - 1) // 2
+    calls = {"scan": 0, "spell": 0}
+    scan, spell = cli._scan_weight, cli.weight_str
+
+    def counted_scan(token):
+        calls["scan"] += 1
+        return scan(token)
+
+    def counted_spell(value, scale):
+        calls["spell"] += 1
+        return spell(value, scale)
+
+    monkeypatch.setattr(cli, "_scan_weight", counted_scan)
+    monkeypatch.setattr(cli, "weight_str", counted_spell)
+    m = cli.parse_matrix(text)
+    assert calls["scan"] + calls["spell"] <= 4 * entries, calls
+    assert m.scale == 10 ** (n - 1)
+    assert (m.rows, m.scale) == _outcome(reference.parse_matrix_all_tokens, text)
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import refine_reference as reference
 from conftest import EQUAL3, WORKED12, robinson_matrices
 from robinspace import cli, core, dendrogram as dg, mmodtree as mm, oracle, refine
+from robinspace.reference import is_mmodule
 from robinspace.refine import NotAPartition, PivotInsideClass, PivotIsLeaf
 
 PROFILES = ("generic", "ultrametric", "flat-heavy", "tie-heavy")
@@ -109,7 +110,7 @@ def test_stable_partition_classes_are_mmodules(m):
     got = refine.stable_partition(m, [list(range(half)), list(range(half, n))])
     pts = list(range(n))
     for cls in got:
-        assert core.is_mmodule(m, pts, cls)
+        assert is_mmodule(m, pts, cls)
     assert sorted(x for c in got for x in c) == pts
 
 
