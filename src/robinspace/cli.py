@@ -13,7 +13,11 @@ through one table that scans each distinct token once (equal values share
 one int object); a square file is validated once, a triangle needs no
 check.
 JSON tree documents are the canonical interchange; weights inside them stay
-decimal strings so nothing is lost to binary floats.  Exit status is 0
+decimal strings so nothing is lost to binary floats.  One layer converts
+between trees and documents, and the json, ascii and dot outputs are all
+rendered from the document; every walk over a tree or a document runs on
+an explicit stack.  JSON output is compact, one line per report
+(``python -m json.tool`` indents it).  Exit status is 0
 for success, 1 when the space is not Robinson, 2 for unusable input.
 """
 
@@ -30,7 +34,7 @@ from itertools import chain
 from typing import Any, Callable, Sequence
 
 from . import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, translate
-from .core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError, leaf_points
+from .core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError, iter_nodes, leaf_points
 
 
 class MatrixParseError(ValueError):
@@ -207,97 +211,111 @@ def serialize_matrix(matrix: DissimilarityMatrix) -> str:
 
 
 # --- tree documents ----------------------------------------------------------
+#
+# The one place that spells out the node types of the three kinds.  A
+# document is {"kind": kind, "root": node}; a leaf is {"type": "leaf",
+# "point": p} and an internal node lists its fields in a fixed key order:
+# P/Q: type, children, apex; cup/cap: type, children, special, largeChild;
+# internal: type, weight, children.  Weights are decimal strings.  Every
+# walk runs over an explicit stack, so no depth meets the recursion limit.
+
+NODE_TYPES = {"pq": ("P", "Q"), "mmodule": ("cup", "cap"), "dendrogram": ("internal",)}
 
 
 def tree_to_doc(kind: str, tree, matrix: DissimilarityMatrix) -> dict:
-    if kind == "pq":
-        root = _pq_doc(tree, matrix)
-    elif kind == "mmodule":
-        root = _mm_doc(tree, matrix.scale)
-    elif kind == "dendrogram":
-        root = _dg_doc(tree, matrix.scale)
-    else:
+    """The document of ``tree``, built bottom-up in one pass."""
+    if kind not in NODE_TYPES:
         raise DocumentError(f"unknown tree kind {kind!r}")
-    return {"kind": kind, "root": root}
+    scale = matrix.scale
+    done: list[dict] = []  # documents of finished subtrees, last child on top
+    # reversed preorder meets every node after all of its descendants
+    for node in reversed(list(iter_nodes(tree))):
+        if isinstance(node, Leaf):
+            done.append({"type": "leaf", "point": node.point})
+            continue
+        k = len(node.children)
+        children = done[: -k - 1 : -1]
+        del done[-k:]
+        if isinstance(node, dg.Internal):
+            out = {"type": "internal", "weight": weight_str(node.weight, scale), "children": children}
+        elif isinstance(node, pq.P):
+            out = {"type": "P", "children": children}
+        elif isinstance(node, pq.Q):
+            out = {"type": "Q", "children": children}
+            hit = pq.conical_apex(matrix, node.children)
+            if hit is not None:
+                out["apex"] = hit[1]
+        elif isinstance(node, mm.Cup):
+            out = {"type": "cup", "children": children}
+        else:
+            out = {"type": "cap", "children": children}
+            if node.special is not None:
+                out["special"] = weight_str(node.special, scale)
+                out["largeChild"] = node.large_child
+        done.append(out)
+    return {"kind": kind, "root": done[0]}
 
 
-def _pq_doc(node: pq.PQTree, matrix: DissimilarityMatrix) -> dict:
-    if isinstance(node, pq.Leaf):
-        return {"type": "leaf", "point": node.point}
-    children = [_pq_doc(c, matrix) for c in node.children]
-    if isinstance(node, pq.P):
-        return {"type": "P", "children": children}
-    out = {"type": "Q", "children": children}
-    hit = pq.conical_apex(matrix, node.children)
-    if hit is not None:
-        out["apex"] = hit[1]
-    return out
-
-
-def _mm_doc(node: mm.MModuleTree, scale: int) -> dict:
-    if isinstance(node, mm.Leaf):
-        return {"type": "leaf", "point": node.point}
-    children = [_mm_doc(c, scale) for c in node.children]
-    if isinstance(node, mm.Cup):
-        return {"type": "cup", "children": children}
-    out = {"type": "cap", "children": children}
-    if node.special is not None:
-        out["special"] = weight_str(node.special, scale)
-        out["largeChild"] = node.large_child
-    return out
-
-
-def _dg_doc(node: dg.Tree, scale: int) -> dict:
-    if isinstance(node, dg.Leaf):
-        return {"type": "leaf", "point": node.point}
-    return {
-        "type": "internal",
-        "weight": weight_str(node.weight, scale),
-        "children": [_dg_doc(c, scale) for c in node.children],
-    }
+_ENTER = object()  # marks a document node that ``doc_to_tree`` has yet to check
 
 
 def doc_to_tree(doc, scale: int):
-    """(kind, tree) from a parsed JSON document."""
+    """(kind, tree) from a parsed JSON document.
+
+    One pass checks each node's shape before going down into it and builds
+    each internal node once its children are built, so a document with
+    several defects names the one a preorder reading meets first.
+    """
     if not isinstance(doc, dict) or "kind" not in doc or "root" not in doc:
         raise DocumentError("document must be an object with 'kind' and 'root'")
     kind = doc["kind"]
-    builders = {"pq": _pq_node, "mmodule": _mm_node, "dendrogram": _dg_node}
-    if kind not in builders:
+    if not isinstance(kind, str) or kind not in NODE_TYPES:
         raise DocumentError(f"unknown tree kind {kind!r}")
-    return kind, builders[kind](doc["root"], scale)
+    wanted = NODE_TYPES[kind]
+    done: list = []  # finished subtrees, last child on top
+    # (node, _ENTER) to check a node; (node, its parsed weight or None) to build it
+    todo: list[tuple] = [(doc["root"], _ENTER)]
+    while todo:
+        node, weight = todo.pop()
+        if weight is not _ENTER:
+            k = len(node["children"])
+            children = tuple(done[-k:])
+            del done[-k:]
+            done.append(_build(node, children, weight, scale))
+            continue
+        if not isinstance(node, dict) or "type" not in node:
+            raise DocumentError("tree nodes must be objects with a 'type'")
+        if node["type"] == "leaf":
+            point = node.get("point")
+            if not isinstance(point, int) or isinstance(point, bool):
+                raise DocumentError("leaf nodes need an integer 'point'")
+            done.append(Leaf(point))
+            continue
+        if node["type"] not in wanted:
+            raise DocumentError(f"unexpected node type {node['type']!r}")
+        kids = node.get("children")
+        if not isinstance(kids, list) or len(kids) < 2:
+            raise DocumentError(f"{node['type']} node needs at least two children")
+        weight = None
+        if kind == "dendrogram":
+            if "weight" not in node:
+                raise DocumentError("internal dendrogram nodes need a 'weight'")
+            weight = _weight_from_str(str(node["weight"]), scale)
+        todo.append((node, weight))
+        todo.extend((child, _ENTER) for child in reversed(kids))
+    return kind, done[0]
 
 
-def _fields(node, *wanted: str):
-    if not isinstance(node, dict) or "type" not in node:
-        raise DocumentError("tree nodes must be objects with a 'type'")
-    if node["type"] == "leaf":
-        point = node.get("point")
-        if not isinstance(point, int) or isinstance(point, bool):
-            raise DocumentError("leaf nodes need an integer 'point'")
-        return None
-    if node["type"] not in wanted:
-        raise DocumentError(f"unexpected node type {node['type']!r}")
-    kids = node.get("children")
-    if not isinstance(kids, list) or len(kids) < 2:
-        raise DocumentError(f"{node['type']} node needs at least two children")
-    return kids
-
-
-def _pq_node(node, scale: int) -> pq.PQTree:
-    kids = _fields(node, "P", "Q")
-    if kids is None:
-        return pq.Leaf(node["point"])
-    children = tuple(_pq_node(c, scale) for c in kids)
-    return pq.P(children) if node["type"] == "P" else pq.Q(children)
-
-
-def _mm_node(node, scale: int) -> mm.MModuleTree:
-    kids = _fields(node, "cup", "cap")
-    if kids is None:
-        return mm.Leaf(node["point"])
-    children = tuple(_mm_node(c, scale) for c in kids)
-    if node["type"] == "cup":
+def _build(node: dict, children: tuple, weight, scale: int):
+    """The internal node ``node`` describes, over its built ``children``."""
+    kind = node["type"]
+    if kind == "internal":
+        return dg.Internal(weight, list(children))
+    if kind == "P":
+        return pq.P(children)
+    if kind == "Q":
+        return pq.Q(children)
+    if kind == "cup":
         return mm.Cup(children)
     if "special" not in node:
         return mm.Cap(children)
@@ -307,83 +325,75 @@ def _mm_node(node, scale: int) -> mm.MModuleTree:
     return mm.Cap(children, _weight_from_str(str(node["special"]), scale), large)
 
 
-def _dg_node(node, scale: int) -> dg.Tree:
-    kids = _fields(node, "internal")
-    if kids is None:
-        return dg.Leaf(node["point"])
-    if "weight" not in node:
-        raise DocumentError("internal dendrogram nodes need a 'weight'")
-    weight = _weight_from_str(str(node["weight"]), scale)
-    return dg.Internal(weight, [_dg_node(c, scale) for c in kids])
+def _doc_nodes(root: dict) -> list[dict]:
+    """Every node of a document, in preorder."""
+    out: list[dict] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(reversed(node.get("children", ())))
+    return out
 
 
 # --- human renderings ----------------------------------------------------------
 
 
-def ascii_tree(kind: str, tree, scale: int) -> str:
-    if kind == "pq":
-        return _ascii_pq(tree)
-    if kind == "mmodule":
-        return _ascii_mm(tree, scale)
-    return _ascii_dg(tree, scale)
+def ascii_tree(doc: dict) -> str:
+    """One line: ``P(..)``, ``Q[..]``, ``cup(..)``, ``cap@w(*.. ..)``, ``(w: ..)``."""
+    done: list[str] = []  # renderings of finished subtrees, last child on top
+    for node in reversed(_doc_nodes(doc["root"])):
+        kind = node["type"]
+        if kind == "leaf":
+            done.append(str(node["point"]))
+            continue
+        k = len(node["children"])
+        parts = done[: -k - 1 : -1]
+        del done[-k:]
+        if "special" in node:
+            large = node["largeChild"]
+            parts[large] = "*" + parts[large]
+        inner = " ".join(parts)
+        if kind == "P":
+            done.append(f"P({inner})")
+        elif kind == "Q":
+            done.append(f"Q[{inner}]")
+        elif kind == "internal":
+            done.append(f"({node['weight']}: {inner})")
+        elif "special" in node:
+            done.append(f"cap@{node['special']}({inner})")
+        else:
+            done.append(f"{kind}({inner})")
+    return done[0]
 
 
-def _ascii_pq(node: pq.PQTree) -> str:
-    if isinstance(node, pq.Leaf):
-        return str(node.point)
-    inner = " ".join(_ascii_pq(c) for c in node.children)
-    return f"P({inner})" if isinstance(node, pq.P) else f"Q[{inner}]"
-
-
-def _ascii_mm(node: mm.MModuleTree, scale: int) -> str:
-    if isinstance(node, mm.Leaf):
-        return str(node.point)
-    parts = [_ascii_mm(c, scale) for c in node.children]
-    if isinstance(node, mm.Cup):
-        return f"cup({' '.join(parts)})"
-    if node.special is None:
-        return f"cap({' '.join(parts)})"
-    parts[node.large_child] = "*" + parts[node.large_child]
-    return f"cap@{weight_str(node.special, scale)}({' '.join(parts)})"
-
-
-def _ascii_dg(node: dg.Tree, scale: int) -> str:
-    if isinstance(node, dg.Leaf):
-        return str(node.point)
-    inner = " ".join(_ascii_dg(c, scale) for c in node.children)
-    return f"({weight_str(node.weight, scale)}: {inner})"
-
-
-def dot_tree(kind: str, tree, scale: int) -> str:
+def dot_tree(doc: dict) -> str:
+    """Graphviz text; nodes are numbered in preorder, and the edge to a
+    child follows the lines of the child's subtree."""
     lines = ["graph tree {", "  node [shape=plaintext];"]
-    counter = 0
-
-    def label(node) -> str:
-        if isinstance(node, Leaf):
-            return str(node.point)
-        if isinstance(node, pq.P):
-            return "P"
-        if isinstance(node, pq.Q):
-            return "Q"
-        if isinstance(node, mm.Cup):
-            return "cup"
-        if isinstance(node, mm.Cap):
-            if node.special is None:
-                return "cap"
-            return f"cap @ {weight_str(node.special, scale)}"
-        return weight_str(node.weight, scale)
-
-    def walk(node) -> int:
-        nonlocal counter
-        me = counter
-        counter += 1
-        lines.append(f'  n{me} [label="{label(node)}"];')
-        if not isinstance(node, Leaf):
-            for child in node.children:
-                lines.append(f"  n{me} -- n{walk(child)};")
-        return me
-
-    walk(tree)
+    count = 0
+    todo: list = [(doc["root"], None)]  # (node, parent number), or an edge line
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, parent = item
+        me = count
+        count += 1
+        kind = node["type"]
+        if kind == "leaf":
+            label = node["point"]
+        elif kind == "internal":
+            label = node["weight"]
+        elif "special" in node:
+            label = f"cap @ {node['special']}"
+        else:
+            label = kind
+        lines.append(f'  n{me} [label="{label}"];')
+        if parent is not None:
+            todo.append(f"  n{parent} -- n{me};")
+        todo.extend((child, me) for child in reversed(node.get("children", ())))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -472,19 +482,21 @@ def cmd_recognize(args) -> int:
             "order": list(result.witness),
             "tree": tree_to_doc("pq", result.tree, matrix),
         }
-        print(_dumps(report, result.tree))
+        _print_json(report)
         return 0
     report = {"robinson": False, "reason": result.reason}
     if result.violation is not None:
         report["violation"] = list(result.violation)
-    print(json.dumps(report, indent=2))
+    _print_json(report)
     return 1
 
 
 def cmd_tree(args) -> int:
     matrix = parse_matrix(_read(args.input))
     if args.tree == "dendrogram":
-        # the writers and json's encoder recurse once per level of the tree
+        # the document walks are iterative, but json's C encoder still
+        # recurses once per nesting level (Python 3.11), and no builder on
+        # this path lifts the limit as recognition does
         core.ensure_recursion_headroom(matrix.n)
         tree = dg.build_dendrogram(matrix, range(matrix.n))
     else:
@@ -502,30 +514,18 @@ def cmd_tree(args) -> int:
 
 
 def _emit(kind: str, tree, matrix: DissimilarityMatrix, fmt: str) -> None:
+    doc = tree_to_doc(kind, tree, matrix)
     if fmt == "json":
-        print(_dumps(tree_to_doc(kind, tree, matrix), tree))
+        _print_json(doc)
     elif fmt == "dot":
-        sys.stdout.write(dot_tree(kind, tree, matrix.scale))
+        sys.stdout.write(dot_tree(doc))
     else:
-        print(ascii_tree(kind, tree, matrix.scale))
+        print(ascii_tree(doc))
 
 
-# Indentation grows with depth, so an indented document of a tree d levels
-# deep is O(n*d) bytes: 162 MB for a 3,000-point caterpillar.  Deeper
-# trees print compact, on one line.
-INDENT_MAX_DEPTH = 100
-
-
-def _dumps(report: dict, tree) -> str:
-    """JSON text of a report holding ``tree``: indented by 2 unless the tree
-    is more than ``INDENT_MAX_DEPTH`` levels deep, then compact."""
-    depth, level = 0, [tree]
-    while level and depth <= INDENT_MAX_DEPTH:
-        depth += 1
-        level = [c for node in level if not isinstance(node, Leaf) for c in node.children]
-    if depth > INDENT_MAX_DEPTH:
-        return json.dumps(report, separators=(",", ":"))
-    return json.dumps(report, indent=2)
+def _print_json(report: dict) -> None:
+    """One compact line; ``python -m json.tool`` indents it for reading."""
+    print(json.dumps(report, separators=(",", ":")))
 
 
 def cmd_translate(args) -> int:
@@ -623,17 +623,14 @@ def cmd_bench(args) -> int:
                 for op in BENCH_OPS
             }
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "profile": args.profile,
-                    "sizes": sizes,
-                    "reps": args.reps,
-                    "medians": medians,
-                    "ratios": ratios,
-                },
-                indent=2,
-            )
+        _print_json(
+            {
+                "profile": args.profile,
+                "sizes": sizes,
+                "reps": args.reps,
+                "medians": medians,
+                "ratios": ratios,
+            }
         )
         return 0
     if not medians:

@@ -152,8 +152,13 @@ def intern_weights(matrix: DissimilarityMatrix) -> None:
 
 
 def is_compatible_order(matrix: DissimilarityMatrix, order: Sequence[int]) -> bool:
-    """True iff distances never decrease moving away from the diagonal
-    (on a matrix that passes ``validate``, see ``violating_triple``)."""
+    """True iff distances never decrease moving away from the diagonal.
+
+    The public predicate validates ``matrix`` first and raises on the first
+    defect, since ``violating_triple`` is exact only on a valid matrix;
+    production callers hold a validated matrix and call that directly.
+    """
+    validate(matrix)
     return violating_triple(matrix, order) is None
 
 

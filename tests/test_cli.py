@@ -537,20 +537,21 @@ def test_translate_rejects_misfit_special_node(capsys, tmp_path):
     assert captured.err.count("\n") == 1
 
 
-def _run_fresh(*argv: str) -> subprocess.CompletedProcess:
-    """``robinspace`` in a fresh interpreter, at the default recursion limit
-    as a user's would be."""
+def _python_fresh(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this package, at the default
+    recursion limit as a user's would be."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
     )
     return subprocess.run(
-        [sys.executable, "-m", "robinspace.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def _run_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """``robinspace`` in a fresh interpreter."""
+    return _python_fresh("-m", "robinspace.cli", *argv)
 
 
 def test_translate_deep_document_exits_2(tmp_path):
@@ -592,7 +593,7 @@ def test_recognize_deep_tree_prints_compact(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "ascii", "dot"])
 def test_deep_dendrogram_prints_in_every_format(tmp_path, fmt):
-    # every writer (json's encoder too) recurses once per level
+    # the writers are iterative; json's encoder recurses once per level
     n = 1500
     proc = _run_fresh("tree", "-i", _caterpillar(tmp_path, n), "-t", "dendrogram", "-f", fmt)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -606,12 +607,65 @@ def test_deep_dendrogram_prints_in_every_format(tmp_path, fmt):
         assert proc.stdout.count(" -- ") == 2 * (n - 1)
 
 
-def test_shallow_tree_prints_indented(capsys, tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text(DEMO_TEXT)
-    assert cli.main(["tree", "-i", str(path), "-t", "dendrogram"]) == 0
-    out = capsys.readouterr().out
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+def test_every_json_output_is_one_compact_line(capsys, tmp_path):
+    mpath = tmp_path / "m.txt"
+    mpath.write_text(WORKED12_TEXT)
+    refuse = tmp_path / "refuse.txt"
+    refuse.write_text(cli.serialize_matrix(NONROB4))
+
+    def run(argv, code=0):
+        assert cli.main(argv) == code, argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n", argv
+        return out
+
+    run(["recognize", "-i", str(mpath)])
+    run(["recognize", "-i", str(refuse)], 1)
+    run(["tree", "-i", str(mpath), "-t", "dendrogram"])
+    for kind in ("pq", "mmodule"):
+        dpath = tmp_path / f"{kind}.json"
+        dpath.write_text(run(["tree", "-i", str(mpath), "-t", kind]))
+        run(["translate", "-i", str(dpath), "-m", str(mpath)])
+    run(["bench", "--sizes", "8", "--reps", "0", "-f", "json"])
+
+
+def test_document_walks_need_no_recursion_headroom():
+    # chains 3,000 levels deep, built by hand so no builder lifts the limit
+    script = """
+import sys
+from robinspace import cli, dendrogram as dg, mmodtree as mm, pqtree as pq
+from robinspace.core import DissimilarityMatrix, Leaf, iter_nodes
+
+depth = 3000
+limit = sys.getrecursionlimit()
+chains = {"pq": Leaf(0), "mmodule": Leaf(0), "dendrogram": Leaf(0)}
+for p in range(1, depth + 1):
+    chains["pq"] = pq.P((Leaf(p), chains["pq"]))
+    chains["mmodule"] = mm.Cap((Leaf(p), chains["mmodule"]), 5 * p, 1)
+    chains["dendrogram"] = dg.Internal(5 * p, [Leaf(p), chains["dendrogram"]])
+matrix = DissimilarityMatrix([[0]], 10)
+
+def shape(tree):
+    return [(type(node).__name__, vars(node).get("point"), vars(node).get("weight"),
+             vars(node).get("special"), vars(node).get("large_child"))
+            for node in iter_nodes(tree)]
+
+for kind, tree in chains.items():
+    doc = cli.tree_to_doc(kind, tree, matrix)
+    back_kind, back = cli.doc_to_tree(doc, matrix.scale)
+    assert back_kind == kind and shape(back) == shape(tree), kind
+    text = cli.ascii_tree(doc)
+    assert text.count(" ") >= depth and text.endswith(")" * depth), kind
+    assert cli.dot_tree(doc).count(" -- ") == 2 * depth, kind
+assert cli.ascii_tree(cli.tree_to_doc("dendrogram", chains["dendrogram"], matrix)).startswith(
+    "(1500: 3000 (1499.5: 2999 ("
+)
+assert sys.getrecursionlimit() == limit
+print("ok")
+"""
+    proc = _python_fresh("-c", script)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "ok\n"
 
 
 # --- generator ----------------------------------------------------------------

@@ -67,6 +67,15 @@ def test_is_compatible_order_worked_example():
     )
 
 
+def test_is_compatible_order_validates_first():
+    # read as rows, this order looks compatible; the matrix is not symmetric
+    m = DissimilarityMatrix([[0, 5, 1], [1, 0, 1], [2, 1, 0]])
+    assert reference.violating_triple_loop(m, [0, 1, 2]) == (0, 1, 2)
+    with pytest.raises(AsymmetricInput) as exc:
+        core.is_compatible_order(m, [0, 1, 2])
+    assert exc.value.indices == (0, 1)
+
+
 def test_compatible_order_matches_triple_definition():
     # the two-neighbour check must equal the all-triples condition
     for order in itertools.permutations(range(4)):
