@@ -320,7 +320,8 @@ def _build(node: dict, children: tuple, weight, scale: int):
     if "special" not in node:
         return mm.Cap(children)
     large = node.get("largeChild")
-    if not isinstance(large, int) or not 0 <= large < len(children):
+    is_index = isinstance(large, int) and not isinstance(large, bool)
+    if not is_index or not 0 <= large < len(children):
         raise DocumentError("special cap nodes need a valid 'largeChild' index")
     return mm.Cap(children, _weight_from_str(str(node["special"]), scale), large)
 

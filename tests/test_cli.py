@@ -16,6 +16,7 @@ from conftest import NONROB4, WORKED12, canon_mm, robinson_matrices, symmetric_m
 from robinspace import cli, copoints, dendrogram as dg, mmodtree as mm, pqtree as pq
 from robinspace.cli import DocumentError, MatrixParseError
 from robinspace.core import AsymmetricInput, DissimilarityMatrix, NonzeroDiagonal
+from robinspace.reference import mmodule_tree_from_dendrogram as carved
 
 WORKED12_TEXT = cli.serialize_matrix(WORKED12)
 
@@ -297,7 +298,7 @@ def test_ascii_frozen(capsys, tmp_path):
     )
     assert cli.main(["tree", "-i", str(path), "-t", "mmodule"]) == 0
     _, served = cli.doc_to_tree(json.loads(capsys.readouterr().out), 1)
-    assert canon_mm(served) == canon_mm(mm.mmodule_tree(WORKED12, range(12)))
+    assert canon_mm(served) == canon_mm(carved(WORKED12, range(12)))
     assert cli.main(["tree", "-i", str(path), "-t", "dendrogram", "-f", "ascii"]) == 0
     assert capsys.readouterr().out.strip() == (
         "(6: (2: 11 10 9 (1: 8 7)) (5: (1: 6 5 4) (2: 3 (1: 2 1) 0)))"
@@ -380,7 +381,7 @@ def test_served_mmodule_tree_equals_direct_construction(profile, n, seed):
         with contextlib.redirect_stdout(out):
             assert cli.main(["tree", "-i", str(path), "-t", "mmodule"]) == 0
     _, served = cli.doc_to_tree(json.loads(out.getvalue()), matrix.scale)
-    assert canon_mm(served) == canon_mm(mm.mmodule_tree(matrix, range(n)))
+    assert canon_mm(served) == canon_mm(carved(matrix, range(n)))
 
 
 def test_tree_rejects_non_robinson(tmp_path):
@@ -403,7 +404,7 @@ def test_translate_roundtrip(capsys, tmp_path):
     mm_doc = json.loads(capsys.readouterr().out)
     assert mm_doc["kind"] == "mmodule"
     _, got = cli.doc_to_tree(mm_doc, 1)
-    assert canon_mm(got) == canon_mm(mm.mmodule_tree(WORKED12, range(12)))
+    assert canon_mm(got) == canon_mm(carved(WORKED12, range(12)))
 
     back = tmp_path / "mm.json"
     back.write_text(json.dumps(mm_doc))
@@ -472,6 +473,20 @@ def test_translate_rejects_boolean_point(capsys, tmp_path):
     assert capsys.readouterr().out == ""
     with pytest.raises(DocumentError):
         cli.doc_to_tree({"kind": "mmodule", "root": _leaf(False)}, 1)
+
+
+def test_translate_rejects_boolean_large_child(capsys, tmp_path):
+    mpath = tmp_path / "m.txt"
+    mpath.write_text(WORKED12_TEXT)
+    assert cli.main(["tree", "-i", str(mpath), "-t", "mmodule"]) == 0
+    served = capsys.readouterr().out
+    assert '"largeChild":0' in served
+    dpath = tmp_path / "mm.json"
+    dpath.write_text(served.replace('"largeChild":0', '"largeChild":false'))
+    assert cli.main(["translate", "-i", str(dpath), "-m", str(mpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_translate_rejects_unary_node(capsys, tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import given
 import test_mmodtree
 import test_pqtree
 from conftest import robinson_matrices
-from robinspace import copoints, core, mmodtree as mm, pqtree as pq
+from robinspace import copoints, core, mmodtree as mm, pqtree as pq, reference
 
 CASES = [
     fn
@@ -39,15 +39,18 @@ def test_ambiguous_apex_is_the_first_either_way(debug_checks):
     assert pq.conical_apex(m, kids) == (1, 1)
 
 
+BUILDERS = (mm.mmodule_tree, copoints.pq_tree2, reference.mmodule_tree_from_dendrogram)
+
+
 @given(robinson_matrices(max_n=8))
 def test_audits_do_not_change_trees(m):
     pts = range(m.n)
     saved = core.debug_checks
     try:
         core.debug_checks = False
-        plain = (mm.mmodule_tree(m, pts), copoints.pq_tree2(m, pts))
+        plain = [build(m, pts) for build in BUILDERS]
         core.debug_checks = True
-        audited = (mm.mmodule_tree(m, pts), copoints.pq_tree2(m, pts))
+        audited = [build(m, pts) for build in BUILDERS]
     finally:
         core.debug_checks = saved
     assert audited == plain

@@ -60,7 +60,14 @@ def test_production_module_imports_no_test_side_module(name):
 
 
 # test-only helpers that live beside the oracles
-TEST_ONLY_NAMES = {"quotient", "is_mmodule", "violating_triple_loop", "parse_matrix_all_tokens"}
+TEST_ONLY_NAMES = {
+    "quotient",
+    "is_mmodule",
+    "violating_triple_loop",
+    "parse_matrix_all_tokens",
+    "mmodule_tree_from_dendrogram",
+    "_from_dendrogram",
+}
 
 
 def _defined(name: str) -> set[str]:
@@ -81,6 +88,11 @@ def test_pqtree_sits_below_the_constructions():
     assert not _imported("pqtree") & {"copoints", "mmodtree"}
 
 
+def test_mmodule_tree_has_one_production_path():
+    # built from the PQ-tree; the dendrogram carving lives in ``reference``
+    assert not _imported("mmodtree") & {"dendrogram", "refine"}
+
+
 @pytest.mark.parametrize("name", PRODUCTION)
 def test_production_module_imports_only_at_module_level(name):
     tree = _tree(name)
@@ -94,18 +106,16 @@ def test_production_module_imports_only_at_module_level(name):
 
 
 # Production functions that call themselves by name.  A self-call scan
-# misses mutual recursion; two remain: copoints._pq_tree2 <->
-# copoints_to_pq_tree, and mmodtree._from_dendrogram <-> _connected /
-# _one_sided.  Each walk here is a candidate for an explicit stack; none
-# may join the list unnoticed.
+# misses mutual recursion; one remains: copoints._pq_tree2 <->
+# copoints_to_pq_tree.  Each walk here is a candidate for an explicit
+# stack; none may join the list unnoticed.
 SELF_CALLING = {
     "copoints.copoints_to_pq_tree",
-    "mmodtree._from_dendrogram",
+    "mmodtree._to_mmodule",
     "pqtree._orders",
     "pqtree.normal_form",
     "pqtree.normalize",
     "refine._pivot_forest.split",
-    "translate._to_mmodule",
     "translate._to_pq",
 }
 

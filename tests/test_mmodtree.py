@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import EQUAL3, FLAT3, WORKED12, canon_mm, robinson_matrices
 from robinspace import cli, core, mmodtree as mm, oracle, reference
@@ -55,8 +55,12 @@ def test_flat3_nested_specials():
 
 
 def test_equal3_plain_cap():
+    # the dendrogram carving pins the child order; production is compared
+    # in canonical form, since it keeps the PQ-tree's order
+    carved = reference.mmodule_tree_from_dendrogram(EQUAL3, range(3))
+    assert carved == Cap((Leaf(2), Leaf(1), Leaf(0)))
     got = mm.mmodule_tree(EQUAL3, range(3))
-    assert got == Cap((Leaf(2), Leaf(1), Leaf(0)))
+    assert canon_mm(got) == canon_mm(carved)
     assert got.special is None
 
 
@@ -140,3 +144,50 @@ def test_special_nodes_carry_uniform_cross_distance(m):
                             assert m.rows[x][y] == node.special
             large = core.leaf_points(node.children[node.large_child])
             assert core.diameter_and_pair(m, large)[0] > node.special
+
+
+@st.composite
+def profile_subsets(draw):
+    """A generated matrix of any profile, n <= 64, and the whole set or a subset."""
+    n = draw(st.integers(1, 64))
+    profile = draw(st.sampled_from(cli.PROFILES))
+    m = cli.generate_matrix(n, draw(st.integers(0, 10**6)), profile)
+    whole = list(range(n))
+    subset = st.lists(st.sampled_from(whole), min_size=1, unique=True)
+    pts = draw(st.one_of(st.just(whole), subset))
+    return m, pts
+
+
+def _same_as_carving(m, pts):
+    got = mm.mmodule_tree(m, pts)
+    assert canon_mm(got) == canon_mm(reference.mmodule_tree_from_dendrogram(m, pts))
+
+
+# Robinsonness is hereditary, so every subset is a Robinson space too.
+@settings(max_examples=300, deadline=None)
+@given(profile_subsets())
+def test_pq_route_matches_dendrogram_carving(case):
+    _same_as_carving(*case)
+
+
+def test_pq_route_matches_dendrogram_carving_at_size():
+    for n in (200, 768):
+        for seed, profile in enumerate(cli.PROFILES):
+            m = cli.generate_matrix(n, seed, profile)
+            _same_as_carving(m, range(n))
+            _same_as_carving(m, range(1, n, 3))
+
+
+def test_pq_route_matches_dendrogram_carving_where_the_apex_dissolves():
+    # Generated spaces in which points at distance 0 from each other form
+    # the apex of a conical Q-node, which the translation dissolves into
+    # its children: a special node with more than two children.  Random
+    # draws reach this rarely, so the cases are fixed.
+    cases = (("generic", 5, 14), ("tie-heavy", 6, 13), ("tie-heavy", 11, 18))
+    for profile, n, seed in cases:
+        m = cli.generate_matrix(n, seed, profile)
+        _same_as_carving(m, range(n))
+        assert any(
+            isinstance(node, Cap) and node.special is not None and len(node.children) > 2
+            for node in core.iter_nodes(mm.mmodule_tree(m, range(n)))
+        )

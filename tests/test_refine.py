@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import refine_reference as reference
 from conftest import EQUAL3, WORKED12, robinson_matrices
-from robinspace import cli, core, dendrogram as dg, mmodtree as mm, oracle, refine
+from robinspace import cli, core, dendrogram as dg, oracle, refine
+from robinspace import reference as rs_reference
 from robinspace.reference import is_mmodule
 from robinspace.refine import NotAPartition, PivotInsideClass, PivotIsLeaf
 
@@ -194,7 +195,7 @@ def test_engine_matches_reference_loops(case):
 
 
 def _with_reference_refinement(build):
-    with mock.patch.object(mm, "stable_trees", reference.stable_trees):
+    with mock.patch.object(rs_reference, "stable_trees", reference.stable_trees):
         return build()
 
 
@@ -202,8 +203,9 @@ def _with_reference_refinement(build):
 def test_mmodule_tree_matches_reference_loops(profile):
     for n, seed in ((2, 0), (13, 1), (64, 2), (200, 3)):
         m = cli.generate_matrix(n, seed, profile)
-        want = _with_reference_refinement(lambda: mm.mmodule_tree(m, range(n)))
-        assert mm.mmodule_tree(m, range(n)) == want
+        build = rs_reference.mmodule_tree_from_dendrogram
+        want = _with_reference_refinement(lambda: build(m, range(n)))
+        assert build(m, range(n)) == want
 
 
 def test_tree_carve_runs_only_for_splitting_pivots(monkeypatch):
@@ -222,12 +224,13 @@ def test_tree_carve_runs_only_for_splitting_pivots(monkeypatch):
 
     old: list[int] = []
     monkeypatch.setattr(reference, "_pivot_forest", counting(reference, old))
-    want = _with_reference_refinement(lambda: mm.mmodule_tree(m, pts))
+    build = rs_reference.mmodule_tree_from_dendrogram
+    want = _with_reference_refinement(lambda: build(m, pts))
     splits = sum(k > 1 for k in old)
     assert 0 < splits < len(old)
 
     new: list[int] = []
     monkeypatch.setattr(refine, "_pivot_forest", counting(refine, new))
-    assert mm.mmodule_tree(m, pts) == want
+    assert build(m, pts) == want
     assert len(new) == splits
     assert all(k > 1 for k in new)

@@ -8,6 +8,7 @@ from robinspace import copoints as cop, core, mmodtree as mm, pqtree as pq, refe
 from robinspace import translate as tr
 from robinspace.dendrogram import build_dendrogram
 from robinspace.reference import CorrespondenceViolation
+from robinspace.reference import mmodule_tree_from_dendrogram as carved
 from robinspace.pqtree import Leaf, P, Q
 from robinspace.translate import NoBipartition
 
@@ -15,18 +16,18 @@ from robinspace.translate import NoBipartition
 def test_worked_example_forward():
     t12 = cop.pq_tree2(WORKED12, range(12))
     got = tr.pq_to_mmodule_tree(WORKED12, t12)
-    assert canon_mm(got) == canon_mm(mm.mmodule_tree(WORKED12, range(12)))
+    assert canon_mm(got) == canon_mm(carved(WORKED12, range(12)))
 
 
 def test_worked_example_backward():
-    mt12 = mm.mmodule_tree(WORKED12, range(12))
+    mt12 = carved(WORKED12, range(12))
     got = tr.mmodule_to_pq_tree(WORKED12, mt12)
     assert pq.equivalent(got, cop.pq_tree2(WORKED12, range(12)))
 
 
 def test_worked_example_correspondence():
     t12 = cop.pq_tree2(WORKED12, range(12))
-    mt12 = mm.mmodule_tree(WORKED12, range(12))
+    mt12 = carved(WORKED12, range(12))
     rep = reference.node_correspondence(WORKED12, t12, mt12)
     assert sorted(rep.matched) == [
         (0, 1, 2, 3),
@@ -44,7 +45,7 @@ def test_worked_example_correspondence():
 def test_flat3_translations():
     t = cop.pq_tree2(FLAT3, range(3))
     forward = tr.pq_to_mmodule_tree(FLAT3, t)
-    assert canon_mm(forward) == canon_mm(mm.mmodule_tree(FLAT3, range(3)))
+    assert canon_mm(forward) == canon_mm(carved(FLAT3, range(3)))
     assert forward.special == 1
     assert isinstance(forward.children[forward.large_child], mm.Cap)
     assert pq.equivalent(tr.mmodule_to_pq_tree(FLAT3, forward), t)
@@ -92,13 +93,13 @@ def test_correspondence_rejects_mismatched_kinds():
 def test_forward_translation_matches_direct_construction(m):
     t = cop.pq_tree2(m, range(m.n))
     got = tr.pq_to_mmodule_tree(m, t)
-    assert canon_mm(got) == canon_mm(mm.mmodule_tree(m, range(m.n)))
+    assert canon_mm(got) == canon_mm(carved(m, range(m.n)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(robinson_matrices(max_n=10))
 def test_backward_translation_matches_direct_construction(m):
-    mt = mm.mmodule_tree(m, range(m.n))
+    mt = carved(m, range(m.n))
     got = tr.mmodule_to_pq_tree(m, mt)
     assert pq.equivalent(got, cop.pq_tree2(m, range(m.n)))
 
@@ -107,7 +108,7 @@ def test_backward_translation_matches_direct_construction(m):
 @given(robinson_matrices(max_n=10))
 def test_roundtrips_are_identities(m):
     t = cop.pq_tree2(m, range(m.n))
-    mt = mm.mmodule_tree(m, range(m.n))
+    mt = carved(m, range(m.n))
     assert pq.equivalent(tr.mmodule_to_pq_tree(m, tr.pq_to_mmodule_tree(m, t)), t)
     back = tr.pq_to_mmodule_tree(m, tr.mmodule_to_pq_tree(m, mt))
     assert canon_mm(back) == canon_mm(mt)
@@ -117,7 +118,7 @@ def test_roundtrips_are_identities(m):
 @given(robinson_matrices(max_n=9))
 def test_correspondence_holds_between_constructions(m):
     t = cop.pq_tree2(m, range(m.n))
-    mt = mm.mmodule_tree(m, range(m.n))
+    mt = carved(m, range(m.n))
     rep = reference.node_correspondence(m, t, mt)
     # unmatched sets on either side only ever come from the two known
     # sources, and those never overlap the matched groupings
