@@ -56,11 +56,13 @@ MModuleTree = Union[Leaf, Cup, Cap]
 def mmodule_tree(matrix: DissimilarityMatrix, subset: Iterable[int]) -> MModuleTree:
     """Build the mmodule tree of the given points.
 
-    The PQ-tree of the copoint construction, translated.  The input is
-    assumed Robinson; on structural contradictions that a Robinson space
-    cannot exhibit, the copoint construction raises ``NotRobinson``.  For
-    non-Robinson inputs that happen to dodge every check, the result
-    carries no guarantee.
+    The PQ-tree of the copoint construction, translated.  An empty
+    subset raises ``core.SubsetTooSmall`` (the dendrogram carving this
+    replaced raised ``dendrogram.EmptySubset``; both are
+    ``RobinsonError``).  The input is assumed Robinson; on structural
+    contradictions that a Robinson space cannot exhibit, the copoint
+    construction raises ``NotRobinson``.  For non-Robinson inputs that
+    happen to dodge every check, the result carries no guarantee.
     """
     return pq_to_mmodule_tree(matrix, pq_tree2(matrix, subset))
 

@@ -42,6 +42,14 @@ from .core import first_leaf, iter_nodes, leaf_points, leaf_set
 from .pqtree import P, PQTree, Q
 from .refine import stable_trees
 
+# Self-audits in ``mmodule_tree_from_dendrogram`` (re-deriving the
+# component partition below the top weight, re-checking the diameters of
+# uniform components).  Off by default, since they re-derive what the
+# construction just computed.  Audits only assert: they never change a
+# return value or which exception is raised (tests/test_debug_checks.py
+# runs the tree tests with them on).
+debug_checks = False
+
 
 class CorrespondenceViolation(RobinsonError):
     pass
@@ -190,7 +198,7 @@ def _from_dendrogram(matrix: DissimilarityMatrix, dtree: dg.Tree) -> mm.MModuleT
     rho = dtree.weight
     comp_trees = list(dtree.children)
     comps = [leaf_points(t) for t in comp_trees]
-    if core.debug_checks:
+    if debug_checks:
         pts = sorted(p for c in comps for p in c)
         assert sorted(tuple(sorted(c)) for c in comps) == sorted(
             core.components_below(matrix, pts, rho)
@@ -209,7 +217,7 @@ def _from_dendrogram(matrix: DissimilarityMatrix, dtree: dg.Tree) -> mm.MModuleT
     mixed = [i for i in range(k) if any(hot[i])]
 
     if not mixed:
-        if core.debug_checks:
+        if debug_checks:
             assert all(
                 len(c) == 1 or core.diameter_and_pair(matrix, c)[0] <= rho
                 for c in comps
@@ -266,7 +274,7 @@ def _connected(
         raise NotRobinson(
             "connected space split into fewer than three maximal mmodules"
         )
-    if core.debug_checks:
+    if debug_checks:
         assert sorted(leaf_points(forest[0])) == sorted(comps[first])
     merged = _adjoin(forest[0], forest[partner], rho)
     kids = [_from_dendrogram(matrix, merged)]

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from robinspace import core, mmodtree as mm
+from robinspace import cli, mmodtree as mm, reference
 from robinspace.core import DissimilarityMatrix
 
 
@@ -41,6 +41,20 @@ def robinson_matrices(draw, min_n: int = 2, max_n: int = 8, max_bump: int = 3):
     perm = draw(st.permutations(range(n)))
     rows = [[grid[perm[a]][perm[b]] for b in range(n)] for a in range(n)]
     return DissimilarityMatrix(rows, 1)
+
+
+@st.composite
+def profile_subsets(draw, max_n: int = 64):
+    """A generated matrix of any profile and the whole point set or a subset.
+
+    Robinsonness is hereditary, so every subset is a Robinson space too.
+    """
+    n = draw(st.integers(1, max_n))
+    profile = draw(st.sampled_from(cli.PROFILES))
+    m = cli.generate_matrix(n, draw(st.integers(0, 10**6)), profile)
+    whole = list(range(n))
+    subset = st.lists(st.sampled_from(whole), min_size=1, unique=True)
+    return m, draw(st.one_of(st.just(whole), subset))
 
 
 @st.composite
@@ -120,10 +134,10 @@ def nonrob4() -> DissimilarityMatrix:
 
 @pytest.fixture
 def debug_checks():
-    """Run the test with the builders' self-audits on, then restore the flag."""
-    saved = core.debug_checks
-    core.debug_checks = True
+    """Run the test with the reference construction's self-audits on, then restore the flag."""
+    saved = reference.debug_checks
+    reference.debug_checks = True
     try:
         yield
     finally:
-        core.debug_checks = saved
+        reference.debug_checks = saved

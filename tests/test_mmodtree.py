@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import given, settings
 
 from conftest import EQUAL3, FLAT3, WORKED12, canon_mm, robinson_matrices
 from robinspace import cli, core, mmodtree as mm, oracle, reference
@@ -146,30 +147,14 @@ def test_special_nodes_carry_uniform_cross_distance(m):
             assert core.diameter_and_pair(m, large)[0] > node.special
 
 
-@st.composite
-def profile_subsets(draw):
-    """A generated matrix of any profile, n <= 64, and the whole set or a subset."""
-    n = draw(st.integers(1, 64))
-    profile = draw(st.sampled_from(cli.PROFILES))
-    m = cli.generate_matrix(n, draw(st.integers(0, 10**6)), profile)
-    whole = list(range(n))
-    subset = st.lists(st.sampled_from(whole), min_size=1, unique=True)
-    pts = draw(st.one_of(st.just(whole), subset))
-    return m, pts
-
-
 def _same_as_carving(m, pts):
     got = mm.mmodule_tree(m, pts)
     assert canon_mm(got) == canon_mm(reference.mmodule_tree_from_dendrogram(m, pts))
 
 
-# Robinsonness is hereditary, so every subset is a Robinson space too.
-@settings(max_examples=300, deadline=None)
-@given(profile_subsets())
-def test_pq_route_matches_dendrogram_carving(case):
-    _same_as_carving(*case)
-
-
+# The hypothesis form of this comparison, over small spaces of every
+# profile and their subsets, is test_translate's
+# test_forward_translation_matches_direct_construction.
 def test_pq_route_matches_dendrogram_carving_at_size():
     for n in (200, 768):
         for seed, profile in enumerate(cli.PROFILES):
@@ -191,3 +176,9 @@ def test_pq_route_matches_dendrogram_carving_where_the_apex_dissolves():
             isinstance(node, Cap) and node.special is not None and len(node.children) > 2
             for node in core.iter_nodes(mm.mmodule_tree(m, range(n)))
         )
+
+
+def test_empty_subset_is_refused():
+    # the copoint construction refuses it before any tree is built
+    with pytest.raises(core.SubsetTooSmall):
+        mm.mmodule_tree(WORKED12, [])

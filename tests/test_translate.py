@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import EQUAL3, FLAT3, WORKED12, canon_mm, robinson_matrices
+from conftest import EQUAL3, FLAT3, WORKED12, canon_mm, profile_subsets, robinson_matrices
 from robinspace import copoints as cop, core, mmodtree as mm, pqtree as pq, reference
 from robinspace import translate as tr
 from robinspace.dendrogram import build_dendrogram
@@ -88,12 +88,18 @@ def test_correspondence_rejects_mismatched_kinds():
         )
 
 
-@settings(max_examples=150, deadline=None)
-@given(robinson_matrices(max_n=10))
-def test_forward_translation_matches_direct_construction(m):
-    t = cop.pq_tree2(m, range(m.n))
-    got = tr.pq_to_mmodule_tree(m, t)
-    assert canon_mm(got) == canon_mm(carved(m, range(m.n)))
+WHOLE_SETS = robinson_matrices(max_n=10).map(lambda m: (m, range(m.n)))
+
+
+# mmodtree.mmodule_tree is exactly this translation, so this is also the
+# differential test of the library's mmodule tree against the carving.
+@pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(WHOLE_SETS, profile_subsets()))
+def test_forward_translation_matches_direct_construction(case):
+    m, pts = case
+    got = tr.pq_to_mmodule_tree(m, cop.pq_tree2(m, pts))
+    assert canon_mm(got) == canon_mm(carved(m, pts))
 
 
 @settings(max_examples=150, deadline=None)
