@@ -8,7 +8,10 @@ forced left or right of p in every compatible order, and where the
 last *frontier* sits — the deepest initial segment [{p}, C1, ..., Ci]
 that is again an mmodule, hence a node of the PQ-tree.  The remaining
 single-copoint case inserts p's subtree into the PQ-tree of that
-copoint, guided by the cone structure of its root.
+copoint, guided by the cone structure of its root and by its diameter,
+read off the two ends of that tree's order.  Every node is built through
+``pqtree.node``, so each subtree is in normal form as soon as it exists
+and no pass re-normalizes it.
 
 ``recognize_robinson`` wraps the construction in a verdict: validate,
 construct, then verify the canonical order, so a bogus tree can never
@@ -24,7 +27,7 @@ from typing import Iterable, Sequence
 from . import core
 from . import pqtree as pq
 from . import refine
-from .core import DissimilarityMatrix, NotRobinson, first_leaf, leaf_points
+from .core import DissimilarityMatrix, NotRobinson, first_leaf, last_leaf, leaf_points
 from .pqtree import Order, PQTree
 
 
@@ -129,12 +132,16 @@ def admissible_hole(
 
 
 def pq_tree2(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:
-    """PQ-tree of the subset, built from the copoints at its smallest point."""
+    """PQ-tree of the subset, built from the copoints at its smallest point.
+
+    Every node is built through ``pq.node``, so the tree comes out in
+    normal form as it is assembled.
+    """
     pts = sorted(subset)
     if not pts:
         raise core.SubsetTooSmall("need at least one point")
     core.ensure_recursion_headroom(len(pts))
-    return pq.normalize(matrix, _pq_tree2(matrix, pts))
+    return _pq_tree2(matrix, pts)
 
 
 def _pq_tree2(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
@@ -148,7 +155,7 @@ def _pq_tree2(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
 def copoints_to_pq_tree(
     matrix: DissimilarityMatrix, p: int, copoints: Sequence[Sequence[int]]
 ) -> PQTree:
-    """Assemble the PQ-tree of {p} ∪ copoints (raw, not normalized)."""
+    """Assemble the PQ-tree of {p} ∪ copoints, in normal form."""
     k = len(copoints)
     if k == 0:
         return pq.Leaf(p)
@@ -160,28 +167,32 @@ def copoints_to_pq_tree(
             + [t_p]
             + [_pq_tree2(matrix, sorted(c)) for c in right]
         )
-        return pq.Q(tuple(kids))
+        return pq.node(matrix, pq.Q, kids)
 
     # Only C_k lies beyond the last frontier: hang p's tree off the
-    # PQ-tree of C_k according to how far C_k spreads past delta.
+    # PQ-tree of C_k according to how far C_k spreads past delta.  The
+    # two ends of a compatible order of C_k are a diametral pair; on
+    # non-Robinson input a wrong diameter only changes the construction,
+    # and the order check still refuses.
     ck = sorted(copoints[-1])
-    alpha = pq.normalize(matrix, _pq_tree2(matrix, ck))
-    delta = matrix.rows[p][ck[0]]
-    dia = 0 if len(ck) == 1 else core.diameter_and_pair(matrix, ck)[0]
+    alpha = _pq_tree2(matrix, ck)
+    rows = matrix.rows
+    delta = rows[p][ck[0]]
+    dia = rows[first_leaf(alpha)][last_leaf(alpha)]
 
     if isinstance(alpha, pq.Leaf):
-        return pq.P((alpha, t_p))
+        return pq.node(matrix, pq.P, (alpha, t_p))
     if isinstance(alpha, pq.P):
         if dia == delta:
-            return pq.P((*alpha.children, t_p))
+            return pq.node(matrix, pq.P, (*alpha.children, t_p))
         if dia < delta:
-            return pq.P((alpha, t_p))
+            return pq.node(matrix, pq.P, (alpha, t_p))
         if len(alpha.children) == 2:
             b1, b2 = alpha.children
-            return pq.Q((b1, t_p, b2))
+            return pq.node(matrix, pq.Q, (b1, t_p, b2))
         raise NotRobinson("wide P-node cannot absorb an attachment point")
     if dia <= delta:
-        return pq.P((alpha, t_p))
+        return pq.node(matrix, pq.P, (alpha, t_p))
 
     hit = pq.conical_apex(matrix, alpha.children)
     if hit is not None and hit[0] == delta:
@@ -193,15 +204,15 @@ def copoints_to_pq_tree(
         if split:
             if not isinstance(apex_child, pq.P):
                 raise NotRobinson("split apex is not a P-node")
-            kids[apex] = pq.P((*apex_child.children, t_p))
+            kids[apex] = pq.node(matrix, pq.P, (*apex_child.children, t_p))
         else:
-            kids[apex] = pq.P((apex_child, t_p))
-        return pq.Q(tuple(kids))
+            kids[apex] = pq.node(matrix, pq.P, (apex_child, t_p))
+        return pq.node(matrix, pq.Q, kids)
 
     j = admissible_hole(matrix, delta, alpha.children)
     kids = list(alpha.children)
     kids.insert(j, t_p)
-    return pq.Q(tuple(kids))
+    return pq.node(matrix, pq.Q, kids)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,13 @@ def first_leaf(tree) -> int:
     return tree.point
 
 
+def last_leaf(tree) -> int:
+    """Point of the rightmost leaf."""
+    while not isinstance(tree, Leaf):
+        tree = tree.children[-1]
+    return tree.point
+
+
 @dataclass
 class DissimilarityMatrix:
     """Symmetric matrix of exact nonnegative weights with zero diagonal.

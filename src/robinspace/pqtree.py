@@ -4,7 +4,9 @@ A PQ-tree compactly represents the whole family of compatible orders of
 a Robinson space: P-node children may be permuted arbitrarily, Q-node
 children may only be read left-to-right or right-to-left.  Arity-2
 internal nodes are always P (the two conventions agree there); Q-nodes
-have arity at least 3.
+have arity at least 3.  ``node`` is the one rule that keeps a tree in
+that normal form: the copoint construction builds every node through it,
+and ``normalize`` folds it over a tree assembled any other way.
 
 Beyond the order bookkeeping (counting, enumeration, equivalence), this
 module reads boundary weights off internal nodes: a Q-node is *conical*
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .core import DissimilarityMatrix, Leaf, RobinsonError, first_leaf, iter_nodes, leaf_points
 
@@ -160,30 +162,42 @@ def tree_delta_star(
     return hit
 
 
-def normalize(matrix: DissimilarityMatrix, tree: PQTree) -> PQTree:
-    """Canonical arities: no unary nodes, no arity-2 Q, and no P child
-    sitting inside a P parent with the same cross-child distance.
+def node(
+    matrix: DissimilarityMatrix, kind: type[P] | type[Q], kids: Sequence[PQTree]
+) -> PQTree:
+    """A ``kind`` node (P or Q) over children already in normal form,
+    itself in normal form.
 
-    The last repair matters when ties make a construction emit nested
-    P-nodes at one weight; the merged node represents the full set of
-    orders the space admits.
+    Normal form: no unary node, no arity-2 Q, and no P child inside a P
+    parent at the same cross-child distance.  So a unary node collapses
+    to its child, an arity-2 Q becomes a P, and a P child at the new
+    node's own cross distance is spliced in.  One level of splicing is
+    enough, because a normal P child has no P child at its own weight.
+    The merge matters when ties make a construction emit nested P-nodes
+    at one weight; the merged node represents the full set of orders the
+    space admits.
     """
-    if isinstance(tree, Leaf):
-        return tree
-    kids = [normalize(matrix, c) for c in tree.children]
     if len(kids) == 1:
         return kids[0]
-    if isinstance(tree, Q) and len(kids) > 2:
+    if kind is Q and len(kids) > 2:
         return Q(tuple(kids))
     rows = matrix.rows
     delta = rows[first_leaf(kids[0])][first_leaf(kids[1])]
-    i = 0
-    while i < len(kids):
-        c = kids[i]
-        if isinstance(c, P):
-            inner = rows[first_leaf(c.children[0])][first_leaf(c.children[1])]
-            if inner == delta:
-                kids[i : i + 1] = list(c.children)
-                continue
-        i += 1
-    return P(tuple(kids))
+    out: list[PQTree] = []
+    for c in kids:
+        if isinstance(c, P) and rows[first_leaf(c.children[0])][first_leaf(c.children[1])] == delta:
+            out.extend(c.children)
+        else:
+            out.append(c)
+    return P(tuple(out))
+
+
+def normalize(matrix: DissimilarityMatrix, tree: PQTree) -> PQTree:
+    """The tree rebuilt bottom-up through ``node``, the normal-form rule.
+
+    ``copoints.pq_tree2`` already builds through ``node``, so this is for
+    trees assembled any other way; a tree in normal form comes back equal.
+    """
+    if isinstance(tree, Leaf):
+        return tree
+    return node(matrix, type(tree), [normalize(matrix, c) for c in tree.children])

@@ -52,9 +52,38 @@ def profile_subsets(draw, max_n: int = 64):
     n = draw(st.integers(1, max_n))
     profile = draw(st.sampled_from(cli.PROFILES))
     m = cli.generate_matrix(n, draw(st.integers(0, 10**6)), profile)
+    return m, _whole_or_subset(draw, n)
+
+
+def _whole_or_subset(draw, n: int) -> list[int]:
     whole = list(range(n))
     subset = st.lists(st.sampled_from(whole), min_size=1, unique=True)
-    return m, draw(st.one_of(st.just(whole), subset))
+    return draw(st.one_of(st.just(whole), subset))
+
+
+# Robinson shapes outside the generator profiles, d(i, j) for i != j.  They
+# stay out of ``cli.PROFILES``: tests index that tuple and sample from it.
+SHAPES = {
+    "uniform": lambda n, i, j: 1,
+    "reversed-caterpillar": lambda n, i, j: n - min(i, j),
+    "blocks-of-8": lambda n, i, j: 1 if i // 8 == j // 8 else 2,
+    "caterpillar": lambda n, i, j: max(i, j),
+    "line": lambda n, i, j: abs(i - j),
+}
+
+
+def shape_matrix(name: str, n: int) -> DissimilarityMatrix:
+    """The n-point matrix of one of ``SHAPES``; the identity order is compatible."""
+    d = SHAPES[name]
+    return DissimilarityMatrix([[d(n, i, j) if i != j else 0 for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def shape_subsets(draw, max_n: int = 64):
+    """A shape matrix and the whole point set or a subset, as ``profile_subsets``."""
+    n = draw(st.integers(1, max_n))
+    m = shape_matrix(draw(st.sampled_from(sorted(SHAPES))), n)
+    return m, _whole_or_subset(draw, n)
 
 
 @st.composite

@@ -3,17 +3,22 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     EQUAL3,
     FLAT3,
     NONROB4,
+    SHAPES,
     WORKED12,
+    profile_subsets,
     robinson_matrices,
+    shape_matrix,
+    shape_subsets,
     symmetric_matrices,
 )
 from robinspace import cli, copoints as cop, core, mmodtree as mm, oracle, pqtree as pq, refine
@@ -161,6 +166,33 @@ def test_deep_caterpillar_recognized_from_default_recursion_limit():
     assert int(proc.stdout) < 3000
 
 
+def _recognition_s(m: DissimilarityMatrix) -> float:
+    """Seconds to recognize ``m``, the best of three runs."""
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        cop.recognize_validated(m)
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_recognition_scales_quadratically_on_shapes(shape):
+    # shapes outside the generator profiles, where a cubic scan hides;
+    # exact n^2 growth gives 16x from 256 to 1024 points
+    small, large = shape_matrix(shape, 256), shape_matrix(shape, 1024)
+    got = cop.recognize_validated(large)
+    assert got.accepted
+    assert sorted(got.witness) == list(range(1024))
+    assert core.is_compatible_order(large, got.witness)
+    ratio = _recognition_s(large) / _recognition_s(small)
+    if ratio > 40:
+        # a cubic construction shows ~64x on every run, which one retry
+        # cannot hide; retrying only shields against host timing spikes
+        ratio = _recognition_s(large) / _recognition_s(small)
+    assert ratio <= 40, f"{shape}: time(1024) / time(256) is {ratio:.1f}"
+
+
 def test_recognize_singleton():
     got = cop.recognize_robinson(DissimilarityMatrix([[0]]))
     assert got.accepted and got.witness == (0,)
@@ -235,3 +267,12 @@ def test_every_pq_internal_is_a_block_interval(m):
     for node in core.iter_nodes(tree):
         pts = sorted(where[x] for x in core.leaf_points(node))
         assert pts == list(range(pts[0], pts[0] + len(pts)))
+
+
+@pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(profile_subsets(), shape_subsets()))
+def test_constructed_tree_is_already_normalized(case):
+    m, pts = case
+    tree = cop.pq_tree2(m, pts)
+    assert pq.normalize(m, tree) == tree

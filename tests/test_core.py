@@ -197,6 +197,15 @@ def test_quotient_rejects_non_mmodule():
     assert WORKED12.rows[z][x] != WORKED12.rows[z][y]
 
 
+def test_first_and_last_leaf_on_worked_example():
+    t12 = copoints.pq_tree2(WORKED12, range(12))
+    assert (core.first_leaf(t12), core.last_leaf(t12)) == (0, 11)
+    middle = t12.children[1]
+    assert (core.first_leaf(middle), core.last_leaf(middle)) == (6, 4)
+    assert core.last_leaf(t12.children[0].children[1]) == 1
+    assert core.last_leaf(pq.Leaf(5)) == 5
+
+
 def test_diameter_and_pair():
     assert core.diameter_and_pair(WORKED12, range(12)) == (8, 0, 7)
     assert core.diameter_and_pair(WORKED12, [9, 10]) == (2, 9, 10)

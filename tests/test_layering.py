@@ -3,8 +3,9 @@
 The production modules never reach the test-side modules (``reference``,
 ``oracle``) and define none of the helpers kept there, ``pqtree`` stays
 below the constructions that use it, and every import sits at module
-level, so the graph read here is the whole graph.  The functions that
-call themselves are a known list.
+level, so the graph read here is the whole graph.  ``copoints`` builds
+its tree through ``pqtree.node`` with no normalizing pass.  The functions
+that call themselves are a known list.
 """
 
 from __future__ import annotations
@@ -91,6 +92,26 @@ def test_pqtree_sits_below_the_constructions():
 def test_mmodule_tree_has_one_production_path():
     # built from the PQ-tree; the dendrogram carving lives in ``reference``
     assert not _imported("mmodtree") & {"dendrogram", "refine"}
+
+
+def _called(name: str) -> set[str]:
+    """Names that ``name`` calls, bare (``f(...)``) or as an attribute (``m.f(...)``)."""
+    out = set()
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                out.add(func.id)
+            elif isinstance(func, ast.Attribute):
+                out.add(func.attr)
+    return out
+
+
+def test_pq_tree_is_built_in_normal_form():
+    # every node goes through ``pqtree.node``: no re-normalizing pass, and
+    # the diameter is read off the tree instead of scanned
+    assert "node" in _called("copoints")
+    assert not _called("copoints") & {"normalize", "diameter_and_pair"}
 
 
 @pytest.mark.parametrize("name", PRODUCTION)

@@ -84,6 +84,34 @@ def test_normalize_drops_unary_nodes():
     assert pq.normalize(WORKED12, P((Q((Leaf(5),)),))) == Leaf(5)
 
 
+def test_node_collapses_unary():
+    assert pq.node(WORKED12, P, [Leaf(5)]) == Leaf(5)
+    assert pq.node(WORKED12, Q, [P((Leaf(1), Leaf(2)))]) == P((Leaf(1), Leaf(2)))
+
+
+def test_node_turns_arity2_q_into_p():
+    assert pq.node(FLAT3, Q, [Leaf(0), Leaf(1)]) == P((Leaf(0), Leaf(1)))
+
+
+def test_node_splices_p_child_at_the_same_distance():
+    pair = P((Leaf(0), Leaf(1)))
+    assert pq.node(EQUAL3, P, [pair, Leaf(2)]) == P((Leaf(0), Leaf(1), Leaf(2)))
+    assert pq.node(EQUAL3, P, [Leaf(2), pair]) == P((Leaf(2), Leaf(0), Leaf(1)))
+    # an arity-2 Q is a P, so it absorbs a P child at its distance too
+    assert pq.node(EQUAL3, Q, [Leaf(2), pair]) == P((Leaf(2), Leaf(0), Leaf(1)))
+
+
+def test_node_keeps_p_child_at_a_smaller_distance():
+    # d(1, 2) = 1 inside the pair, d(0, 1) = d(0, 2) = 2 across it
+    pair = P((Leaf(1), Leaf(2)))
+    assert pq.node(WORKED12, P, [pair, Leaf(0)]) == P((pair, Leaf(0)))
+
+
+def test_node_returns_wide_q_unchanged():
+    kids = (Leaf(0), P((Leaf(1), Leaf(2))), Leaf(3))
+    assert pq.node(WORKED12, Q, list(kids)) == Q(kids)
+
+
 def test_conical_apex_frozen():
     t12 = copoints.pq_tree2(WORKED12, range(12))
     assert pq.conical_apex(WORKED12, t12.children) is None
