@@ -16,7 +16,8 @@ JSON tree documents are the canonical interchange; weights inside them stay
 decimal strings so nothing is lost to binary floats.  One layer converts
 between trees and documents, and the json, ascii and dot outputs are all
 rendered from the document; every walk over a tree or a document runs on
-an explicit stack.  JSON output is compact, one line per report
+an explicit stack, and only json's recursion gets a scoped limit
+(``_json_depth``).  JSON output is compact, one line per report
 (``python -m json.tool`` indents it).  Exit status is 0
 for success, 1 when the space is not Robinson, 2 for unusable input.
 """
@@ -30,11 +31,12 @@ import random
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from itertools import chain
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, translate
-from .core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError, iter_nodes, leaf_points
+from .core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError, fold, leaf_points
 
 
 class MatrixParseError(ValueError):
@@ -223,37 +225,33 @@ NODE_TYPES = {"pq": ("P", "Q"), "mmodule": ("cup", "cap"), "dendrogram": ("inter
 
 
 def tree_to_doc(kind: str, tree, matrix: DissimilarityMatrix) -> dict:
-    """The document of ``tree``, built bottom-up in one pass."""
+    """The document of ``tree``, built bottom-up in one ``fold``."""
     if kind not in NODE_TYPES:
         raise DocumentError(f"unknown tree kind {kind!r}")
     scale = matrix.scale
-    done: list[dict] = []  # documents of finished subtrees, last child on top
-    # reversed preorder meets every node after all of its descendants
-    for node in reversed(list(iter_nodes(tree))):
+
+    def doc_node(node, children: list[dict]) -> dict:
         if isinstance(node, Leaf):
-            done.append({"type": "leaf", "point": node.point})
-            continue
-        k = len(node.children)
-        children = done[: -k - 1 : -1]
-        del done[-k:]
+            return {"type": "leaf", "point": node.point}
         if isinstance(node, dg.Internal):
-            out = {"type": "internal", "weight": weight_str(node.weight, scale), "children": children}
-        elif isinstance(node, pq.P):
-            out = {"type": "P", "children": children}
-        elif isinstance(node, pq.Q):
+            return {"type": "internal", "weight": weight_str(node.weight, scale), "children": children}
+        if isinstance(node, pq.P):
+            return {"type": "P", "children": children}
+        if isinstance(node, pq.Q):
             out = {"type": "Q", "children": children}
             hit = pq.conical_apex(matrix, node.children)
             if hit is not None:
                 out["apex"] = hit[1]
-        elif isinstance(node, mm.Cup):
-            out = {"type": "cup", "children": children}
-        else:
-            out = {"type": "cap", "children": children}
-            if node.special is not None:
-                out["special"] = weight_str(node.special, scale)
-                out["largeChild"] = node.large_child
-        done.append(out)
-    return {"kind": kind, "root": done[0]}
+            return out
+        if isinstance(node, mm.Cup):
+            return {"type": "cup", "children": children}
+        out = {"type": "cap", "children": children}
+        if node.special is not None:
+            out["special"] = weight_str(node.special, scale)
+            out["largeChild"] = node.large_child
+        return out
+
+    return {"kind": kind, "root": fold(tree, doc_node)}
 
 
 _ENTER = object()  # marks a document node that ``doc_to_tree`` has yet to check
@@ -326,46 +324,31 @@ def _build(node: dict, children: tuple, weight, scale: int):
     return mm.Cap(children, _weight_from_str(str(node["special"]), scale), large)
 
 
-def _doc_nodes(root: dict) -> list[dict]:
-    """Every node of a document, in preorder."""
-    out: list[dict] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node.get("children", ())))
-    return out
-
-
 # --- human renderings ----------------------------------------------------------
 
 
 def ascii_tree(doc: dict) -> str:
     """One line: ``P(..)``, ``Q[..]``, ``cup(..)``, ``cap@w(*.. ..)``, ``(w: ..)``."""
-    done: list[str] = []  # renderings of finished subtrees, last child on top
-    for node in reversed(_doc_nodes(doc["root"])):
+
+    def render(node: dict, parts: list[str]) -> str:
         kind = node["type"]
         if kind == "leaf":
-            done.append(str(node["point"]))
-            continue
-        k = len(node["children"])
-        parts = done[: -k - 1 : -1]
-        del done[-k:]
+            return str(node["point"])
         if "special" in node:
             large = node["largeChild"]
             parts[large] = "*" + parts[large]
         inner = " ".join(parts)
         if kind == "P":
-            done.append(f"P({inner})")
-        elif kind == "Q":
-            done.append(f"Q[{inner}]")
-        elif kind == "internal":
-            done.append(f"({node['weight']}: {inner})")
-        elif "special" in node:
-            done.append(f"cap@{node['special']}({inner})")
-        else:
-            done.append(f"{kind}({inner})")
-    return done[0]
+            return f"P({inner})"
+        if kind == "Q":
+            return f"Q[{inner}]"
+        if kind == "internal":
+            return f"({node['weight']}: {inner})"
+        if "special" in node:
+            return f"cap@{node['special']}({inner})"
+        return f"{kind}({inner})"
+
+    return fold(doc["root"], render, lambda node: node.get("children", ()))
 
 
 def dot_tree(doc: dict) -> str:
@@ -483,7 +466,8 @@ def cmd_recognize(args) -> int:
             "order": list(result.witness),
             "tree": tree_to_doc("pq", result.tree, matrix),
         }
-        _print_json(report)
+        with _json_depth(matrix.n):
+            _print_json(report)
         return 0
     report = {"robinson": False, "reason": result.reason}
     if result.violation is not None:
@@ -495,10 +479,6 @@ def cmd_recognize(args) -> int:
 def cmd_tree(args) -> int:
     matrix = parse_matrix(_read(args.input))
     if args.tree == "dendrogram":
-        # the document walks are iterative, but json's C encoder still
-        # recurses once per nesting level (Python 3.11), and no builder on
-        # this path lifts the limit as recognition does
-        core.ensure_recursion_headroom(matrix.n)
         tree = dg.build_dendrogram(matrix, range(matrix.n))
     else:
         # pq and mmodule trees only exist for Robinson spaces; the raw
@@ -517,7 +497,8 @@ def cmd_tree(args) -> int:
 def _emit(kind: str, tree, matrix: DissimilarityMatrix, fmt: str) -> None:
     doc = tree_to_doc(kind, tree, matrix)
     if fmt == "json":
-        _print_json(doc)
+        with _json_depth(matrix.n):
+            _print_json(doc)
     elif fmt == "dot":
         sys.stdout.write(dot_tree(doc))
     else:
@@ -529,11 +510,26 @@ def _print_json(report: dict) -> None:
     print(json.dumps(report, separators=(",", ":")))
 
 
+@contextmanager
+def _json_depth(n: int) -> Iterator[None]:
+    """Room for json's C encoder and decoder, which recurse once per nested
+    container (Python 3.11), on a document over n points: at most n - 1
+    levels of two containers.  Anything nested deeper still fails."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * n + 10)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def cmd_translate(args) -> int:
     matrix = parse_matrix(_read(args.matrix))
     text = _read(args.input)
     try:
-        kind, tree = doc_to_tree(json.loads(text), matrix.scale)
+        with _json_depth(matrix.n):
+            doc = json.loads(text)
+        kind, tree = doc_to_tree(doc, matrix.scale)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"tree document is not JSON: {exc}") from None
     except RecursionError:

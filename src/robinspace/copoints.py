@@ -22,7 +22,7 @@ verdict without the validation, for matrices that are valid already.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Generator, Iterable, Sequence
 
 from . import core
 from . import pqtree as pq
@@ -135,38 +135,50 @@ def pq_tree2(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:
     """PQ-tree of the subset, built from the copoints at its smallest point.
 
     Every node is built through ``pq.node``, so the tree comes out in
-    normal form as it is assembled.
+    normal form as it is assembled.  Each subproblem is a
+    ``copoints_to_pq_tree`` generator on one explicit stack, so no depth
+    of tree meets the recursion limit.
     """
     pts = sorted(subset)
     if not pts:
         raise core.SubsetTooSmall("need at least one point")
-    core.ensure_recursion_headroom(len(pts))
-    return _pq_tree2(matrix, pts)
+    stack = [copoints_to_pq_tree(matrix, *_split(matrix, pts))]
+    tree = None  # sent to the generator on top: the tree it waits for
+    while True:
+        try:
+            stack.append(copoints_to_pq_tree(matrix, *stack[-1].send(tree)))
+            tree = None
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            tree = done.value
 
 
-def _pq_tree2(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
-    if len(pts) == 1:
-        return pq.Leaf(pts[0])
-    p = pts[0]
-    classes = refine.copoint_partition(matrix, p, pts)
-    return copoints_to_pq_tree(matrix, p, [list(c) for c in classes[1:]])
+def _split(matrix: DissimilarityMatrix, pts: list[int]) -> tuple[int, list[list[int]]]:
+    """(p, the copoints attached at p) for p the smallest of ``pts``."""
+    return pts[0], [list(c) for c in refine.copoint_partition(matrix, pts[0], pts)[1:]]
 
 
 def copoints_to_pq_tree(
     matrix: DissimilarityMatrix, p: int, copoints: Sequence[Sequence[int]]
-) -> PQTree:
-    """Assemble the PQ-tree of {p} ∪ copoints, in normal form."""
+) -> Generator[tuple[int, Sequence[Sequence[int]]], PQTree, PQTree]:
+    """Assemble the PQ-tree of {p} ∪ copoints, in normal form.
+
+    Yields each subproblem ``(p', copoints')`` whose tree it needs, is sent
+    that tree, and returns its own.  Only ``pq_tree2`` drives it: ``yield
+    from`` would nest the frames again.  A one-point copoint is a leaf.
+    """
     k = len(copoints)
     if k == 0:
         return pq.Leaf(p)
     left, i, right = next_frontier(matrix, p, copoints)
-    t_p = copoints_to_pq_tree(matrix, p, copoints[:i]) if i > 0 else pq.Leaf(p)
+    t_p = (yield p, copoints[:i]) if i > 0 else pq.Leaf(p)
     if i < k - 1:
-        kids = (
-            [_pq_tree2(matrix, sorted(c)) for c in left]
-            + [t_p]
-            + [_pq_tree2(matrix, sorted(c)) for c in right]
-        )
+        kids = []
+        for c in (*left, *right):
+            kids.append(pq.Leaf(c[0]) if len(c) == 1 else (yield _split(matrix, sorted(c))))
+        kids.insert(len(left), t_p)
         return pq.node(matrix, pq.Q, kids)
 
     # Only C_k lies beyond the last frontier: hang p's tree off the
@@ -175,7 +187,7 @@ def copoints_to_pq_tree(
     # non-Robinson input a wrong diameter only changes the construction,
     # and the order check still refuses.
     ck = sorted(copoints[-1])
-    alpha = _pq_tree2(matrix, ck)
+    alpha = pq.Leaf(ck[0]) if len(ck) == 1 else (yield _split(matrix, ck))
     rows = matrix.rows
     delta = rows[p][ck[0]]
     dia = rows[first_leaf(alpha)][last_leaf(alpha)]

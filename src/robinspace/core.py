@@ -8,9 +8,8 @@ All weights are plain Python ints (decimal inputs are scaled on parsing, see
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
 class RobinsonError(Exception):
@@ -62,17 +61,27 @@ def iter_nodes(tree) -> Iterator:
             stack.extend(reversed(node.children))
 
 
-def leaf_points(tree) -> list[int]:
-    """Leaf points left to right."""
-    out: list[int] = []
-    stack = [tree]
+def fold(tree, combine: Callable[[Any, list], Any], children=operator.attrgetter("children")):
+    """``combine(node, child_values)`` bottom-up, the values in child order;
+    returns the root's.  A ``Leaf`` has no children, any other node
+    ``children(node)``.  Reversed preorder, children pushed in order, is
+    the left-to-right postorder a recursive walk would combine in."""
+    nodes, stack = [], [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.point)
-        else:
-            stack.extend(reversed(node.children))
-    return out
+        kids = () if isinstance(node, Leaf) else children(node)
+        nodes.append((node, len(kids)))
+        stack.extend(kids)
+    done: list = []  # values of finished subtrees, last child on top
+    for node, k in reversed(nodes):
+        cut = len(done) - k
+        done[cut:] = [combine(node, done[cut:])]
+    return done[0]
+
+
+def leaf_points(tree) -> list[int]:
+    """Leaf points left to right."""
+    return [node.point for node in iter_nodes(tree) if isinstance(node, Leaf)]
 
 
 def leaf_set(tree) -> frozenset[int]:
@@ -263,10 +272,3 @@ def diameter_and_pair(
                 best = v
                 bx, by = pts[a], pts[b]
     return best, bx, by
-
-
-def ensure_recursion_headroom(n: int) -> None:
-    """Lift the interpreter recursion limit for tree builders on n points."""
-    need = 4 * n + 2000
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)

@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from . import core
 from . import pqtree as pq
 from .copoints import pq_tree2
-from .core import DissimilarityMatrix, Leaf, leaf_points, leaf_set
+from .core import DissimilarityMatrix, Leaf, fold, leaf_set
 
 
 @dataclass(frozen=True)
@@ -71,38 +70,37 @@ def pq_to_mmodule_tree(matrix: DissimilarityMatrix, tree: pq.PQTree) -> MModuleT
     """Mmodule tree of the space whose PQ-tree is given.
 
     P-nodes become plain copartition nodes and non-conical Q-nodes
-    become union nodes, children recursing in place.  A conical Q-node
+    become union nodes, each child converted in place.  A conical Q-node
     becomes a special copartition node: its non-apex children fuse into
     the large child, and the apex either stays one child (when its own
     top weight sits below the apex distance, or it has none) or
     dissolves into its children (when the apex points fall apart at the
     apex distance).
     """
-    core.ensure_recursion_headroom(len(leaf_points(tree)))
-    return _to_mmodule(matrix, tree)
+    return fold(tree, lambda t, kids: _to_mmodule(matrix, t, kids))[0]
 
 
-def _to_mmodule(matrix: DissimilarityMatrix, tree: pq.PQTree) -> MModuleTree:
+def _to_mmodule(matrix: DissimilarityMatrix, tree: pq.PQTree, kids: list[tuple]) -> tuple:
+    # (mmodule tree, its children) of ``tree`` from those of its children,
+    # so a dissolving apex hands over its children whatever it became
     if isinstance(tree, Leaf):
-        return tree
+        return tree, ()
+    converted = tuple(c for c, _ in kids)
     if isinstance(tree, pq.P):
-        return Cap(tuple(_to_mmodule(matrix, b) for b in tree.children))
+        return Cap(converted), converted
     hit = pq.conical_apex(matrix, tree.children)
     if hit is None:
-        return Cup(tuple(_to_mmodule(matrix, b) for b in tree.children))
+        return Cup(converted), converted
     delta, apex = hit
-    rest = tuple(
-        _to_mmodule(matrix, b) for i, b in enumerate(tree.children) if i != apex
-    )
+    rest = converted[:apex] + converted[apex + 1 :]
     # an arity-2 fusion is a copartition, like every arity-2 node
     base = Cap(rest) if len(rest) == 2 else Cup(rest)
-    apex_child = tree.children[apex]
-    inner, _ = pq.tree_delta_star(matrix, apex_child)
+    inner, _ = pq.tree_delta_star(matrix, tree.children[apex])
     if inner is None or inner < delta:
-        kids = (base, _to_mmodule(matrix, apex_child))
+        out = (base, converted[apex])
     else:
-        kids = (base, *(_to_mmodule(matrix, g) for g in apex_child.children))
-    return Cap(kids, special=delta, large_child=0)
+        out = (base, *kids[apex][1])
+    return Cap(out, special=delta, large_child=0), converted
 
 
 def is_mmodule_via_tree(tree: MModuleTree, candidate: Iterable[int]) -> bool:
@@ -121,11 +119,7 @@ def is_mmodule_via_tree(tree: MModuleTree, candidate: Iterable[int]) -> bool:
         return True
     node = tree
     while not isinstance(node, Leaf):
-        down = None
-        for child in node.children:
-            if cand <= leaf_set(child):
-                down = child
-                break
+        down = next((child for child in node.children if cand <= leaf_set(child)), None)
         if down is None:
             break
         node = down

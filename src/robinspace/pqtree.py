@@ -23,7 +23,8 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterator, Sequence, Union
 
-from .core import DissimilarityMatrix, Leaf, RobinsonError, first_leaf, iter_nodes, leaf_points
+from .core import DissimilarityMatrix, Leaf, RobinsonError
+from .core import first_leaf, fold, iter_nodes, leaf_points
 
 
 class TooManyOrders(RobinsonError):
@@ -71,13 +72,12 @@ def enumerate_orders(tree: PQTree, cap: int = 10_000) -> Iterator[Order]:
     total = count_orders(tree)
     if total > cap:
         raise TooManyOrders(total, cap)
-    return iter(_orders(tree))
+    return iter(fold(tree, _orders))
 
 
-def _orders(node: PQTree) -> list[Order]:
+def _orders(node: PQTree, per_child: list[list[Order]]) -> list[Order]:
     if isinstance(node, Leaf):
         return [(node.point,)]
-    per_child = [_orders(c) for c in node.children]
     out: list[Order] = []
     if isinstance(node, P):
         for perm in permutations(range(len(per_child))):
@@ -99,18 +99,22 @@ def normal_form(tree: PQTree) -> PQTree:
     collapse and arity-2 Q becomes P, so mildly ill-formed inputs
     canonicalize instead of comparing unequal for cosmetic reasons.
     """
+    return fold(tree, _normal_node)[1]
+
+
+def _normal_node(tree: PQTree, kids: list[tuple[int, PQTree]]) -> tuple[int, PQTree]:
+    # (smallest leaf, normal form) of ``tree`` from those of its children
     if isinstance(tree, Leaf):
-        return tree
-    kids = [normal_form(c) for c in tree.children]
+        return tree.point, tree
     if len(kids) == 1:
         return kids[0]
-    keys = [min(leaf_points(c)) for c in kids]
+    keys = [key for key, _ in kids]
     if isinstance(tree, P) or len(kids) == 2:
-        paired = sorted(zip(keys, kids), key=lambda kc: kc[0])
-        return P(tuple(c for _, c in paired))
-    if tuple(keys) > tuple(reversed(keys)):
+        kids.sort(key=lambda kc: kc[0])
+        return min(keys), P(tuple(c for _, c in kids))
+    if keys > keys[::-1]:
         kids.reverse()
-    return Q(tuple(kids))
+    return min(keys), Q(tuple(c for _, c in kids))
 
 
 def equivalent(t1: PQTree, t2: PQTree) -> bool:
@@ -198,6 +202,6 @@ def normalize(matrix: DissimilarityMatrix, tree: PQTree) -> PQTree:
     ``copoints.pq_tree2`` already builds through ``node``, so this is for
     trees assembled any other way; a tree in normal form comes back equal.
     """
-    if isinstance(tree, Leaf):
-        return tree
-    return node(matrix, type(tree), [normalize(matrix, c) for c in tree.children])
+    return fold(
+        tree, lambda t, kids: t if isinstance(t, Leaf) else node(matrix, type(t), kids)
+    )

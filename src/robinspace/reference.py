@@ -30,10 +30,12 @@ constructions against these, which follow the paper's other routes:
 
 from __future__ import annotations
 
+import sys
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, refine
 from .cli import MatrixParseError, _scan_weight
@@ -69,6 +71,18 @@ class NotAnMModulePartition(RobinsonError):
 IndexSet = tuple[int, ...]
 
 
+@contextmanager
+def recursion_headroom(n: int) -> Iterator[None]:
+    """The recursion limit lifted for the recursive constructions here on
+    n points, and restored on exit; the production path needs none."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * n + 2000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 # --- PQ-tree by top-weight splits ---------------------------------------------
 
 
@@ -83,8 +97,8 @@ def delta_pq_tree(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:
     maximal mmodules, whose two opposite orders seed the root Q.
     """
     pts = sorted(subset)
-    core.ensure_recursion_headroom(len(pts))
-    return _delta_pq(matrix, pts)
+    with recursion_headroom(len(pts)):
+        return _delta_pq(matrix, pts)
 
 
 def _delta_pq(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
@@ -188,8 +202,8 @@ def mmodule_tree_from_dendrogram(
     Robinson space cannot exhibit the construction raises ``NotRobinson``.
     """
     pts = sorted(subset)
-    core.ensure_recursion_headroom(len(pts))
-    return _from_dendrogram(matrix, dg.build_dendrogram(matrix, pts))
+    with recursion_headroom(len(pts)):
+        return _from_dendrogram(matrix, dg.build_dendrogram(matrix, pts))
 
 
 def _from_dendrogram(matrix: DissimilarityMatrix, dtree: dg.Tree) -> mm.MModuleTree:

@@ -32,7 +32,7 @@ from itertools import compress, count
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Sequence
 
-from .core import DissimilarityMatrix, Leaf, RobinsonError, leaf_points
+from .core import DissimilarityMatrix, Leaf, RobinsonError, fold, leaf_points
 from .dendrogram import Internal, Tree
 
 
@@ -199,20 +199,17 @@ def copoint_partition(
 
 def _pivot_forest(rows: list[list[int]], q: int, tree: Tree) -> list[Tree]:
     rq = rows[q]
-    # Bottom-up (lo, hi) of d(q, leaf) per node, iteratively.
-    info: dict[int, tuple[int, int]] = {}
-    stack: list[tuple[Tree, bool]] = [(tree, False)]
-    while stack:
-        node, done = stack.pop()
+    info: dict[int, tuple[int, int]] = {}  # (lo, hi) of d(q, leaf) per node
+
+    def span(node: Tree, spans: list[tuple[int, int]]) -> tuple[int, int]:
         if isinstance(node, Leaf):
-            info[id(node)] = (rq[node.point],) * 2
-        elif not done:
-            stack.append((node, True))
-            stack.extend((child, False) for child in node.children)
+            got = (rq[node.point],) * 2
         else:
-            spans = [info[id(child)] for child in node.children]
-            info[id(node)] = (min(s[0] for s in spans), max(s[1] for s in spans))
-    lo, hi = info[id(tree)]
+            got = (min(s[0] for s in spans), max(s[1] for s in spans))
+        info[id(node)] = got
+        return got
+
+    lo, hi = fold(tree, span)
     if lo == hi:
         return [tree]
     out: list[Tree] = []

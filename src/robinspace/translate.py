@@ -10,18 +10,17 @@ back the orders are recovered from the dissimilarity itself — union
 nodes are laid out along a compatible order of their quotient, and the
 small children of a special node are reinserted into the large child's
 Q-spine at the slot located by ``find_bipartition``.
-Both directions visit each node once.
+Both directions are one ``core.fold``, which visits each node once.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from . import core
 from . import mmodtree as mm
 from . import pqtree as pq
 from .copoints import pq_tree2
-from .core import DissimilarityMatrix, Leaf, NotRobinson, first_leaf, leaf_points
+from .core import DissimilarityMatrix, Leaf, NotRobinson, first_leaf, fold, leaf_points
 from .mmodtree import pq_to_mmodule_tree  # noqa: F401  (re-exported)
 
 
@@ -41,35 +40,29 @@ def mmodule_to_pq_tree(
     spine is cut once and the remaining children, wrapped in a P-node
     when there are several, take the gap.
     """
-    core.ensure_recursion_headroom(len(leaf_points(tree)))
-    return _to_pq(matrix, tree)
+    return fold(tree, lambda t, kids: _to_pq(matrix, t, kids))
 
 
-def _to_pq(matrix: DissimilarityMatrix, tree: mm.MModuleTree) -> pq.PQTree:
+def _to_pq(matrix: DissimilarityMatrix, tree: mm.MModuleTree, kids: list) -> pq.PQTree:
+    # the PQ-tree of ``tree`` from the PQ-trees of its children
     if isinstance(tree, Leaf):
         return tree
     if isinstance(tree, mm.Cup):
-        ordered = _union_order(matrix, tree.children)
-        return pq.Q(tuple(_to_pq(matrix, b) for b in ordered))
+        return pq.Q(tuple(kids[i] for i in _union_order(matrix, tree.children)))
     if tree.special is None:
-        return pq.P(tuple(_to_pq(matrix, b) for b in tree.children))
-    spine = _to_pq(matrix, tree.children[tree.large_child])
-    gammas = _spine_children(spine)
+        return pq.P(tuple(kids))
+    gammas = _spine_children(kids[tree.large_child])
     j = find_bipartition(matrix, tree.special, gammas)
-    small = [b for i, b in enumerate(tree.children) if i != tree.large_child]
-    if len(small) == 1:
-        filler = _to_pq(matrix, small[0])
-    else:
-        filler = pq.P(tuple(_to_pq(matrix, b) for b in small))
+    small = [c for i, c in enumerate(kids) if i != tree.large_child]
+    filler = small[0] if len(small) == 1 else pq.P(tuple(small))
     return pq.Q((*gammas[:j], filler, *gammas[j:]))
 
 
-def _union_order(
-    matrix: DissimilarityMatrix, children: tuple[mm.MModuleTree, ...]
-) -> list[mm.MModuleTree]:
+def _union_order(matrix: DissimilarityMatrix, children: tuple[mm.MModuleTree, ...]) -> list[int]:
+    """Child positions along a compatible order of one representative apiece."""
     reps = [first_leaf(b) for b in children]
     rank = {x: i for i, x in enumerate(pq.canonical_order(pq_tree2(matrix, reps)))}
-    return [b for _, b in sorted(zip(reps, children), key=lambda rb: rank[rb[0]])]
+    return sorted(range(len(reps)), key=lambda i: rank[reps[i]])
 
 
 def _spine_children(spine: pq.PQTree) -> tuple[pq.PQTree, ...]:

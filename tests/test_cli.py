@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import NONROB4, WORKED12, canon_mm, robinson_matrices, symmetric_matrices
 from robinspace import cli, copoints, dendrogram as dg, mmodtree as mm, pqtree as pq
+from robinspace import reference, translate
 from robinspace.cli import DocumentError, MatrixParseError
 from robinspace.core import AsymmetricInput, DissimilarityMatrix, NonzeroDiagonal
 from robinspace.reference import mmodule_tree_from_dendrogram as carved
@@ -368,8 +369,6 @@ def test_tree_commands_build_no_second_tree(monkeypatch, capsys, tmp_path):
         assert json.loads(capsys.readouterr().out)["kind"] == kind
 
 
-# the builders lift the recursion limit for n points, which hypothesis reports
-@pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(cli.PROFILES), st.integers(1, 64), st.integers(0, 10**6))
 def test_served_mmodule_tree_equals_direct_construction(profile, n, seed):
@@ -622,6 +621,62 @@ def test_deep_dendrogram_prints_in_every_format(tmp_path, fmt):
         assert proc.stdout.count(" -- ") == 2 * (n - 1)
 
 
+def test_deep_documents_translate_back(tmp_path):
+    # each document nests 2n containers, past json.loads at the default limit
+    matrix = _caterpillar(tmp_path, 1500)
+    served = {}
+    for kind in ("pq", "mmodule"):
+        proc = _run_fresh("tree", "-i", matrix, "-t", kind)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        served[kind] = tmp_path / f"{kind}.json"
+        served[kind].write_text(proc.stdout)
+    back = {}
+    for kind in ("pq", "mmodule"):
+        proc = _run_fresh("translate", "-i", str(served[kind]), "-m", matrix)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        back[kind] = proc.stdout
+    # the PQ document translates to exactly the served mmodule document
+    assert back["pq"] == served["mmodule"].read_text()
+    assert back["mmodule"].startswith('{"kind":"pq","root":{')
+    assert back["mmodule"].count("\n") == 1
+
+
+def test_public_calls_leave_the_recursion_limit(capsys, tmp_path):
+    # the caterpillar's trees are n - 1 levels deep, past the default limit
+    n = 1200
+    path = _caterpillar(tmp_path, n)
+    m = cli.parse_matrix(Path(path).read_text())
+    pts = range(n)
+    limit = sys.getrecursionlimit()
+
+    def unchanged(fn, *args):
+        out = fn(*args)
+        assert sys.getrecursionlimit() == limit, fn.__name__
+        return out
+
+    # no == on the trees: the generated dataclass __eq__ recurses
+    tree = unchanged(copoints.pq_tree2, m, pts)
+    assert unchanged(copoints.recognize_robinson, m).accepted
+    mtree = unchanged(mm.mmodule_tree, m, pts)
+    unchanged(translate.pq_to_mmodule_tree, m, tree)
+    unchanged(translate.mmodule_to_pq_tree, m, mtree)
+    unchanged(pq.normalize, m, tree)
+    unchanged(pq.normal_form, tree)
+    unchanged(dg.build_dendrogram, m, pts)
+    unchanged(carved, m, pts)
+    with reference.recursion_headroom(n):
+        assert sys.getrecursionlimit() > limit
+    assert sys.getrecursionlimit() == limit
+    for kind in ("pq", "mmodule", "dendrogram"):
+        assert unchanged(cli.main, ["tree", "-i", path, "-t", kind]) == 0
+        doc = tmp_path / f"{kind}.json"
+        doc.write_text(capsys.readouterr().out)
+        if kind != "dendrogram":
+            assert unchanged(cli.main, ["translate", "-i", str(doc), "-m", path]) == 0
+            capsys.readouterr()
+    assert unchanged(cli.main, ["recognize", "-i", path]) == 0
+
+
 def test_every_json_output_is_one_compact_line(capsys, tmp_path):
     mpath = tmp_path / "m.txt"
     mpath.write_text(WORKED12_TEXT)
@@ -645,7 +700,7 @@ def test_every_json_output_is_one_compact_line(capsys, tmp_path):
 
 
 def test_document_walks_need_no_recursion_headroom():
-    # chains 3,000 levels deep, built by hand so no builder lifts the limit
+    # chains 3,000 levels deep, built by hand
     script = """
 import sys
 from robinspace import cli, dendrogram as dg, mmodtree as mm, pqtree as pq

@@ -147,13 +147,14 @@ assert sorted(got.witness) == vals and core.is_compatible_order(m, got.witness)
 tree = mm.mmodule_tree(m, vals)
 assert sorted(core.leaf_points(tree)) == vals
 assert not any(isinstance(node, mm.Cup) for node in core.iter_nodes(tree))
+assert sys.getrecursionlimit() == limit
 print(limit)
 """
 
 
 def test_deep_caterpillar_recognized_from_default_recursion_limit():
     # a fresh interpreter starts at the default recursion limit, as a
-    # user's would; the builders must lift it themselves
+    # user's would; the builders must work within it and leave it alone
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cop.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
@@ -269,7 +270,6 @@ def test_every_pq_internal_is_a_block_interval(m):
         assert pts == list(range(pts[0], pts[0] + len(pts)))
 
 
-@pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(profile_subsets(), shape_subsets()))
 def test_constructed_tree_is_already_normalized(case):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import doc_reference as ref
@@ -44,10 +43,6 @@ def _nodes(root: dict) -> list[dict]:
         out.append(node)
         stack.extend(reversed(node.get("children", ())))
     return out
-
-
-# the builders lift the recursion limit for n points, which hypothesis reports
-pytestmark = pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,7 +5,8 @@ The production modules never reach the test-side modules (``reference``,
 below the constructions that use it, and every import sits at module
 level, so the graph read here is the whole graph.  ``copoints`` builds
 its tree through ``pqtree.node`` with no normalizing pass.  The functions
-that call themselves are a known list.
+that call themselves are a known list, and no library module touches the
+recursion limit.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ TEST_ONLY_NAMES = {
     "parse_matrix_all_tokens",
     "mmodule_tree_from_dendrogram",
     "_from_dendrogram",
+    "recursion_headroom",
 }
 
 
@@ -126,19 +128,11 @@ def test_production_module_imports_only_at_module_level(name):
     assert not nested, f"{name}.py imports inside a block at lines {nested}"
 
 
-# Production functions that call themselves by name.  A self-call scan
-# misses mutual recursion; one remains: copoints._pq_tree2 <->
-# copoints_to_pq_tree.  Each walk here is a candidate for an explicit
-# stack; none may join the list unnoticed.
-SELF_CALLING = {
-    "copoints.copoints_to_pq_tree",
-    "mmodtree._to_mmodule",
-    "pqtree._orders",
-    "pqtree.normal_form",
-    "pqtree.normalize",
-    "refine._pivot_forest.split",
-    "translate._to_pq",
-}
+# Production functions that call themselves by name; every tree walk is
+# a ``core.fold`` or an explicit stack.  The one left is test-only and
+# leaves production with the tree half of ``refine``; none may join the
+# list unnoticed.
+SELF_CALLING = {"refine._pivot_forest.split"}
 
 
 def _self_calling(scope: ast.AST, prefix: str) -> set[str]:
@@ -162,3 +156,20 @@ def _self_calling(scope: ast.AST, prefix: str) -> set[str]:
 def test_self_calling_functions_are_the_known_ones():
     found = set().union(*(_self_calling(_tree(name), name) for name in PRODUCTION))
     assert found == SELF_CALLING
+
+
+def _named(name: str) -> set[str]:
+    """Every bare name and attribute name in ``name``'s source."""
+    out = set()
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+@pytest.mark.parametrize("name", [name for name in PRODUCTION if name != "cli"])
+def test_library_leaves_the_recursion_limit_alone(name):
+    # only the CLI lifts it, scoped, for json's recursive C encoder and decoder
+    assert "setrecursionlimit" not in _named(name)

@@ -93,7 +93,6 @@ WHOLE_SETS = robinson_matrices(max_n=10).map(lambda m: (m, range(m.n)))
 
 # mmodtree.mmodule_tree is exactly this translation, so this is also the
 # differential test of the library's mmodule tree against the carving.
-@pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(WHOLE_SETS, profile_subsets()))
 def test_forward_translation_matches_direct_construction(case):
