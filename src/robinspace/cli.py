@@ -17,7 +17,7 @@ decimal strings so nothing is lost to binary floats.  One layer converts
 between trees and documents, and the json, ascii and dot outputs are all
 rendered from the document; every walk over a tree or a document runs on
 an explicit stack, and only json's recursion gets a scoped limit
-(``_json_depth``).  JSON output is compact, one line per report
+(``_recursion_room``).  JSON output is compact, one line per report
 (``python -m json.tool`` indents it).  Exit status is 0
 for success, 1 when the space is not Robinson, 2 for unusable input.
 """
@@ -466,7 +466,7 @@ def cmd_recognize(args) -> int:
             "order": list(result.witness),
             "tree": tree_to_doc("pq", result.tree, matrix),
         }
-        with _json_depth(matrix.n):
+        with _recursion_room(2 * matrix.n + 10):
             _print_json(report)
         return 0
     report = {"robinson": False, "reason": result.reason}
@@ -497,7 +497,7 @@ def cmd_tree(args) -> int:
 def _emit(kind: str, tree, matrix: DissimilarityMatrix, fmt: str) -> None:
     doc = tree_to_doc(kind, tree, matrix)
     if fmt == "json":
-        with _json_depth(matrix.n):
+        with _recursion_room(2 * matrix.n + 10):
             _print_json(doc)
     elif fmt == "dot":
         sys.stdout.write(dot_tree(doc))
@@ -511,12 +511,14 @@ def _print_json(report: dict) -> None:
 
 
 @contextmanager
-def _json_depth(n: int) -> Iterator[None]:
-    """Room for json's C encoder and decoder, which recurse once per nested
-    container (Python 3.11), on a document over n points: at most n - 1
-    levels of two containers.  Anything nested deeper still fails."""
+def _recursion_room(levels: int) -> Iterator[None]:
+    """The recursion limit raised by ``levels`` inside the block and
+    restored on exit.  json's C encoder and decoder recurse once per
+    nested container (Python 3.11), and a document over n points nests
+    at most n - 1 levels of two containers, so the CLI asks for 2n + 10
+    around them; anything nested deeper still fails."""
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 2 * n + 10)
+    sys.setrecursionlimit(limit + levels)
     try:
         yield
     finally:
@@ -527,7 +529,7 @@ def cmd_translate(args) -> int:
     matrix = parse_matrix(_read(args.matrix))
     text = _read(args.input)
     try:
-        with _json_depth(matrix.n):
+        with _recursion_room(2 * matrix.n + 10):
             doc = json.loads(text)
         kind, tree = doc_to_tree(doc, matrix.scale)
     except json.JSONDecodeError as exc:

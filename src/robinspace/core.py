@@ -81,7 +81,15 @@ def fold(tree, combine: Callable[[Any, list], Any], children=operator.attrgetter
 
 def leaf_points(tree) -> list[int]:
     """Leaf points left to right."""
-    return [node.point for node in iter_nodes(tree) if isinstance(node, Leaf)]
+    out: list[int] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(node.point)
+        else:
+            stack.extend(reversed(node.children))
+    return out
 
 
 def leaf_set(tree) -> frozenset[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .core import DissimilarityMatrix, Leaf, RobinsonError, iter_nodes, leaf_points
+from .core import DissimilarityMatrix, Leaf, RobinsonError, fold, iter_nodes, leaf_points
 
 
 class EmptySubset(RobinsonError):
@@ -87,47 +87,24 @@ def build_dendrogram(matrix: DissimilarityMatrix, subset: Iterable[int]) -> Tree
     return tree
 
 
-def _path_to(tree: Tree, x: int) -> list[Tree] | None:
-    # Root-to-leaf path, iteratively (DFS with explicit parent stack).
-    stack: list[tuple[Tree, int]] = [(tree, 0)]
-    path = [tree]
-    while stack:
-        node, idx = stack[-1]
-        if isinstance(node, Leaf):
-            if node.point == x:
-                return path
-            stack.pop()
-            path.pop()
-            continue
-        if idx == len(node.children):
-            stack.pop()
-            path.pop()
-            continue
-        stack[-1] = (node, idx + 1)
-        child = node.children[idx]
-        stack.append((child, 0))
-        path.append(child)
-    return None
-
-
 def subdominant_distance(tree: Tree, x: int, y: int) -> int:
     """Weight of the lowest common ancestor of leaves x and y (0 if x == y)."""
-    px = _path_to(tree, x)
-    if px is None:
+
+    def meet(node, kids: list[tuple]) -> tuple:
+        # (holds x, holds y, weight of the lowest node that holds both)
+        if isinstance(node, Leaf):
+            return node.point == x, node.point == y, None
+        hx = any(k[0] for k in kids)
+        hy = any(k[1] for k in kids)
+        low = next((k[2] for k in kids if k[2] is not None), None)
+        return hx, hy, node.weight if low is None and hx and hy else low
+
+    hx, hy, weight = fold(tree, meet)
+    if not hx:
         raise NotALeaf(x)
-    if x == y:
-        return 0
-    py = _path_to(tree, y)
-    if py is None:
+    if not hy:
         raise NotALeaf(y)
-    lca = None
-    for a, b in zip(px, py):
-        if a is b:
-            lca = a
-        else:
-            break
-    assert isinstance(lca, Internal)
-    return lca.weight
+    return 0 if x == y else weight
 
 
 def clusters(tree: Tree) -> set[tuple[tuple[int, ...], int]]:

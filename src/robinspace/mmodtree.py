@@ -119,7 +119,11 @@ def is_mmodule_via_tree(tree: MModuleTree, candidate: Iterable[int]) -> bool:
         return True
     node = tree
     while not isinstance(node, Leaf):
-        down = next((child for child in node.children if cand <= leaf_set(child)), None)
+        down = None
+        for child in node.children:
+            if cand <= leaf_set(child):
+                down = child
+                break
         if down is None:
             break
         node = down

@@ -30,15 +30,13 @@ constructions against these, which follow the paper's other routes:
 
 from __future__ import annotations
 
-import sys
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, refine
-from .cli import MatrixParseError, _scan_weight
+from .cli import MatrixParseError, _recursion_room, _scan_weight
 from .core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError
 from .core import first_leaf, iter_nodes, leaf_points, leaf_set
 from .pqtree import P, PQTree, Q
@@ -71,18 +69,6 @@ class NotAnMModulePartition(RobinsonError):
 IndexSet = tuple[int, ...]
 
 
-@contextmanager
-def recursion_headroom(n: int) -> Iterator[None]:
-    """The recursion limit lifted for the recursive constructions here on
-    n points, and restored on exit; the production path needs none."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * n + 2000))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
-
-
 # --- PQ-tree by top-weight splits ---------------------------------------------
 
 
@@ -97,7 +83,7 @@ def delta_pq_tree(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:
     maximal mmodules, whose two opposite orders seed the root Q.
     """
     pts = sorted(subset)
-    with recursion_headroom(len(pts)):
+    with _recursion_room(4 * len(pts) + 1000):  # recursive, unlike production
         return _delta_pq(matrix, pts)
 
 
@@ -202,7 +188,7 @@ def mmodule_tree_from_dendrogram(
     Robinson space cannot exhibit the construction raises ``NotRobinson``.
     """
     pts = sorted(subset)
-    with recursion_headroom(len(pts)):
+    with _recursion_room(4 * len(pts) + 1000):  # recursive, unlike production
         return _from_dendrogram(matrix, dg.build_dendrogram(matrix, pts))
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import NONROB4, WORKED12, canon_mm, robinson_matrices, symmetric_matrices
 from robinspace import cli, copoints, dendrogram as dg, mmodtree as mm, pqtree as pq
-from robinspace import reference, translate
+from robinspace import translate
 from robinspace.cli import DocumentError, MatrixParseError
 from robinspace.core import AsymmetricInput, DissimilarityMatrix, NonzeroDiagonal
 from robinspace.reference import mmodule_tree_from_dendrogram as carved
@@ -656,6 +656,7 @@ def test_public_calls_leave_the_recursion_limit(capsys, tmp_path):
 
     # no == on the trees: the generated dataclass __eq__ recurses
     tree = unchanged(copoints.pq_tree2, m, pts)
+    assert unchanged(pq.equivalent, tree, tree)
     assert unchanged(copoints.recognize_robinson, m).accepted
     mtree = unchanged(mm.mmodule_tree, m, pts)
     unchanged(translate.pq_to_mmodule_tree, m, tree)
@@ -664,8 +665,8 @@ def test_public_calls_leave_the_recursion_limit(capsys, tmp_path):
     unchanged(pq.normal_form, tree)
     unchanged(dg.build_dendrogram, m, pts)
     unchanged(carved, m, pts)
-    with reference.recursion_headroom(n):
-        assert sys.getrecursionlimit() > limit
+    with cli._recursion_room(10):
+        assert sys.getrecursionlimit() == limit + 10
     assert sys.getrecursionlimit() == limit
     for kind in ("pq", "mmodule", "dendrogram"):
         assert unchanged(cli.main, ["tree", "-i", path, "-t", kind]) == 0

@@ -69,7 +69,6 @@ TEST_ONLY_NAMES = {
     "parse_matrix_all_tokens",
     "mmodule_tree_from_dendrogram",
     "_from_dendrogram",
-    "recursion_headroom",
 }
 
 
