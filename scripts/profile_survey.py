@@ -15,7 +15,7 @@ import argparse
 import statistics
 from dataclasses import dataclass
 
-from robinspace import cli, copoints, core, dendrogram, mmodtree, pqtree
+from robinspace import cli, copoints, core, dendrogram, mmodtree, pqtree, translate
 
 
 @dataclass
@@ -27,9 +27,7 @@ class SurveyConfig:
 
 
 def dendro_height(tree) -> int:
-    if isinstance(tree, core.Leaf):
-        return 0
-    return 1 + max(dendro_height(c) for c in tree.children)
+    return core.fold(tree, lambda _node, heights: 1 + max(heights, default=-1))
 
 
 def survey(config: SurveyConfig, profile: str) -> dict[str, float]:
@@ -43,7 +41,7 @@ def survey(config: SurveyConfig, profile: str) -> dict[str, float]:
         count = min(pqtree.count_orders(t_pq), config.order_cap)
         order_counts.append(count)
         flat += count == 2
-        t_mm = mmodtree.mmodule_tree(matrix, range(config.n))
+        t_mm = translate.pq_to_mmodule_tree(matrix, t_pq)
         for node in core.iter_nodes(t_mm):
             if isinstance(node, mmodtree.Cup):
                 cups += 1
@@ -62,12 +60,12 @@ def survey(config: SurveyConfig, profile: str) -> dict[str, float]:
     }
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-n", type=int, default=30, help="points per instance")
     parser.add_argument("--batch", type=int, default=200, help="instances per profile")
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     config = SurveyConfig(n=args.n, batch=args.batch, seed=args.seed)
 
     fields = [

@@ -116,19 +116,27 @@ def next_frontier(
 def admissible_hole(
     matrix: DissimilarityMatrix, delta: int, children: Sequence[PQTree]
 ) -> int:
-    """Insertion slot for a new apex at uniform distance delta.
+    """Slot for a block at uniform distance delta in a Q-spine.
 
-    Returns j such that inserting between children[j-1] and children[j]
-    keeps the row monotone: everything from j rightward stays within
-    delta of the far end, and the gap jumped spans at least delta.
+    ``children`` is the child sequence of a spine whose diameter exceeds
+    ``delta``; the block goes between children[j-1] and children[j] for
+    the j returned.  The last child still strictly farther than ``delta``
+    from the final one bounds the search, and the first gap of at least
+    ``delta`` after it is the slot.  Distances are taken between the
+    facing ends of adjacent children.  The copoint construction, the
+    translation of a special node and ``reference.delta_pq_tree`` all
+    place their block here.
     """
     rows = matrix.rows
-    reps = [first_leaf(c) for c in children]
-    last = reps[-1]
-    for j in range(1, len(reps)):
-        if rows[reps[j]][last] <= delta and rows[reps[j - 1]][reps[j]] >= delta:
-            return j
-    raise NoAdmissibleHole("no admissible gap along the spine")
+    firsts = [first_leaf(c) for c in children]
+    lasts = [last_leaf(c) for c in children]
+    far = [i for i in range(len(children) - 1) if rows[lasts[i]][firsts[-1]] > delta]
+    if not far:
+        raise NoAdmissibleHole("no spine child clears the reattachment weight")
+    for i in range(far[-1], len(children) - 1):
+        if rows[lasts[i]][firsts[i + 1]] >= delta:
+            return i + 1
+    raise NoAdmissibleHole("no wide enough gap after the far block")
 
 
 def pq_tree2(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:

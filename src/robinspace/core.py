@@ -254,29 +254,3 @@ def delta_graph_components(
     pts = sorted(subset)
     return _components(matrix.rows, pts, lambda v: v != delta)
 
-
-def components_below(
-    matrix: DissimilarityMatrix, subset: Iterable[int], bound: int
-) -> list[tuple[int, ...]]:
-    """Connected components of the graph whose edges are pairs at distance < bound."""
-    return _components(matrix.rows, sorted(subset), lambda v: v < bound)
-
-
-def diameter_and_pair(
-    matrix: DissimilarityMatrix, subset: Iterable[int]
-) -> tuple[int, int, int]:
-    """Largest distance on subset with its lexicographically least witness pair."""
-    pts = sorted(subset)
-    if len(pts) < 2:
-        raise SubsetTooSmall("diameter needs at least two points")
-    rows = matrix.rows
-    best = -1
-    bx = by = -1
-    for a in range(len(pts)):
-        ra = rows[pts[a]]
-        for b in range(a + 1, len(pts)):
-            v = ra[pts[b]]
-            if v > best:
-                best = v
-                bx, by = pts[a], pts[b]
-    return best, bx, by

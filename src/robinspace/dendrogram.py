@@ -32,10 +32,9 @@ class NotALeaf(RobinsonError):
 
 @dataclass
 class Internal:
-    """Weighted node; ``weight`` is None only for generic unweighted trees
-    handled by the refinement engine, never for dendrograms."""
+    """Internal node at ``weight``, the scaled merge height of its children."""
 
-    weight: int | None
+    weight: int
     children: list = field(default_factory=list)
 
 

@@ -17,7 +17,10 @@ constructions against these, which follow the paper's other routes:
 * ``is_mmodule`` and ``quotient`` test an mmodule and build the quotient
   over a partition into mmodules from their definitions;
 * ``rho_components`` and ``maximal_mmodules`` restate the components
-  below the top weight and the maximal mmodules from their definitions;
+  below the top weight and the maximal mmodules from their definitions,
+  over ``components_below``; ``diameter_and_pair`` scans a subset for its
+  diameter, and ``stable_partition`` is the point-class form of
+  ``refine.stable_trees``, on the same engine;
 * ``violating_triple_loop`` is the order check as a plain index loop,
   ``core.violating_triple``'s differential reference;
 * ``prim_dendrogram_loop`` is the single-linkage sweep as a plain index
@@ -98,7 +101,7 @@ def _delta_pq(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
         return _connected_pq(matrix, pts)
     large = None
     for idx, c in enumerate(comps):
-        if len(c) > 1 and core.diameter_and_pair(matrix, c)[0] > delta:
+        if len(c) > 1 and diameter_and_pair(matrix, c)[0] > delta:
             if large is not None:
                 raise NotRobinson("two components exceed the top weight")
             large = idx
@@ -201,7 +204,7 @@ def _from_dendrogram(matrix: DissimilarityMatrix, dtree: dg.Tree) -> mm.MModuleT
     if debug_checks:
         pts = sorted(p for c in comps for p in c)
         assert sorted(tuple(sorted(c)) for c in comps) == sorted(
-            core.components_below(matrix, pts, rho)
+            components_below(matrix, pts, rho)
         )
 
     # Distances between distinct components are >= rho by construction;
@@ -219,7 +222,7 @@ def _from_dendrogram(matrix: DissimilarityMatrix, dtree: dg.Tree) -> mm.MModuleT
     if not mixed:
         if debug_checks:
             assert all(
-                len(c) == 1 or core.diameter_and_pair(matrix, c)[0] <= rho
+                len(c) == 1 or diameter_and_pair(matrix, c)[0] <= rho
                 for c in comps
             )
         return mm.Cap(tuple(_from_dendrogram(matrix, t) for t in comp_trees))
@@ -612,7 +615,52 @@ def quotient(
     return DissimilarityMatrix(out, matrix.scale)
 
 
-# --- components and maximal mmodules ---------------------------------------------
+# --- components, diameters, stable partitions and maximal mmodules ----------------
+
+
+def components_below(
+    matrix: DissimilarityMatrix, subset: Iterable[int], bound: int
+) -> list[tuple[int, ...]]:
+    """Connected components of the graph whose edges are pairs at distance < bound."""
+    return core._components(matrix.rows, sorted(subset), lambda v: v < bound)
+
+
+def diameter_and_pair(
+    matrix: DissimilarityMatrix, subset: Iterable[int]
+) -> tuple[int, int, int]:
+    """Largest distance on subset with its lexicographically least witness pair."""
+    pts = sorted(subset)
+    if len(pts) < 2:
+        raise core.SubsetTooSmall("diameter needs at least two points")
+    rows = matrix.rows
+    best = -1
+    bx = by = -1
+    for a in range(len(pts)):
+        ra = rows[pts[a]]
+        for b in range(a + 1, len(pts)):
+            v = ra[pts[b]]
+            if v > best:
+                best = v
+                bx, by = pts[a], pts[b]
+    return best, bx, by
+
+
+def stable_partition(
+    matrix: DissimilarityMatrix, partition: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Refine the initial classes to the maximal mmodules they contain.
+
+    Each class is refined by every point outside it until no pivot splits
+    anything; when a class splits, its sibling parts join the front of the
+    pivot queue before the leftover pivots.  The engine is
+    ``refine._refine``, laid out by ascending distance to the pivot; its
+    tree-carved form is ``refine.stable_trees``.
+    """
+    classes = [list(c) for c in partition]
+    refine._check_partition(classes)
+    rows = matrix.rows
+    final = refine._refine(rows, [(c, c) for c in classes], [], refine._split_points(rows))
+    return [tuple(c) for c in final]
 
 
 def rho_components(matrix: DissimilarityMatrix, subset: Iterable[int]) -> list[tuple[int, ...]]:
@@ -626,7 +674,7 @@ def rho_components(matrix: DissimilarityMatrix, subset: Iterable[int]) -> list[t
     if len(pts) == 1:
         return [tuple(pts)]
     rho = dg.build_dendrogram(matrix, pts).weight
-    return core.components_below(matrix, pts, rho)
+    return components_below(matrix, pts, rho)
 
 
 def maximal_mmodules(

@@ -1,15 +1,19 @@
 """Partition refinement by pivots, on point classes and on trees.
 
-One engine (``_refine``) runs every refinement here: the copoint partition
-at a point, stable partitions and their tree-carved form.  A class is a
-list of points with a FIFO queue of pivots from outside it.  Classes are
-refined in order, each until it is a single point or its queue runs out.
-The first queued pivot that sees the class at two distances splits it in
-place, and the pivots in front of it are dropped.  Each part inherits a
-queue of its sibling parts' points followed by the pivots its class had
-left, and the first part is refined next.  Callers differ only in how the
-parts are laid out: distance buckets for point classes, carved subtrees
-for tree classes.
+One engine (``_refine``) runs every refinement: the copoint partition at
+a point, which the copoint construction splits on, and the stable
+partition carved out of trees (``stable_trees``), which only the
+dendrogram carving in ``reference`` calls; it stays here because the
+benchmark's tracer names it as ``refine.stable_trees``.  The stable
+partition of point classes is ``reference.stable_partition``, on the
+same engine.  A class is a list of points with a FIFO queue of pivots
+from outside it.  Classes are refined in order, each until it is a
+single point or its queue runs out.  The first queued pivot that sees
+the class at two distances splits it in place, and the pivots in front
+of it are dropped.  Each part inherits a queue of its sibling parts'
+points followed by the pivots its class had left, and the first part is
+refined next.  Callers differ only in how the parts are laid out:
+distance buckets for point classes, carved subtrees for tree classes.
 
 The ordered-output discipline is fixed deliberately: pivot queues are FIFO,
 splits happen in place so class positions never cross, and copoint
@@ -36,15 +40,7 @@ from .core import DissimilarityMatrix, Leaf, RobinsonError, fold, leaf_points
 from .dendrogram import Internal, Tree
 
 
-class PivotInsideClass(RobinsonError):
-    pass
-
-
 class NotAPartition(RobinsonError):
-    pass
-
-
-class PivotIsLeaf(RobinsonError):
     pass
 
 
@@ -140,17 +136,6 @@ def _split_points(rows: list[list[int]], center: int | None = None) -> Split:
     return split
 
 
-def refine_by_pivot(
-    matrix: DissimilarityMatrix, q: int, cls: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """Split one class by distance to q: classes by increasing distance,
-    input order preserved within each class."""
-    if q in cls:
-        raise PivotInsideClass(f"pivot {q} belongs to the class being refined")
-    buckets = _buckets(matrix.rows[q], cls)
-    return [tuple(buckets[w]) for w in sorted(buckets)]
-
-
 def _check_partition(classes: list[list[int]]) -> None:
     seen: set[int] = set()
     for cls in classes:
@@ -160,21 +145,6 @@ def _check_partition(classes: list[list[int]]) -> None:
             if x in seen:
                 raise NotAPartition(f"point {x} appears in two classes")
             seen.add(x)
-
-
-def stable_partition(
-    matrix: DissimilarityMatrix, partition: Sequence[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    """Refine the initial classes to the maximal mmodules they contain.
-
-    Each class is refined by every point outside it until no pivot splits
-    anything; when a class splits, its sibling parts join the front of the
-    pivot queue before the leftover pivots.
-    """
-    classes = [list(c) for c in partition]
-    _check_partition(classes)
-    final = _refine(matrix.rows, [(c, c) for c in classes], [], _split_points(matrix.rows))
-    return [tuple(c) for c in final]
 
 
 def copoint_partition(
@@ -198,6 +168,14 @@ def copoint_partition(
 
 
 def _pivot_forest(rows: list[list[int]], q: int, tree: Tree) -> list[Tree]:
+    """Split a tree into the finest forest where d(q, .) is constant per tree.
+
+    q is not a leaf of the tree.  Subtrees whose points all sit at one
+    distance from q survive whole; constant-distance siblings merge into a
+    join carrying their parent's weight; everything else splits further.
+    Output order: the splits first in child order, then the joins by
+    increasing distance.
+    """
     rq = rows[q]
     info: dict[int, tuple[int, int]] = {}  # (lo, hi) of d(q, leaf) per node
 
@@ -232,23 +210,10 @@ def _pivot_forest(rows: list[list[int]], q: int, tree: Tree) -> list[Tree]:
     return out
 
 
-def pivot_tree(matrix: DissimilarityMatrix, q: int, tree: Tree) -> list[Tree]:
-    """Split a tree into the finest forest where d(q, .) is constant per tree.
-
-    Subtrees whose points all sit at one distance from q survive whole;
-    constant-distance siblings merge into a join carrying their parent's
-    weight; everything else recurses.  Output order: recursions first in
-    child order, then joins by increasing distance.
-    """
-    if q in leaf_points(tree):
-        raise PivotIsLeaf(f"pivot {q} is a leaf of the tree")
-    return _pivot_forest(matrix.rows, q, tree)
-
-
 def stable_trees(matrix: DissimilarityMatrix, trees: Sequence[Tree]) -> list[Tree]:
-    """Tree-shaped stable partition: same classes as stable_partition, but
-    every output class arrives as a tree carved out of the inputs.  The
-    carve runs only for a pivot already known to split its tree."""
+    """Tree-shaped stable partition: the classes of
+    ``reference.stable_partition``, each carved out of the input trees.
+    The carve runs only for a pivot already known to split its tree."""
     leaf_sets = [leaf_points(t) for t in trees]
     _check_partition(leaf_sets)
     rows = matrix.rows

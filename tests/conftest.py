@@ -21,13 +21,16 @@ def matrix_from_triangle(rows: list[list[int]], scale: int = 1) -> Dissimilarity
 
 
 @st.composite
-def robinson_matrices(draw, min_n: int = 2, max_n: int = 8, max_bump: int = 3):
+def robinson_matrices(
+    draw, min_n: int = 2, max_n: int = 8, max_bump: int = 3, shuffle: bool = True
+):
     """Random Robinson matrix, hidden compatible order shuffled away.
 
     Each upper-triangle entry is the max of its two inner neighbours plus a
     drawn increment, so the identity order is compatible before the
-    permutation is applied.  Zero increments next to the diagonal create
-    duplicate points, which most shrunken counterexamples turn out to need.
+    permutation is applied (and after it, with ``shuffle=False``).  Zero
+    increments next to the diagonal create duplicate points, which most
+    shrunken counterexamples turn out to need.
     """
     n = draw(st.integers(min_n, max_n))
     k = n * (n - 1) // 2
@@ -38,7 +41,7 @@ def robinson_matrices(draw, min_n: int = 2, max_n: int = 8, max_bump: int = 3):
         for i in range(j - 1, -1, -1):
             inner = max(grid[i][j - 1], grid[i + 1][j])
             grid[i][j] = grid[j][i] = inner + next(it)
-    perm = draw(st.permutations(range(n)))
+    perm = draw(st.permutations(range(n))) if shuffle else range(n)
     rows = [[grid[perm[a]][perm[b]] for b in range(n)] for a in range(n)]
     return DissimilarityMatrix(rows, 1)
 

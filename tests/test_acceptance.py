@@ -250,7 +250,7 @@ def test_06_subdominant_ultrametric(capsys):
 def _diameter(matrix: DissimilarityMatrix, points: list[int]) -> int:
     if len(points) < 2:
         return 0
-    return core.diameter_and_pair(matrix, points)[0]
+    return reference.diameter_and_pair(matrix, points)[0]
 
 
 def test_07_ultrametric_specializations(capsys):

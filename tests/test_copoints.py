@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from conftest import (
     symmetric_matrices,
 )
 from robinspace import cli, copoints as cop, core, mmodtree as mm, oracle, pqtree as pq, refine
-from robinspace import reference
+from robinspace import reference, translate
 from robinspace.core import DissimilarityMatrix
 from robinspace.pqtree import Leaf, P, Q
 
@@ -60,6 +61,66 @@ def test_next_frontier_traces():
 def test_admissible_hole_for_split_apex():
     # the two pieces of the split pair {9,10} slot between 8 and 11
     assert cop.admissible_hole(WORKED12, 2, (Leaf(7), Leaf(8), Leaf(11))) == 2
+
+
+@st.composite
+def spine_with_block(draw, max_n: int = 10):
+    """A Robinson spine and a block at uniform distance delta in one slot.
+
+    The spine's compatible order is the identity.  The pairs across slot
+    s are lifted past delta, the larger diameter of the two sides, so the
+    spine is wider than delta and s is its only slot.  The block keeps
+    its own distances within delta and takes the smallest points, so the
+    copoint construction at its first point hangs it off the spine.
+    """
+    d = draw(robinson_matrices(max_n=max_n, shuffle=False)).rows
+    n = len(d)
+    s = draw(st.integers(1, n - 1))
+    delta = max(d[0][s - 1], d[s][n - 1])
+    lift = max(0, delta - d[s - 1][s]) + 1
+    for x in range(s):
+        for y in range(s, n):
+            d[x][y] = d[y][x] = d[x][y] + lift
+    block = draw(robinson_matrices(min_n=1, max_n=3)).rows
+    k = len(block)
+    rows = [[min(v, delta) for v in row] + [delta] * n for row in block]
+    rows += [[delta] * k + row for row in d]
+    perm = [*range(k), *(k + x for x in draw(st.permutations(range(n))))]
+    return DissimilarityMatrix([[rows[a][b] for b in perm] for a in perm]), range(k + n)
+
+
+WHOLE_SETS = robinson_matrices(max_n=10).map(lambda m: (m, range(m.n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(WHOLE_SETS, profile_subsets(), spine_with_block()))
+def test_admissible_hole_meets_its_definition(case):
+    # Every slot the construction and the translation place a block at
+    # uniform distance delta in: each pair across the slot is at least
+    # delta apart, and each side stays within delta, as a compatible
+    # order through the block demands.
+    m, pts = case
+    calls = []
+    hole = cop.admissible_hole
+
+    def recording(matrix, delta, children):
+        j = hole(matrix, delta, children)
+        calls.append((delta, children, j))
+        return j
+
+    with mock.patch.object(cop, "admissible_hole", recording), mock.patch.object(
+        translate, "admissible_hole", recording
+    ):
+        t = cop.pq_tree2(m, pts)
+        translate.mmodule_to_pq_tree(m, translate.pq_to_mmodule_tree(m, t))
+    rows = m.rows
+    for delta, children, j in calls:
+        left = [x for c in children[:j] for x in core.leaf_points(c)]
+        right = [x for c in children[j:] for x in core.leaf_points(c)]
+        assert left and right
+        assert all(rows[x][y] >= delta for x in left for y in right)
+        for side in (left, right):
+            assert all(rows[x][y] <= delta for x in side for y in side)
 
 
 def test_pq_tree2_block_shapes():

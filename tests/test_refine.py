@@ -10,40 +10,32 @@ from conftest import EQUAL3, WORKED12, robinson_matrices
 from robinspace import cli, core, dendrogram as dg, oracle, refine
 from robinspace import reference as rs_reference
 from robinspace.reference import is_mmodule
-from robinspace.refine import NotAPartition, PivotInsideClass, PivotIsLeaf
+from robinspace.refine import NotAPartition
 
 PROFILES = ("generic", "ultrametric", "flat-heavy", "tie-heavy")
 
 
 def test_refine_by_pivot_orders_and_preserves():
     # ascending distance buckets, input order kept inside each bucket
-    assert refine.refine_by_pivot(WORKED12, 0, [4, 7, 1, 5]) == [
-        (1,),
-        (4, 5),
-        (7,),
-    ]
-
-
-def test_refine_by_pivot_rejects_inside_pivot():
-    with pytest.raises(PivotInsideClass):
-        refine.refine_by_pivot(WORKED12, 4, [4, 5])
+    split = refine._split_points(WORKED12.rows)
+    assert [pts for _, pts in split(None, [4, 7, 1, 5], 0, set())] == [[1], [4, 5], [7]]
 
 
 def test_stable_partition_finds_blocks():
-    got = refine.stable_partition(WORKED12, [list(range(7)), list(range(7, 12))])
+    got = rs_reference.stable_partition(WORKED12, [list(range(7)), list(range(7, 12))])
     assert got == [(4, 5, 6), (0, 1, 2, 3), (7, 8, 9, 10, 11)]
 
 
 def test_stable_partition_single_class_is_fixed():
-    got = refine.stable_partition(WORKED12, [list(range(12))])
+    got = rs_reference.stable_partition(WORKED12, [list(range(12))])
     assert got == [tuple(range(12))]
 
 
 def test_stable_partition_rejects_overlap():
     with pytest.raises(NotAPartition):
-        refine.stable_partition(WORKED12, [[0, 1], [1, 2]])
+        rs_reference.stable_partition(WORKED12, [[0, 1], [1, 2]])
     with pytest.raises(NotAPartition):
-        refine.stable_partition(WORKED12, [[0], []])
+        rs_reference.stable_partition(WORKED12, [[0], []])
 
 
 def test_copoint_partition_frozen():
@@ -72,21 +64,16 @@ def test_copoint_partition_singleton():
     assert refine.copoint_partition(WORKED12, 3, [3]) == [(3,)]
 
 
+# the tree carve that ``refine.stable_trees`` splits a class with
 def test_pivot_tree_splits_inner_blocks():
     tree = dg.build_dendrogram(WORKED12, range(7))
-    forest = refine.pivot_tree(WORKED12, 7, tree)
+    forest = refine._pivot_forest(WORKED12.rows, 7, tree)
     assert [sorted(core.leaf_points(s)) for s in forest] == [[4, 5, 6], [0, 1, 2, 3]]
-
-
-def test_pivot_tree_rejects_leaf_pivot():
-    tree = dg.build_dendrogram(WORKED12, range(7))
-    with pytest.raises(PivotIsLeaf):
-        refine.pivot_tree(WORKED12, 4, tree)
 
 
 def test_pivot_tree_constant_distance_survives_whole():
     tree = dg.build_dendrogram(WORKED12, [4, 5, 6])
-    assert refine.pivot_tree(WORKED12, 0, tree) == [tree]
+    assert refine._pivot_forest(WORKED12.rows, 0, tree) == [tree]
 
 
 def test_stable_trees_matches_stable_partition():
@@ -108,7 +95,7 @@ def test_stable_partition_classes_are_mmodules(m):
     if n < 3:
         return
     half = n // 2
-    got = refine.stable_partition(m, [list(range(half)), list(range(half, n))])
+    got = rs_reference.stable_partition(m, [list(range(half)), list(range(half, n))])
     pts = list(range(n))
     for cls in got:
         assert is_mmodule(m, pts, cls)
@@ -120,8 +107,8 @@ def test_stable_partition_is_a_fixpoint(m):
     n = m.n
     if n < 3:
         return
-    once = refine.stable_partition(m, [list(range(n - 1)), [n - 1]])
-    again = refine.stable_partition(m, [list(c) for c in once])
+    once = rs_reference.stable_partition(m, [list(range(n - 1)), [n - 1]])
+    again = rs_reference.stable_partition(m, [list(c) for c in once])
     assert again == once
 
 
@@ -187,7 +174,7 @@ def test_engine_matches_reference_loops(case):
     sub = classes[0]
     for p in sub:
         assert refine.copoint_partition(m, p, sub) == reference.copoint_partition(m, p, sub)
-    assert refine.stable_partition(m, classes) == reference.stable_partition(m, classes)
+    assert rs_reference.stable_partition(m, classes) == reference.stable_partition(m, classes)
     # dataclass equality: the same classes, in the same order, carved to
     # the same shapes with the same weights
     trees = [dg.build_dendrogram(m, c) for c in classes]

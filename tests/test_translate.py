@@ -9,8 +9,8 @@ from robinspace import translate as tr
 from robinspace.dendrogram import build_dendrogram
 from robinspace.reference import CorrespondenceViolation
 from robinspace.reference import mmodule_tree_from_dendrogram as carved
+from robinspace.copoints import NoAdmissibleHole
 from robinspace.pqtree import Leaf, P, Q
-from robinspace.translate import NoBipartition
 
 
 def test_worked_example_forward():
@@ -66,17 +66,19 @@ def test_leaf_translations():
     assert tr.mmodule_to_pq_tree(WORKED12, mm.Leaf(5)) == Leaf(5)
 
 
+# the spine bipartition of a special node is the one slot rule,
+# ``copoints.admissible_hole``
 def test_find_bipartition_frozen():
-    assert tr.find_bipartition(FLAT3, 1, (Leaf(0), Leaf(2))) == 1
-    assert tr.find_bipartition(WORKED12, 2, (Leaf(7), Leaf(8), Leaf(11))) == 2
+    assert cop.admissible_hole(FLAT3, 1, (Leaf(0), Leaf(2))) == 1
+    assert cop.admissible_hole(WORKED12, 2, (Leaf(7), Leaf(8), Leaf(11))) == 2
 
 
 def test_find_bipartition_rejects():
-    with pytest.raises(NoBipartition):
-        tr.find_bipartition(FLAT3, 1, (Leaf(0),))
-    with pytest.raises(NoBipartition):
+    with pytest.raises(NoAdmissibleHole):
+        cop.admissible_hole(FLAT3, 1, (Leaf(0),))
+    with pytest.raises(NoAdmissibleHole):
         # no child pair is far enough apart to re-attach at weight 5
-        tr.find_bipartition(EQUAL3, 5, (Leaf(0), Leaf(1)))
+        cop.admissible_hole(EQUAL3, 5, (Leaf(0), Leaf(1)))
 
 
 def test_correspondence_rejects_mismatched_kinds():
