@@ -6,12 +6,11 @@ the stable-partition engine already sorted by proximity to p.  Walking
 them from far to near, ``next_frontier`` decides which copoints are
 forced left or right of p in every compatible order, and where the
 last *frontier* sits — the deepest initial segment [{p}, C1, ..., Ci]
-that is again an mmodule, hence a node of the PQ-tree.  The remaining
-single-copoint case inserts p's subtree into the PQ-tree of that
-copoint, guided by the cone structure of its root and by its diameter,
-read off the two ends of that tree's order.  Every node is built through
-``pqtree.node``, so each subtree is in normal form as soon as it exists
-and no pass re-normalizes it.
+that is again an mmodule, hence a node of the PQ-tree.  When only C_k
+lies beyond it, p's subtree joins the PQ-tree of C_k: beside it, under
+its conical apex, or at its ``admissible_hole``.  Every node is built
+through ``pqtree.node``, so each subtree is in normal form as soon as it
+exists, and that rule merges p's subtree into a P-node at its distance.
 
 ``recognize_robinson`` wraps the construction in a verdict: validate,
 construct, then verify the canonical order, so a bogus tree can never
@@ -27,7 +26,7 @@ from typing import Generator, Iterable, Sequence
 from . import core
 from . import pqtree as pq
 from . import refine
-from .core import DissimilarityMatrix, NotRobinson, first_leaf, last_leaf, leaf_points
+from .core import DissimilarityMatrix, NotRobinson, first_leaf, last_leaf
 from .pqtree import Order, PQTree
 
 
@@ -49,8 +48,8 @@ def next_frontier(
     (i = 0 when the first copoint already fails).  Sides are forced by
     comparing d(C_j, C_l) against d(p, C_l): closer pairs share a side,
     farther pairs take opposite sides, equality leaves j undecided for
-    now.  L and R are persistent cons cells so prepends and bulk
-    re-sidings cost what they look like.
+    now.  Every decision sides copoints below all those sided before,
+    so L and R are read off the final sides in order.
     """
     k = len(copoints)
     rows = matrix.rows
@@ -64,15 +63,6 @@ def next_frontier(
             raise SideConflict(f"copoint {idx} pinned to both sides of {p}")
         side[idx] = s
 
-    def block(lo: int, hi: int, cell, s: str):
-        # prepend C_lo..C_hi (1-based, inclusive-exclusive on hi) keeping order
-        for x in range(hi - 1, lo - 1, -1):
-            assign(x, s)
-            cell = (x, cell)
-        return cell
-
-    left = None
-    right = (k, None)
     side[k] = "R"
     i = k
     l = k
@@ -80,36 +70,22 @@ def next_frontier(
         rl = reps[l - 1]
         w = dp[l - 1]
         sl = side[l]
+        other = "R" if sl == "L" else "L"
         for j in range(i - 1, 0, -1):
             v = rows[reps[j - 1]][rl]
             if v == w:
                 continue
-            same = v < w
-            if (same and sl == "L") or (not same and sl == "R"):
-                assign(j, "L")
-                left = (j, left)
-                right = block(j + 1, i, right, "R")
-                i = j
-            else:
-                assign(j, "R")
-                right = (j, right)
-                left = block(j + 1, i, left, "L")
-                i = j
+            near = v < w
+            assign(j, sl if near else other)
+            # the undecided run C_{j+1}..C_{i-1} takes the side opposite j
+            for x in range(i - 1, j, -1):
+                assign(x, other if near else sl)
+            i = j
         l -= 1
-
-    def to_list(cell) -> list[int]:
-        out = []
-        while cell is not None:
-            out.append(cell[0])
-            cell = cell[1]
-        return out
-
-    lefts = to_list(left)
-    lefts.reverse()
     return (
-        [copoints[t - 1] for t in lefts],
+        [copoints[t - 1] for t in range(k, i - 1, -1) if side[t] == "L"],
         i - 1,
-        [copoints[t - 1] for t in to_list(right)],
+        [copoints[t - 1] for t in range(i, k + 1) if side[t] == "R"],
     )
 
 
@@ -137,6 +113,14 @@ def admissible_hole(
         if rows[lasts[i]][firsts[i + 1]] >= delta:
             return i + 1
     raise NoAdmissibleHole("no wide enough gap after the far block")
+
+
+def spine_children(spine: PQTree) -> tuple[PQTree, ...]:
+    """Children of a tree read as a linear spine: a Q-node's, or either
+    reading of a two-child P-node's; any other tree has none."""
+    if isinstance(spine, pq.Q) or (isinstance(spine, pq.P) and len(spine.children) == 2):
+        return spine.children
+    raise NotRobinson("a wide subtree has no linear spine")
 
 
 def pq_tree2(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:
@@ -190,48 +174,24 @@ def copoints_to_pq_tree(
         return pq.node(matrix, pq.Q, kids)
 
     # Only C_k lies beyond the last frontier: hang p's tree off the
-    # PQ-tree of C_k according to how far C_k spreads past delta.  The
-    # two ends of a compatible order of C_k are a diametral pair; on
-    # non-Robinson input a wrong diameter only changes the construction,
-    # and the order check still refuses.
+    # PQ-tree of C_k.  The two ends of a compatible order of C_k are a
+    # diametral pair; on non-Robinson input a wrong diameter only changes
+    # the construction, and the order check still refuses.
     ck = sorted(copoints[-1])
     alpha = pq.Leaf(ck[0]) if len(ck) == 1 else (yield _split(matrix, ck))
-    rows = matrix.rows
-    delta = rows[p][ck[0]]
-    dia = rows[first_leaf(alpha)][last_leaf(alpha)]
-
-    if isinstance(alpha, pq.Leaf):
+    delta = matrix.rows[p][ck[0]]
+    if matrix.rows[first_leaf(alpha)][last_leaf(alpha)] <= delta:
+        # ``node`` splices a P-node alpha whose children sit delta apart
         return pq.node(matrix, pq.P, (alpha, t_p))
-    if isinstance(alpha, pq.P):
-        if dia == delta:
-            return pq.node(matrix, pq.P, (*alpha.children, t_p))
-        if dia < delta:
-            return pq.node(matrix, pq.P, (alpha, t_p))
-        if len(alpha.children) == 2:
-            b1, b2 = alpha.children
-            return pq.node(matrix, pq.Q, (b1, t_p, b2))
-        raise NotRobinson("wide P-node cannot absorb an attachment point")
-    if dia <= delta:
-        return pq.node(matrix, pq.P, (alpha, t_p))
-
-    hit = pq.conical_apex(matrix, alpha.children)
+    kids = list(spine_children(alpha))
+    hit = pq.conical_apex(matrix, kids)
     if hit is not None and hit[0] == delta:
-        _, apex = hit
-        apex_child = alpha.children[apex]
-        apex_pts = leaf_points(apex_child)
-        split = len(core.delta_graph_components(matrix, apex_pts, delta)) > 1
-        kids = list(alpha.children)
-        if split:
-            if not isinstance(apex_child, pq.P):
-                raise NotRobinson("split apex is not a P-node")
-            kids[apex] = pq.node(matrix, pq.P, (*apex_child.children, t_p))
-        else:
-            kids[apex] = pq.node(matrix, pq.P, (apex_child, t_p))
-        return pq.node(matrix, pq.Q, kids)
-
-    j = admissible_hole(matrix, delta, alpha.children)
-    kids = list(alpha.children)
-    kids.insert(j, t_p)
+        # the apex points fall apart at delta exactly when the apex is a
+        # P-node at delta, which ``node`` splices
+        apex = hit[1]
+        kids[apex] = pq.node(matrix, pq.P, (kids[apex], t_p))
+    else:
+        kids.insert(admissible_hole(matrix, delta, kids), t_p)
     return pq.node(matrix, pq.Q, kids)
 
 

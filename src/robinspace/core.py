@@ -1,4 +1,4 @@
-"""Exact dissimilarity matrices and the order/connectivity primitives.
+"""Exact dissimilarity matrices, the compatible-order check and the tree walkers.
 
 All weights are plain Python ints (decimal inputs are scaled on parsing, see
 ``robinspace.cli``), so every comparison in the package is exact.  Points are
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 
 class RobinsonError(Exception):
@@ -220,37 +220,4 @@ def violating_triple(
             if v < rows[order[a + 1]][order[b]]:
                 return order[a], order[a + 1], order[b]
     return None
-
-
-def _components(rows: list[list[int]], pts: list[int], adjacent) -> list[tuple[int, ...]]:
-    # BFS from increasing start indices; pts must be sorted.
-    k = len(pts)
-    seen = [False] * k
-    comps = []
-    for s in range(k):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                ra = rows[pts[a]]
-                for b in range(k):
-                    if not seen[b] and adjacent(ra[pts[b]]):
-                        seen[b] = True
-                        comp.append(b)
-                        nxt.append(b)
-            frontier = nxt
-        comps.append(tuple(sorted(pts[i] for i in comp)))
-    return comps
-
-
-def delta_graph_components(
-    matrix: DissimilarityMatrix, subset: Iterable[int], delta: int
-) -> list[tuple[int, ...]]:
-    """Connected components of the graph whose edges are pairs at distance != delta."""
-    pts = sorted(subset)
-    return _components(matrix.rows, pts, lambda v: v != delta)
 

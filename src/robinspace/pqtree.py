@@ -186,9 +186,9 @@ def node(
     to its child, an arity-2 Q becomes a P, and a P child at the new
     node's own cross distance is spliced in.  One level of splicing is
     enough, because a normal P child has no P child at its own weight.
-    The merge matters when ties make a construction emit nested P-nodes
-    at one weight; the merged node represents the full set of orders the
-    space admits.
+    The copoint construction relies on the merge when p's subtree joins
+    a P-node at its own distance; the merged node represents the full set
+    of orders the space admits.
     """
     if len(kids) == 1:
         return kids[0]

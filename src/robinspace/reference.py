@@ -16,6 +16,9 @@ constructions against these, which follow the paper's other routes:
   ``copoints_from_mmodule_tree`` relate copoints to tree nodes;
 * ``is_mmodule`` and ``quotient`` test an mmodule and build the quotient
   over a partition into mmodules from their definitions;
+* ``delta_graph_components`` and ``components_below`` are quadratic BFS
+  components (pairs at distance other than delta, or below a bound),
+  which ``delta_pq_tree`` and ``classify`` read;
 * ``rho_components`` and ``maximal_mmodules`` restate the components
   below the top weight and the maximal mmodules from their definitions,
   over ``components_below``; ``diameter_and_pair`` scans a subset for its
@@ -96,7 +99,7 @@ def _delta_pq(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
     # the top weight (largest edge of a minimum spanning tree) is the
     # weight of the dendrogram root
     delta = dg.build_dendrogram(matrix, pts).weight
-    comps = core.delta_graph_components(matrix, pts, delta)
+    comps = delta_graph_components(matrix, pts, delta)
     if len(comps) == 1:
         return _connected_pq(matrix, pts)
     large = None
@@ -108,13 +111,7 @@ def _delta_pq(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
     if large is None:
         kids = tuple(_delta_pq(matrix, list(c)) for c in comps)
         return pq.normalize(matrix, P(kids))
-    spine_tree = _delta_pq(matrix, list(comps[large]))
-    if isinstance(spine_tree, Q) or (
-        isinstance(spine_tree, P) and len(spine_tree.children) == 2
-    ):
-        betas = list(spine_tree.children)
-    else:
-        raise NotRobinson("wide component has no reversible spine")
+    betas = list(copoints.spine_children(_delta_pq(matrix, list(comps[large]))))
     extra = [
         _delta_pq(matrix, list(c)) for i, c in enumerate(comps) if i != large
     ]
@@ -371,7 +368,7 @@ def classify(
             continue
         delta, apex = pq.tree_delta_star(matrix, node)
         split = apex is not None and len(
-            core.delta_graph_components(matrix, leaf_points(node.children[apex]), delta)
+            delta_graph_components(matrix, leaf_points(node.children[apex]), delta)
         ) > 1
         out[node] = NodeClassification(delta, apex, split)
     return out
@@ -618,11 +615,44 @@ def quotient(
 # --- components, diameters, stable partitions and maximal mmodules ----------------
 
 
+def _components(rows: list[list[int]], pts: list[int], adjacent) -> list[tuple[int, ...]]:
+    # BFS from increasing start indices; pts must be sorted.
+    k = len(pts)
+    seen = [False] * k
+    comps = []
+    for s in range(k):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                ra = rows[pts[a]]
+                for b in range(k):
+                    if not seen[b] and adjacent(ra[pts[b]]):
+                        seen[b] = True
+                        comp.append(b)
+                        nxt.append(b)
+            frontier = nxt
+        comps.append(tuple(sorted(pts[i] for i in comp)))
+    return comps
+
+
+def delta_graph_components(
+    matrix: DissimilarityMatrix, subset: Iterable[int], delta: int
+) -> list[tuple[int, ...]]:
+    """Connected components of the graph whose edges are pairs at distance != delta."""
+    pts = sorted(subset)
+    return _components(matrix.rows, pts, lambda v: v != delta)
+
+
 def components_below(
     matrix: DissimilarityMatrix, subset: Iterable[int], bound: int
 ) -> list[tuple[int, ...]]:
     """Connected components of the graph whose edges are pairs at distance < bound."""
-    return core._components(matrix.rows, sorted(subset), lambda v: v < bound)
+    return _components(matrix.rows, sorted(subset), lambda v: v < bound)
 
 
 def diameter_and_pair(

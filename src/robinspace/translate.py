@@ -9,8 +9,9 @@ child orders; ``mmodtree`` builds its trees that way, so
 back the orders are recovered from the dissimilarity itself — union
 nodes are laid out along a compatible order of their quotient, and the
 small children of a special node go back into the large child's
-Q-spine at the slot ``copoints.admissible_hole`` finds, the one slot
-rule the copoint construction uses too.  Both directions are one
+spine, read by ``copoints.spine_children``, at the slot
+``copoints.admissible_hole`` finds: the one spine reading and the one
+slot rule the copoint construction uses too.  Both directions are one
 ``core.fold``, which visits each node once.
 """
 
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 from . import mmodtree as mm
 from . import pqtree as pq
-from .copoints import admissible_hole, pq_tree2
-from .core import DissimilarityMatrix, Leaf, NotRobinson, first_leaf, fold
+from .copoints import admissible_hole, pq_tree2, spine_children
+from .core import DissimilarityMatrix, Leaf, first_leaf, fold
 from .mmodtree import pq_to_mmodule_tree  # noqa: F401  (re-exported)
 
 
@@ -46,7 +47,7 @@ def _to_pq(matrix: DissimilarityMatrix, tree: mm.MModuleTree, kids: list) -> pq.
         return pq.Q(tuple(kids[i] for i in _union_order(matrix, tree.children)))
     if tree.special is None:
         return pq.P(tuple(kids))
-    gammas = _spine_children(kids[tree.large_child])
+    gammas = spine_children(kids[tree.large_child])
     j = admissible_hole(matrix, tree.special, gammas)
     small = [c for i, c in enumerate(kids) if i != tree.large_child]
     filler = small[0] if len(small) == 1 else pq.P(tuple(small))
@@ -58,13 +59,3 @@ def _union_order(matrix: DissimilarityMatrix, children: tuple[mm.MModuleTree, ..
     reps = [first_leaf(b) for b in children]
     rank = {x: i for i, x in enumerate(pq.canonical_order(pq_tree2(matrix, reps)))}
     return sorted(range(len(reps)), key=lambda i: rank[reps[i]])
-
-
-def _spine_children(spine: pq.PQTree) -> tuple[pq.PQTree, ...]:
-    if isinstance(spine, pq.Q):
-        return spine.children
-    # a two-point large child has a P root; either reading of it works
-    if isinstance(spine, pq.P) and len(spine.children) == 2:
-        return spine.children
-    raise NotRobinson("large child of a special node has no linear spine")
-

@@ -90,6 +90,32 @@ def shape_subsets(draw, max_n: int = 64):
 
 
 @st.composite
+def spine_with_block(draw, max_n: int = 10):
+    """A Robinson spine and a block at uniform distance delta in one slot.
+
+    The spine's compatible order is the identity.  The pairs across slot
+    s are lifted past delta, the larger diameter of the two sides, so the
+    spine is wider than delta and s is its only slot.  The block keeps
+    its own distances within delta and takes the smallest points, so the
+    copoint construction at its first point hangs it off the spine.
+    """
+    d = draw(robinson_matrices(max_n=max_n, shuffle=False)).rows
+    n = len(d)
+    s = draw(st.integers(1, n - 1))
+    delta = max(d[0][s - 1], d[s][n - 1])
+    lift = max(0, delta - d[s - 1][s]) + 1
+    for x in range(s):
+        for y in range(s, n):
+            d[x][y] = d[y][x] = d[x][y] + lift
+    block = draw(robinson_matrices(min_n=1, max_n=3)).rows
+    k = len(block)
+    rows = [[min(v, delta) for v in row] + [delta] * n for row in block]
+    rows += [[delta] * k + row for row in d]
+    perm = [*range(k), *(k + x for x in draw(st.permutations(range(n))))]
+    return DissimilarityMatrix([[rows[a][b] for b in perm] for a in perm]), range(k + n)
+
+
+@st.composite
 def symmetric_matrices(draw, min_n: int = 2, max_n: int = 7, max_value: int = 5):
     """Arbitrary symmetric zero-diagonal matrix, mostly not Robinson."""
     n = draw(st.integers(min_n, max_n))

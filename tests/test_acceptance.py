@@ -320,7 +320,7 @@ def test_08_structural_bounds(capsys):
                 for a, b in itertools.combinations(subset, 2)
             }
             splits = sum(
-                len(core.delta_graph_components(matrix, subset, delta)) > 1
+                len(reference.delta_graph_components(matrix, subset, delta)) > 1
                 for delta in values
             )
             assert splits <= 1, (i, tuple(subset))

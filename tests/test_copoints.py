@@ -16,10 +16,12 @@ from conftest import (
     NONROB4,
     SHAPES,
     WORKED12,
+    matrix_from_triangle,
     profile_subsets,
     robinson_matrices,
     shape_matrix,
     shape_subsets,
+    spine_with_block,
     symmetric_matrices,
 )
 from robinspace import cli, copoints as cop, core, mmodtree as mm, oracle, pqtree as pq, refine
@@ -57,36 +59,18 @@ def test_next_frontier_traces():
     assert (left, i) == ([], 0)
     assert right == [[8], [9, 10], [11]]
 
+    # both sides in use: at 1, copoint {0} ties with the last copoint {4},
+    # so it stays undecided until {2} is sided left, then takes the right
+    m = matrix_from_triangle([[4, 13, 7, 4, 9], [4, 1, 4, 1], [3, 17, 2], [7, 0], [12]])
+    cp1 = refine.copoint_partition(m, 1, range(6))
+    assert cp1 == [(1,), (3,), (5,), (2,), (0,), (4,)]
+    left, i, right = cop.next_frontier(m, 1, [list(c) for c in cp1[1:]])
+    assert (left, i, right) == ([[2], [5], [3]], 0, [[0], [4]])
+
 
 def test_admissible_hole_for_split_apex():
     # the two pieces of the split pair {9,10} slot between 8 and 11
     assert cop.admissible_hole(WORKED12, 2, (Leaf(7), Leaf(8), Leaf(11))) == 2
-
-
-@st.composite
-def spine_with_block(draw, max_n: int = 10):
-    """A Robinson spine and a block at uniform distance delta in one slot.
-
-    The spine's compatible order is the identity.  The pairs across slot
-    s are lifted past delta, the larger diameter of the two sides, so the
-    spine is wider than delta and s is its only slot.  The block keeps
-    its own distances within delta and takes the smallest points, so the
-    copoint construction at its first point hangs it off the spine.
-    """
-    d = draw(robinson_matrices(max_n=max_n, shuffle=False)).rows
-    n = len(d)
-    s = draw(st.integers(1, n - 1))
-    delta = max(d[0][s - 1], d[s][n - 1])
-    lift = max(0, delta - d[s - 1][s]) + 1
-    for x in range(s):
-        for y in range(s, n):
-            d[x][y] = d[y][x] = d[x][y] + lift
-    block = draw(robinson_matrices(min_n=1, max_n=3)).rows
-    k = len(block)
-    rows = [[min(v, delta) for v in row] + [delta] * n for row in block]
-    rows += [[delta] * k + row for row in d]
-    perm = [*range(k), *(k + x for x in draw(st.permutations(range(n))))]
-    return DissimilarityMatrix([[rows[a][b] for b in perm] for a in perm]), range(k + n)
 
 
 WHOLE_SETS = robinson_matrices(max_n=10).map(lambda m: (m, range(m.n)))
@@ -121,6 +105,54 @@ def test_admissible_hole_meets_its_definition(case):
         assert all(rows[x][y] >= delta for x in left for y in right)
         for side in (left, right):
             assert all(rows[x][y] <= delta for x in side for y in side)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(WHOLE_SETS, profile_subsets(), spine_with_block()))
+def test_apex_attach_merges_where_the_delta_graph_splits(case):
+    # When p's subtree joins the conical apex at delta, ``pq.node`` merges
+    # it into the apex exactly when the apex is a P-node whose children
+    # sit delta apart; that must be exactly when the apex points fall
+    # apart in the delta-graph.  Each apex found is paired with the next
+    # ``node`` call, the attach when it builds a P-node over that apex.
+    m, pts = case
+    found, attaches = [], []
+    conical, node = pq.conical_apex, pq.node
+
+    def recording_apex(matrix, children):
+        hit = conical(matrix, children)
+        if hit is not None:
+            found.append((hit[0], children[hit[1]]))
+        return hit
+
+    def recording_node(matrix, kind, kids):
+        if found:
+            delta, apex = found.pop()
+            if kind is P and kids[0] is apex:
+                attaches.append((delta, apex))
+        return node(matrix, kind, kids)
+
+    with mock.patch.object(pq, "conical_apex", recording_apex), mock.patch.object(
+        pq, "node", recording_node
+    ):
+        cop.pq_tree2(m, pts)
+    rows = m.rows
+    for delta, apex in attaches:
+        merged = isinstance(apex, P) and rows[core.first_leaf(apex.children[0])][
+            core.first_leaf(apex.children[1])
+        ] == delta
+        split = len(reference.delta_graph_components(m, core.leaf_points(apex), delta)) > 1
+        assert merged == split
+
+
+def test_apex_attach_merges_a_split_apex():
+    # the spine 1 - {2, 3} - 4 with d(1, 4) = 2 and the block {0}, all
+    # else at delta = 1: p = 0 joins the apex {2, 3}, which falls apart
+    # at delta, so its points and 0 go in any order between 1 and 4
+    m = matrix_from_triangle([[1, 1, 1, 1], [1, 1, 2], [1, 1], [1]])
+    tree = cop.pq_tree2(m, range(5))
+    assert pq.equivalent(tree, Q((Leaf(1), P((Leaf(2), Leaf(3), Leaf(0))), Leaf(4))))
+    assert pq.count_orders(tree) == len(oracle.brute_compatible_orders(m, range(5))) == 12
 
 
 def test_pq_tree2_block_shapes():

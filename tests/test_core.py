@@ -155,13 +155,13 @@ def test_delta_star_frozen():
 def test_delta_graph_components_frozen():
     # the full space never disconnects: the middle block bridges the far ones
     for delta in (2, 5, 6, 8):
-        assert core.delta_graph_components(WORKED12, range(12), delta) == [
+        assert reference.delta_graph_components(WORKED12, range(12), delta) == [
             tuple(range(12))
         ]
     # the first block splits exactly at its cross distance 2
-    assert core.delta_graph_components(WORKED12, [0, 1, 2, 3], 2) == [(0, 3), (1, 2)]
+    assert reference.delta_graph_components(WORKED12, [0, 1, 2, 3], 2) == [(0, 3), (1, 2)]
     # the last block splits at 2 into the far pair's pieces and two loners
-    assert core.delta_graph_components(WORKED12, [7, 8, 9, 10, 11], 2) == [
+    assert reference.delta_graph_components(WORKED12, [7, 8, 9, 10, 11], 2) == [
         (7, 8, 11),
         (9,),
         (10,),
@@ -217,7 +217,7 @@ def test_diameter_and_pair():
 def test_delta_star_is_min_connecting_threshold(m):
     n = m.n
     rho = build_dendrogram(m, range(n)).weight
-    at_most = lambda bound: core._components(
+    at_most = lambda bound: reference._components(
         m.rows, list(range(n)), lambda v, b=bound: v <= b
     )
     assert len(at_most(rho)) == 1

@@ -4,8 +4,9 @@ The production modules never reach the test-side modules (``reference``,
 ``oracle``) and define none of the helpers kept there, ``pqtree`` stays
 below the constructions that use it, and every import sits at module
 level, so the graph read here is the whole graph.  ``copoints`` builds
-its tree through ``pqtree.node`` with no normalizing pass, and one slot
-rule places a block in a Q-spine.  The functions that call themselves
+its tree through ``pqtree.node`` with no normalizing pass or delta-graph
+search, one spine reading serves construction and translation, and one
+slot rule places a block in a Q-spine.  The functions that call themselves
 are a known list, and no library module touches the recursion limit.
 Every package name the benchmark reaches for still resolves.
 """
@@ -75,6 +76,8 @@ TEST_ONLY_NAMES = {
     "stable_partition",
     "components_below",
     "diameter_and_pair",
+    "delta_graph_components",
+    "_components",
 }
 
 
@@ -115,10 +118,16 @@ def _called(name: str) -> set[str]:
 
 
 def test_pq_tree_is_built_in_normal_form():
-    # every node goes through ``pqtree.node``: no re-normalizing pass, and
-    # the diameter is read off the tree instead of scanned
+    # every node goes through ``pqtree.node``: no re-normalizing pass, the
+    # diameter is read off the tree instead of scanned, and ``node`` merges
+    # an apex that falls apart at delta, so no delta-graph is searched
     assert "node" in _called("copoints")
-    assert not _called("copoints") & {"normalize", "diameter_and_pair"}
+    assert not _called("copoints") & {
+        "normalize",
+        "diameter_and_pair",
+        "delta_graph_components",
+        "leaf_points",
+    }
 
 
 def test_one_slot_rule_for_construction_and_translation():
@@ -127,6 +136,12 @@ def test_one_slot_rule_for_construction_and_translation():
     assert "admissible_hole" in _called("copoints") & _called("translate")
     assert "admissible_hole" in _called("reference")
     assert not any("find_bipartition" in _defined(name) for name in MODULES)
+
+
+def test_one_spine_reading_for_construction_and_translation():
+    # a subtree is read as a linear spine by ``copoints.spine_children`` alone
+    assert "spine_children" in _called("copoints") & _called("translate")
+    assert not any("_spine_children" in _defined(name) for name in MODULES)
 
 
 @pytest.mark.parametrize("name", PRODUCTION)

@@ -3,7 +3,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import EQUAL3, FLAT3, WORKED12, canon_mm, profile_subsets, robinson_matrices
+from conftest import (
+    EQUAL3,
+    FLAT3,
+    WORKED12,
+    canon_mm,
+    profile_subsets,
+    robinson_matrices,
+    spine_with_block,
+)
 from robinspace import copoints as cop, core, mmodtree as mm, pqtree as pq, reference
 from robinspace import translate as tr
 from robinspace.dendrogram import build_dendrogram
@@ -103,19 +111,23 @@ def test_forward_translation_matches_direct_construction(case):
     assert canon_mm(got) == canon_mm(carved(m, pts))
 
 
+# ``spine_with_block`` puts a special node in nearly every example; the
+# random matrices alone seldom reach one.
 @settings(max_examples=150, deadline=None)
-@given(robinson_matrices(max_n=10))
-def test_backward_translation_matches_direct_construction(m):
-    mt = carved(m, range(m.n))
+@given(st.one_of(WHOLE_SETS, spine_with_block()))
+def test_backward_translation_matches_direct_construction(case):
+    m, pts = case
+    mt = carved(m, pts)
     got = tr.mmodule_to_pq_tree(m, mt)
-    assert pq.equivalent(got, cop.pq_tree2(m, range(m.n)))
+    assert pq.equivalent(got, cop.pq_tree2(m, pts))
 
 
 @settings(max_examples=100, deadline=None)
-@given(robinson_matrices(max_n=10))
-def test_roundtrips_are_identities(m):
-    t = cop.pq_tree2(m, range(m.n))
-    mt = carved(m, range(m.n))
+@given(st.one_of(WHOLE_SETS, spine_with_block()))
+def test_roundtrips_are_identities(case):
+    m, pts = case
+    t = cop.pq_tree2(m, pts)
+    mt = carved(m, pts)
     assert pq.equivalent(tr.mmodule_to_pq_tree(m, tr.pq_to_mmodule_tree(m, t)), t)
     back = tr.pq_to_mmodule_tree(m, tr.mmodule_to_pq_tree(m, mt))
     assert canon_mm(back) == canon_mm(mt)
