@@ -33,6 +33,7 @@ import sys
 import time
 from contextlib import contextmanager
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from . import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, translate
@@ -388,46 +389,78 @@ PROFILES = ("generic", "ultrametric", "flat-heavy", "tie-heavy")
 
 
 def generate_matrix(n: int, seed: int, profile: str) -> DissimilarityMatrix:
-    """Seeded random Robinson matrix; see the profile table in the README."""
+    """Seeded random Robinson matrix; see the profile table in the README.
+
+    The same (n, seed, profile) gives the same matrix, so the same bytes
+    from ``serialize_matrix``; ``test_cli`` pins their sha256 digests.  Each
+    distinct weight is one int object, shared by every entry that holds it.
+    """
     if n < 1:
         raise ValueError("need at least one point")
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}: expected one of {', '.join(PROFILES)}")
+    if n == 1:  # nothing to draw; and an itemgetter of one index returns no tuple
+        return DissimilarityMatrix([[0]], 1)
     rng = random.Random(f"{seed}:{profile}:{n}")
     if profile == "ultrametric":
         return _generate_ultrametric(n, rng)
     dup_rate = {"generic": 0.1, "flat-heavy": 0.0, "tie-heavy": 0.35}[profile]
-    multiplicity = [1] * max(1, n - sum(rng.random() < dup_rate for _ in range(n - 1)))
-    while sum(multiplicity) < n:
-        multiplicity[rng.randrange(len(multiplicity))] += 1
-    base = _staircase(len(multiplicity), rng, profile)
+    m = max(1, n - sum(rng.random() < dup_rate for _ in range(n - 1)))
+    multiplicity = [1] * m
+    for _ in range(n - m):
+        multiplicity[rng.randrange(m)] += 1
+    base = _staircase(m, rng, profile)
     # duplicated points stay adjacent, so the identity order remains compatible
-    spread = [i for i, m in enumerate(multiplicity) for _ in range(m)]
-    full = [[base[a][b] for b in spread] for a in spread]
-    for i in range(n):
-        full[i][i] = 0
+    spread = [i for i, k in enumerate(multiplicity) for _ in range(k)]
     perm = list(range(n))
     rng.shuffle(perm)
-    rows = [[full[perm[a]][perm[b]] for b in range(n)] for a in range(n)]
-    matrix = DissimilarityMatrix(rows, 1)
-    core.intern_weights(matrix)
-    return matrix
+    index = [spread[p] for p in perm]  # the base point of each output point
+    gather = itemgetter(*index)
+    return DissimilarityMatrix([list(gather(base[i])) for i in index], 1)
 
 
 def _staircase(m: int, rng: random.Random, profile: str) -> list[list[int]]:
-    """Upper triangle grown outward so each entry dominates its inner pair."""
+    """Symmetric m x m grid grown outward from the diagonal, column by
+    column, so each entry dominates its inner pair; each distinct weight
+    is one int object."""
+    random_, randint = rng.random, rng.randint
     if profile == "flat-heavy":
-        bump = lambda: 1 + (rng.randint(1, 2) if rng.random() < 0.15 else 0)
+        bump = lambda: 1 + (randint(1, 2) if random_() < 0.15 else 0)
     elif profile == "tie-heavy":
-        bump = lambda: 0 if rng.random() < 0.6 else 1
+        bump = lambda: 0 if random_() < 0.6 else 1
     else:
-        bump = lambda: 0 if rng.random() < 0.35 else rng.randint(1, 4)
-    rows = [[0] * m for _ in range(m)]
-    for j in range(1, m):
-        for i in range(j - 1, -1, -1):
-            rows[i][j] = rows[j][i] = max(rows[i][j - 1], rows[i + 1][j]) + bump()
+        bump = lambda: 0 if random_() < 0.35 else randint(1, 4)
+    intern = {}.setdefault
+    # row j first holds d(i, j) for i <= j, column j of the upper triangle,
+    # drawn from the diagonal outward: d(i, j) is one bump above the larger
+    # of d(i, j - 1), read from row j - 1, and d(i + 1, j), drawn just before
+    rows = [[0]]
+    for _ in range(1, m):
+        column = []
+        append = column.append
+        below = 0
+        for left in reversed(rows[-1]):
+            if left > below:
+                below = left
+            below += bump()
+            below = intern(below, below)
+            append(below)
+        column.reverse()
+        column.append(0)
+        rows.append(column)
+    # pad each row to full length, then copy the columns above the diagonal:
+    # zip reads them lazily, and column j takes only rows below j, whose
+    # entries left of their diagonal are never overwritten
+    for row in rows:
+        row += [0] * (m - len(row))
+    for j, column in enumerate(zip(*rows)):
+        rows[j][j + 1 :] = column[j + 1 :]
     return rows
 
 
 def _generate_ultrametric(n: int, rng: random.Random) -> DissimilarityMatrix:
+    """Random merges at rising heights; each merge writes its one height
+    object, so equal weights already share one int."""
     rows = [[0] * n for _ in range(n)]
     clusters = [[i] for i in range(n)]
     height = 0
@@ -442,9 +475,7 @@ def _generate_ultrametric(n: int, rng: random.Random) -> DissimilarityMatrix:
                     for y in merged[b]:
                         rows[x][y] = rows[y][x] = height
         clusters.append([x for part in merged for x in part])
-    matrix = DissimilarityMatrix(rows, 1)
-    core.intern_weights(matrix)
-    return matrix
+    return DissimilarityMatrix(rows, 1)
 
 
 # --- commands ------------------------------------------------------------------
@@ -585,9 +616,12 @@ def cmd_bench(args) -> int:
     samples: dict[int, dict[str, list[float]]] = {
         size: {op: [] for op in BENCH_OPS} for size in sizes
     }
+    generate_samples: dict[int, list[float]] = {size: [] for size in sizes}
     for rep in range(args.reps):
         for size in sizes:
+            t0 = time.perf_counter()
             matrix = generate_matrix(size, args.seed + rep, args.profile)
+            generate_samples[size].append(time.perf_counter() - t0)
             pts = range(size)
             warm = rep == 0
             per_op = samples[size]
@@ -608,11 +642,13 @@ def cmd_bench(args) -> int:
                 _timed(warm, core.violating_triple, matrix, pq.canonical_order(ptree))[0]
             )
     medians: dict[str, dict[str, float]] = {}
+    generate_s: dict[str, float] = {}  # one call per rep, not an op's best of five
     if args.reps:
         for size in sizes:
             medians[str(size)] = {
                 op: statistics.median(samples[size][op]) for op in BENCH_OPS
             }
+            generate_s[str(size)] = statistics.median(generate_samples[size])
     ratios: dict[str, dict[str, float]] = {}
     for a, b in zip(sizes, sizes[1:]):
         if b == 2 * a and str(a) in medians:
@@ -629,6 +665,7 @@ def cmd_bench(args) -> int:
                 "reps": args.reps,
                 "medians": medians,
                 "ratios": ratios,
+                "generate_s": generate_s,
             }
         )
         return 0
@@ -643,7 +680,17 @@ def cmd_bench(args) -> int:
     for key, by_op in ratios.items():
         line = ", ".join(f"{op} {by_op[op]:.2f}" for op in BENCH_OPS)
         print(f"ratio {key}: {line}")
+    line = ", ".join(f"n={s} {generate_s[str(s)]:.4f}" for s in sizes)
+    print(f"generate (median of one call per rep): {line}")
     return 0
+
+
+def _sizes(text: str) -> list[int]:
+    """The ``--sizes`` list: one or more point counts, each at least 1."""
+    sizes = [int(x) for x in text.split(",") if x]  # argparse reports a ValueError
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"need one or more sizes, each at least 1: {text!r}")
+    return sizes
 
 
 def _timed(warm: bool, fn: Callable, *fn_args) -> tuple[float, Any]:
@@ -706,10 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="median runtimes and doubling ratios")
     p.add_argument(
-        "--sizes",
-        type=lambda s: [int(x) for x in s.split(",") if x],
-        default=[256, 512, 1024],
-        help="comma-separated point counts",
+        "--sizes", type=_sizes, default=[256, 512, 1024], help="comma-separated point counts"
     )
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)

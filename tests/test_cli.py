@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -780,6 +781,101 @@ def test_ultrametric_profile_is_ultrametric():
                 assert m.rows[i][j] <= max(m.rows[i][k], m.rows[k][j])
 
 
+
+# sha256 of serialize_matrix(generate_matrix(n, seed, profile)) for n in
+# GOLDEN_SIZES, pinned before the generator was rewritten for speed: every
+# test and benchmark input it feeds stays the same, byte for byte
+GOLDEN_SIZES = (1, 2, 3, 17, 64, 300)
+GOLDEN_DIGESTS = {
+    ("generic", 0): (
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        "a987a078cae2f800cb79597c97182176a5c5284af976c13764dc532e2f4dea8f",
+        "1ffe52cbd37e103b938eeb4595cc007784cb1905076ef2a7c30cf7e03545a578",
+        "6bf43391e0b90b19d0d645c984713f0076e93f99b8e829a61e869f23bfab4b69",
+        "56094e16a6c80a6fd9895c68daf0566ed6802cbd82d12c96e22c27e47c28322c",
+        "89c1b1aef57e06f51f698f920b84139577c2119ad795cb3253149d71d1da00db",
+    ),
+    ("generic", 7): (
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        "a987a078cae2f800cb79597c97182176a5c5284af976c13764dc532e2f4dea8f",
+        "bfde8a91c78e9f9f2c9947fc81a1f1fea18b0b23788c2913cbeed0564d6c7ddc",
+        "406d9f4722b40f08b4d789f6e92ccfa6a995f801e34bfd2e999eac3f9952f27f",
+        "f57d4ff67314f0e9dc3004623015e06317e455c8ab5e571bb7dde65244a64097",
+        "fcfd774f7331fcd908ea969a70c3f32bb74f9185ce87da2ec245ffa577e8b299",
+    ),
+    ("ultrametric", 0): (
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        "e2625a1c6a49c24f161358b8570da0277d51651e9761e95fa018a54a51c316e4",
+        "42f429d5770524beeab07a2bab3f995e0ed9002beb9229afdfcfae1f060426c2",
+        "2913355805357bfc6025d2059e527a84da93d00d7126304dc256f3b39d7e3158",
+        "4dd4eee488238aedf6685e52d5389dca214b371dcf1b6ac87de5a36cb670ab98",
+        "57584f8f8174b9e05e3475bb79cf57a996c2cb58a24b41a4d40bd3aea2245b2e",
+    ),
+    ("ultrametric", 7): (
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        "2f2c2670b5340093591a480cc0993c3177d270698f0a59fb26c4a2cf89f4d6e3",
+        "dfc67af15c8280ee0c89aed1452dc3119efaf816486ba3668b8e9eabfe62b567",
+        "c13cbac0a9e973c9e10002a99748078bd1322bf1953b921cd703ac7b5226344b",
+        "582bdafc994b41bdb3b10d50483f60c113cdb39ae6b50cafe82d9877c7b7f3bd",
+        "8637a8899047a222a9033c9459e78af7e07026464278231827e9d45a522beeed",
+    ),
+    ("flat-heavy", 0): (
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        "19d8e8cf6b93224d3388548d5f8bdee4cd4e033d416d8631b8c44db208da788d",
+        "82d94533100161b6dbe47333d50c23cfbbdc281e89c5f38242dc6c1dc11c3f09",
+        "e3e94a9d4903b19c81796d29618a2a94ae6f4956d3e612f0fbb00e0415dc89e2",
+        "d2306432d04b2f239c60296979ac4afd5117a5dde715bf80bd2abf35bf585adf",
+        "2fed82760e51c8d814188a540775a63ee664d347b634c3cd17e201d737fc0668",
+    ),
+    ("flat-heavy", 7): (
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        "19d8e8cf6b93224d3388548d5f8bdee4cd4e033d416d8631b8c44db208da788d",
+        "d9f5c19c6fb102fa222d19258c662b4c99bd8b12783ef8c410ca94ef4db0b1a4",
+        "90b6c83231ab01757e46149b843b949abe5fb25c12a578289c628a2c1f79f262",
+        "926d2a77edc1b4399b43f375de49a948c169fb1fd97d8018fef95770c4a84365",
+        "a6b065551a78b654b02d96c925a62e729e9bcae05af471db335fa95b71874794",
+    ),
+    ("tie-heavy", 0): (
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        "19d8e8cf6b93224d3388548d5f8bdee4cd4e033d416d8631b8c44db208da788d",
+        "ecc64957444c77cf9839009f033c36f605e83c31ddd35919c3c688bfdffe02c9",
+        "b0b466fec2b96acc0e61a7a271bfab1220a6743b97e2deda90e8fbaad2af5761",
+        "942a057d76059a7409fd6bd0d892c69de6f887db6016d994ecfb2c3f00896905",
+        "ada251a272325d8c6155de53f88ade784367c71d58db8637f2e2ecea1371d795",
+    ),
+    ("tie-heavy", 7): (
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        "a987a078cae2f800cb79597c97182176a5c5284af976c13764dc532e2f4dea8f",
+        "bfde8a91c78e9f9f2c9947fc81a1f1fea18b0b23788c2913cbeed0564d6c7ddc",
+        "8ae08e241f217284b92f5319d82115c8b575e3a717854c9f7603250f8f6c504c",
+        "d835671b41220e39100265549199fd5b03266ded9626b042c00213c6f189176c",
+        "71f312ca9c0e7803aa5d48b5aa340d5aef1ca2e1741bc2eefe5d590839103f09",
+    ),
+}
+
+
+@pytest.mark.parametrize("profile, seed", list(GOLDEN_DIGESTS))
+def test_generate_matches_golden_digests(profile, seed):
+    texts = (cli.serialize_matrix(cli.generate_matrix(n, seed, profile)) for n in GOLDEN_SIZES)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
+    assert digests == GOLDEN_DIGESTS[profile, seed]
+
+
+@pytest.mark.parametrize("profile", cli.PROFILES)
+def test_generated_weights_are_interned(profile):
+    rows = cli.generate_matrix(200, 3, profile).rows
+    assert all(type(row) is list for row in rows)
+    entries = [v for row in rows for v in row]
+    # at this size only generic and flat-heavy weights pass 256, the top of
+    # the interpreter's own shared small ints, but the check holds for all
+    assert len({id(v) for v in entries}) == len(set(entries))
+
+
+def test_generate_rejects_unknown_profile():
+    with pytest.raises(ValueError, match="nope.*generic, ultrametric, flat-heavy, tie-heavy"):
+        cli.generate_matrix(5, 0, "nope")
+
+
 # --- bench ---------------------------------------------------------------------
 
 
@@ -788,6 +884,7 @@ def test_bench_zero_reps(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["medians"] == {}
     assert report["ratios"] == {}
+    assert report["generate_s"] == {}
 
 
 def test_bench_small_json_shape(capsys):
@@ -798,6 +895,8 @@ def test_bench_small_json_shape(capsys):
     assert set(report["medians"]["32"]) == set(cli.BENCH_OPS)
     assert set(report["ratios"]) == {"64/32"}
     assert all(v > 0 for v in report["medians"]["64"].values())
+    assert set(report["generate_s"]) == {"32", "64"}
+    assert all(v > 0 for v in report["generate_s"].values())
 
 
 def test_bench_profile(capsys):
@@ -813,3 +912,13 @@ def test_bench_text_format(capsys):
     assert cli.main(["bench", "--sizes", "16,32", "--reps", "1"]) == 0
     out = capsys.readouterr().out
     assert "ratio 32/16" in out
+    last = out.splitlines()[-1]
+    assert last.startswith("generate") and "n=16" in last and "n=32" in last
+
+
+@pytest.mark.parametrize("sizes", ["", ",", "8,0", "-4", "8,x"])
+def test_bench_rejects_bad_sizes(sizes, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--sizes", sizes, "--reps", "2"])
+    assert exc.value.code == 2
+    assert "argument --sizes" in capsys.readouterr().err
