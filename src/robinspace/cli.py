@@ -500,10 +500,7 @@ def cmd_recognize(args) -> int:
         with _recursion_room(2 * matrix.n + 10):
             _print_json(report)
         return 0
-    report = {"robinson": False, "reason": result.reason}
-    if result.violation is not None:
-        report["violation"] = list(result.violation)
-    _print_json(report)
+    _print_json({"robinson": False, "reason": result.reason, "violation": list(result.violation)})
     return 1
 
 
@@ -693,6 +690,14 @@ def _sizes(text: str) -> list[int]:
     return sizes
 
 
+def _reps(text: str) -> int:
+    """The ``--reps`` count: zero or more repetitions."""
+    reps = int(text)  # argparse reports a ValueError
+    if reps < 0:
+        raise argparse.ArgumentTypeError(f"need zero or more repetitions: {text!r}")
+    return reps
+
+
 def _timed(warm: bool, fn: Callable, *fn_args) -> tuple[float, Any]:
     """Wall time of ``fn(*fn_args)`` as the min over five back-to-back calls.
 
@@ -755,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sizes", type=_sizes, default=[256, 512, 1024], help="comma-separated point counts"
     )
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=_reps, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", choices=PROFILES, default="generic")
     p.add_argument("--format", "-f", choices=("json", "text"), default="text")

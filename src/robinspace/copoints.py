@@ -12,10 +12,11 @@ its conical apex, or at its ``admissible_hole``.  Every node is built
 through ``pqtree.node``, so each subtree is in normal form as soon as it
 exists, and that rule merges p's subtree into a P-node at its distance.
 
-``recognize_robinson`` wraps the construction in a verdict: validate,
-construct, then verify the canonical order, so a bogus tree can never
-slip through on non-Robinson input.  ``recognize_validated`` is the same
-verdict without the validation, for matrices that are valid already.
+The construction is total: it returns a tree over the points of any
+valid matrix.  ``recognize_robinson`` wraps it in a verdict: validate,
+construct, then verify the canonical order, which alone decides, so
+every refusal carries a violating triple.  ``recognize_validated`` is
+the same verdict without the validation, for matrices valid already.
 """
 
 from __future__ import annotations
@@ -26,16 +27,8 @@ from typing import Generator, Iterable, Sequence
 from . import core
 from . import pqtree as pq
 from . import refine
-from .core import DissimilarityMatrix, NotRobinson, first_leaf, last_leaf
+from .core import DissimilarityMatrix, first_leaf, last_leaf
 from .pqtree import Order, PQTree
-
-
-class SideConflict(NotRobinson):
-    """A copoint was pinned to both sides of p at once."""
-
-
-class NoAdmissibleHole(NotRobinson):
-    """No insertion slot for a new apex preserves the Robinson property."""
 
 
 def next_frontier(
@@ -57,12 +50,6 @@ def next_frontier(
     dp = [rows[p][r] for r in reps]
 
     side: list[str | None] = [None] * (k + 1)
-
-    def assign(idx: int, s: str) -> None:
-        if side[idx] is not None:
-            raise SideConflict(f"copoint {idx} pinned to both sides of {p}")
-        side[idx] = s
-
     side[k] = "R"
     i = k
     l = k
@@ -76,10 +63,10 @@ def next_frontier(
             if v == w:
                 continue
             near = v < w
-            assign(j, sl if near else other)
+            side[j] = sl if near else other
             # the undecided run C_{j+1}..C_{i-1} takes the side opposite j
             for x in range(i - 1, j, -1):
-                assign(x, other if near else sl)
+                side[x] = other if near else sl
             i = j
         l -= 1
     return (
@@ -91,7 +78,7 @@ def next_frontier(
 
 def admissible_hole(
     matrix: DissimilarityMatrix, delta: int, children: Sequence[PQTree]
-) -> int:
+) -> int | None:
     """Slot for a block at uniform distance delta in a Q-spine.
 
     ``children`` is the child sequence of a spine whose diameter exceeds
@@ -99,28 +86,29 @@ def admissible_hole(
     the j returned.  The last child still strictly farther than ``delta``
     from the final one bounds the search, and the first gap of at least
     ``delta`` after it is the slot.  Distances are taken between the
-    facing ends of adjacent children.  The copoint construction, the
-    translation of a special node and ``reference.delta_pq_tree`` all
-    place their block here.
+    facing ends of adjacent children.  ``None`` when no child is that
+    far or no gap that wide, which a Robinson space never shows.  The
+    copoint construction, the translation of a special node and
+    ``reference.delta_pq_tree`` all place their block here.
     """
     rows = matrix.rows
     firsts = [first_leaf(c) for c in children]
     lasts = [last_leaf(c) for c in children]
     far = [i for i in range(len(children) - 1) if rows[lasts[i]][firsts[-1]] > delta]
     if not far:
-        raise NoAdmissibleHole("no spine child clears the reattachment weight")
+        return None
     for i in range(far[-1], len(children) - 1):
         if rows[lasts[i]][firsts[i + 1]] >= delta:
             return i + 1
-    raise NoAdmissibleHole("no wide enough gap after the far block")
+    return None
 
 
-def spine_children(spine: PQTree) -> tuple[PQTree, ...]:
+def spine_children(spine: PQTree) -> tuple[PQTree, ...] | None:
     """Children of a tree read as a linear spine: a Q-node's, or either
-    reading of a two-child P-node's; any other tree has none."""
+    reading of a two-child P-node's; any other tree has none, ``None``."""
     if isinstance(spine, pq.Q) or (isinstance(spine, pq.P) and len(spine.children) == 2):
         return spine.children
-    raise NotRobinson("a wide subtree has no linear spine")
+    return None
 
 
 def pq_tree2(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:
@@ -180,19 +168,23 @@ def copoints_to_pq_tree(
     ck = sorted(copoints[-1])
     alpha = pq.Leaf(ck[0]) if len(ck) == 1 else (yield _split(matrix, ck))
     delta = matrix.rows[p][ck[0]]
-    if matrix.rows[first_leaf(alpha)][last_leaf(alpha)] <= delta:
-        # ``node`` splices a P-node alpha whose children sit delta apart
-        return pq.node(matrix, pq.P, (alpha, t_p))
-    kids = list(spine_children(alpha))
-    hit = pq.conical_apex(matrix, kids)
-    if hit is not None and hit[0] == delta:
-        # the apex points fall apart at delta exactly when the apex is a
-        # P-node at delta, which ``node`` splices
-        apex = hit[1]
-        kids[apex] = pq.node(matrix, pq.P, (kids[apex], t_p))
-    else:
-        kids.insert(admissible_hole(matrix, delta, kids), t_p)
-    return pq.node(matrix, pq.Q, kids)
+    wide = matrix.rows[first_leaf(alpha)][last_leaf(alpha)] > delta
+    spine = spine_children(alpha) if wide else None
+    if spine is not None:
+        hit = pq.conical_apex(matrix, spine)
+        if hit is not None and hit[0] == delta:
+            # the apex points fall apart at delta exactly when the apex is
+            # a P-node at delta, which ``node`` splices
+            a = hit[1]
+            apex = pq.node(matrix, pq.P, (spine[a], t_p))
+            return pq.node(matrix, pq.Q, (*spine[:a], apex, *spine[a + 1 :]))
+        j = admissible_hole(matrix, delta, spine)
+        if j is not None:
+            return pq.node(matrix, pq.Q, (*spine[:j], t_p, *spine[j:]))
+    # ``node`` splices a P-node alpha whose children sit delta apart.  A
+    # wide alpha lands here only with no spine or slot, as no Robinson
+    # space has; the tree still spans the points, and the check refuses.
+    return pq.node(matrix, pq.P, (alpha, t_p))
 
 
 @dataclass(frozen=True)
@@ -207,8 +199,9 @@ class RecognitionResult:
 def recognize_robinson(matrix: DissimilarityMatrix) -> RecognitionResult:
     """Construct-then-verify wrapper; refusal is a value, never a lie.
 
-    A returned witness always passes the order check.  On Robinson
-    input construction cannot fail, so a refusal is trustworthy too.
+    A returned witness always passes the order check, and the order of
+    the total construction is compatible on Robinson input, so a refusal,
+    which always names a violating triple, is trustworthy too.
     """
     core.validate(matrix)
     return recognize_validated(matrix)
@@ -217,10 +210,7 @@ def recognize_robinson(matrix: DissimilarityMatrix) -> RecognitionResult:
 def recognize_validated(matrix: DissimilarityMatrix) -> RecognitionResult:
     """``recognize_robinson`` on a matrix already known to pass
     ``core.validate`` (a parsed file), without checking it again."""
-    try:
-        tree = pq_tree2(matrix, range(matrix.n))
-    except NotRobinson as exc:
-        return RecognitionResult(False, reason=f"structural: {exc}")
+    tree = pq_tree2(matrix, range(matrix.n))
     order = pq.canonical_order(tree)
     violation = core.violating_triple(matrix, order)
     if violation is None:

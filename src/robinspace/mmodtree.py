@@ -58,10 +58,9 @@ def mmodule_tree(matrix: DissimilarityMatrix, subset: Iterable[int]) -> MModuleT
     The PQ-tree of the copoint construction, translated.  An empty
     subset raises ``core.SubsetTooSmall`` (the dendrogram carving this
     replaced raised ``dendrogram.EmptySubset``; both are
-    ``RobinsonError``).  The input is assumed Robinson; on structural
-    contradictions that a Robinson space cannot exhibit, the copoint
-    construction raises ``NotRobinson``.  For non-Robinson inputs that
-    happen to dodge every check, the result carries no guarantee.
+    ``RobinsonError``).  The input is assumed Robinson: the copoint
+    construction is total, so a non-Robinson input still gets a tree
+    over its points, which carries no guarantee.
     """
     return pq_to_mmodule_tree(matrix, pq_tree2(matrix, subset))
 

@@ -111,13 +111,16 @@ def _delta_pq(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:
     if large is None:
         kids = tuple(_delta_pq(matrix, list(c)) for c in comps)
         return pq.normalize(matrix, P(kids))
-    betas = list(copoints.spine_children(_delta_pq(matrix, list(comps[large]))))
+    betas = copoints.spine_children(_delta_pq(matrix, list(comps[large])))
+    pos = None if betas is None else copoints.admissible_hole(matrix, delta, betas)
+    if pos is None:
+        # ``betas[:None]`` would slice the whole spine and build a wrong tree
+        raise NotRobinson("the component above the top weight has no spine with a slot at it")
     extra = [
         _delta_pq(matrix, list(c)) for i, c in enumerate(comps) if i != large
     ]
     filler = extra[0] if len(extra) == 1 else P(tuple(extra))
-    pos = copoints.admissible_hole(matrix, delta, betas)
-    return pq.normalize(matrix, Q(tuple(betas[:pos] + [filler] + betas[pos:])))
+    return pq.normalize(matrix, Q((*betas[:pos], filler, *betas[pos:])))
 
 
 def _connected_pq(matrix: DissimilarityMatrix, pts: list[int]) -> PQTree:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from . import mmodtree as mm
 from . import pqtree as pq
 from .copoints import admissible_hole, pq_tree2, spine_children
-from .core import DissimilarityMatrix, Leaf, first_leaf, fold
+from .core import DissimilarityMatrix, Leaf, NotRobinson, first_leaf, fold
 from .mmodtree import pq_to_mmodule_tree  # noqa: F401  (re-exported)
 
 
@@ -31,10 +31,11 @@ def mmodule_to_pq_tree(
 
     Union children, mutually in flat position, are sequenced by running
     the recognizer on one representative apiece; a wrong claim of
-    flatness surfaces there as ``NotRobinson``.  A special copartition
-    node rebuilds the conical Q-node it came from: the large child's
-    spine is cut once and the remaining children, wrapped in a P-node
-    when there are several, take the gap.
+    flatness gives a tree whose order the matrix refutes.  A special
+    copartition node rebuilds the conical Q-node it came from: the large
+    child's spine is cut once and the remaining children, wrapped in a
+    P-node when there are several, take the gap, or ``NotRobinson``
+    is raised when the large child has no such spine.
     """
     return fold(tree, lambda t, kids: _to_pq(matrix, t, kids))
 
@@ -47,8 +48,11 @@ def _to_pq(matrix: DissimilarityMatrix, tree: mm.MModuleTree, kids: list) -> pq.
         return pq.Q(tuple(kids[i] for i in _union_order(matrix, tree.children)))
     if tree.special is None:
         return pq.P(tuple(kids))
+    # a special node claims a spine with a slot at its weight
     gammas = spine_children(kids[tree.large_child])
-    j = admissible_hole(matrix, tree.special, gammas)
+    j = None if gammas is None else admissible_hole(matrix, tree.special, gammas)
+    if j is None:
+        raise NotRobinson("a special node's large child has no spine with a slot at its weight")
     small = [c for i, c in enumerate(kids) if i != tree.large_child]
     filler = small[0] if len(small) == 1 else pq.P(tuple(small))
     return pq.Q((*gammas[:j], filler, *gammas[j:]))

@@ -552,6 +552,25 @@ def test_translate_rejects_misfit_special_node(capsys, tmp_path):
     assert captured.err.count("\n") == 1
 
 
+def test_translate_rejects_special_node_without_spine(capsys, tmp_path):
+    # cap@3(*cap(0 1 2) 3): the large child is a P-node over three points,
+    # which has no linear spine to take the small child
+    doc = {
+        "kind": "mmodule",
+        "root": {
+            "type": "cap",
+            "special": "3",
+            "largeChild": 0,
+            "children": [{"type": "cap", "children": [_leaf(p) for p in range(3)]}, _leaf(3)],
+        },
+    }
+    assert _translate(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tree does not fit the matrix: ")
+    assert captured.err.count("\n") == 1
+
+
 def _python_fresh(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this package, at the default
     recursion limit as a user's would be."""
@@ -922,3 +941,12 @@ def test_bench_rejects_bad_sizes(sizes, capsys):
         cli.main(["bench", "--sizes", sizes, "--reps", "2"])
     assert exc.value.code == 2
     assert "argument --sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reps", ["-3", "x"])
+def test_bench_rejects_bad_reps(reps, capsys):
+    # a negative count used to exit 2 late, with "no median for empty data"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--sizes", "8", "--reps", reps])
+    assert exc.value.code == 2
+    assert "argument --reps" in capsys.readouterr().err

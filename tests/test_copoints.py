@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -192,15 +193,66 @@ def test_recognize_worked_example():
     assert pq.equivalent(got.tree, FIG12)
 
 
-def test_recognize_rejects_with_witness_triple():
-    got = cop.recognize_robinson(NONROB4)
-    assert not got.accepted
-    assert got.tree is None and got.witness is None
-    assert got.reason
+# 4-point matrices where p's subtree meets a wide tree with no linear
+# spine, and a spine with no wide enough gap: the construction falls
+# back to a P-node, and the refusal must still name a triple
+NO_SPINE4 = matrix_from_triangle([[1, 1, 1], [3, 3], [3]])
+NO_GAP4 = matrix_from_triangle([[2, 2, 2], [3, 1], [1]])
+
+
+def test_recognize_rejects_with_witness_triple(capsys, tmp_path):
+    for m in (NONROB4, NO_SPINE4, NO_GAP4):
+        got = cop.recognize_robinson(m)
+        assert not got.accepted
+        assert got.tree is None and got.witness is None
+        assert got.reason
+        x, y, z = got.violation
+        # the triple really violates every possible placement
+        d = m.rows
+        assert d[x][z] < max(d[x][y], d[y][z])
+        path = tmp_path / "m.txt"
+        path.write_text(cli.serialize_matrix(m))
+        assert cli.main(["recognize", "-i", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["robinson"] is False
+        assert report["violation"] == [x, y, z]
+
+
+@st.composite
+def refusal_probes(draw) -> DissimilarityMatrix:
+    """A matrix that is mostly not Robinson: a generated profile matrix
+    (n <= 40) or a random Robinson matrix (n <= 10) with up to three
+    entries redrawn, or an arbitrary symmetric matrix (n <= 7)."""
+    family = draw(st.sampled_from(["profile", "robinson", "symmetric"]))
+    if family == "symmetric":
+        return draw(symmetric_matrices(max_n=7))
+    if family == "profile":
+        n = draw(st.integers(2, 40))
+        m = cli.generate_matrix(n, draw(st.integers(0, 10**6)), draw(st.sampled_from(cli.PROFILES)))
+    else:
+        m = draw(robinson_matrices(max_n=10))
+    rows = [list(row) for row in m.rows]
+    top = max(map(max, rows)) + 1
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.lists(st.integers(0, m.n - 1), min_size=2, max_size=2, unique=True))
+        rows[i][j] = rows[j][i] = draw(st.integers(0, top))
+    return DissimilarityMatrix(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(refusal_probes())
+def test_every_refusal_carries_a_checked_triple(m):
+    got = cop.recognize_validated(m)
+    if got.accepted:
+        return
+    assert got.violation is not None, got.reason
     x, y, z = got.violation
-    # the triple really violates every possible placement
-    d = NONROB4.rows
+    assert len({x, y, z}) == 3
+    d = m.rows
     assert d[x][z] < max(d[x][y], d[y][z])
+    # the construction is total, so its order can be rebuilt and checked
+    order = pq.canonical_order(cop.pq_tree2(m, range(m.n)))
+    assert reference.violating_triple_loop(m, order) is not None
 
 
 @pytest.mark.parametrize("profile", ["generic", "ultrametric", "flat-heavy", "tie-heavy"])

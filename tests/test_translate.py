@@ -17,7 +17,6 @@ from robinspace import translate as tr
 from robinspace.dendrogram import build_dendrogram
 from robinspace.reference import CorrespondenceViolation
 from robinspace.reference import mmodule_tree_from_dendrogram as carved
-from robinspace.copoints import NoAdmissibleHole
 from robinspace.pqtree import Leaf, P, Q
 
 
@@ -82,11 +81,9 @@ def test_find_bipartition_frozen():
 
 
 def test_find_bipartition_rejects():
-    with pytest.raises(NoAdmissibleHole):
-        cop.admissible_hole(FLAT3, 1, (Leaf(0),))
-    with pytest.raises(NoAdmissibleHole):
-        # no child pair is far enough apart to re-attach at weight 5
-        cop.admissible_hole(EQUAL3, 5, (Leaf(0), Leaf(1)))
+    assert cop.admissible_hole(FLAT3, 1, (Leaf(0),)) is None
+    # no child pair is far enough apart to re-attach at weight 5
+    assert cop.admissible_hole(EQUAL3, 5, (Leaf(0), Leaf(1))) is None
 
 
 def test_correspondence_rejects_mismatched_kinds():
