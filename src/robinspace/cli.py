@@ -1,9 +1,10 @@
 """Command-line toolkit around the library.
 
 Subcommands: ``recognize`` (verdict, witness order and PQ-tree),
-``tree`` (any of the three trees in json/dot/ascii), ``translate``
-(tree document to tree document), ``generate`` (seeded random Robinson
-matrices) and ``bench`` (median wall times and doubling ratios).
+``tree`` (any of the three trees in json/dot/ascii), ``translate`` (a PQ
+or mmodule tree document, checked against the matrix's own tree, to the
+other kind), ``generate`` (seeded random Robinson matrices) and ``bench``
+(median wall times and doubling ratios).
 
 Matrix files hold one row per line, full square or upper-triangular,
 whitespace- or comma-separated, with nonnegative decimal weights;
@@ -34,10 +35,12 @@ import time
 from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
+from textwrap import shorten
 from typing import Any, Callable, Iterator, Sequence
 
 from . import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, translate
-from .core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError, fold, leaf_points
+from .core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError
+from .core import first_difference, fold, leaf_points
 
 
 class MatrixParseError(ValueError):
@@ -509,17 +512,19 @@ def cmd_tree(args) -> int:
     if args.tree == "dendrogram":
         tree = dg.build_dendrogram(matrix, range(matrix.n))
     else:
-        # pq and mmodule trees only exist for Robinson spaces; the raw
-        # builders emit junk on anything else, so gate on a verified witness
-        # and serve the mmodule tree by translating the verified PQ-tree
-        result = copoints.recognize_validated(matrix)
-        if not result.accepted:
-            raise NotRobinson(result.reason)
-        tree = result.tree
-        if args.tree == "mmodule":
-            tree = translate.pq_to_mmodule_tree(matrix, tree)
+        (tree,) = _served(matrix, args.tree)
     _emit(args.tree, tree, matrix, args.format)
     return 0
+
+
+def _served(matrix: DissimilarityMatrix, *kinds: str) -> tuple:
+    """The verified PQ-tree, or the mmodule tree read off it, per kind in
+    ``kinds``; a refusal names the violating triple ``recognize`` reports."""
+    result = copoints.recognize_validated(matrix)
+    if not result.accepted:
+        raise NotRobinson(f"{result.reason}: violating triple {', '.join(map(str, result.violation))}")
+    mtree = mm.pq_to_mmodule_tree(matrix, result.tree) if "mmodule" in kinds else None
+    return tuple(mtree if kind == "mmodule" else result.tree for kind in kinds)
 
 
 def _emit(kind: str, tree, matrix: DissimilarityMatrix, fmt: str) -> None:
@@ -566,26 +571,20 @@ def cmd_translate(args) -> int:
         raise DocumentError("tree document is nested too deeply") from None
     if kind == "dendrogram":
         raise DocumentError("dendrogram documents have no translation")
-    leaves = leaf_points(tree)
-    if len(leaves) != matrix.n or set(leaves) != set(range(matrix.n)):
-        raise DocumentError("tree leaves are not the matrix points, each once")
     target = args.to or ("mmodule" if kind == "pq" else "pq")
     if target == kind:
         raise DocumentError(f"document already holds a {kind} tree")
-    # the translators trust the document's claims; one the matrix refutes
-    # is a bad document, not a verdict on the matrix
-    try:
-        if kind == "pq":
-            out = translate.pq_to_mmodule_tree(matrix, tree)
-        else:
-            out = translate.mmodule_to_pq_tree(matrix, tree)
-    except NotRobinson as exc:
-        raise DocumentError(f"tree does not fit the matrix: {exc}") from None
-    # a tree with the right leaves can still order them wrongly; its PQ
-    # side must give a compatible order, an O(n^2) check
-    violation = core.violating_triple(matrix, pq.canonical_order(tree if kind == "pq" else out))
-    if violation is not None:
-        raise DocumentError(f"tree does not fit the matrix: its order breaks at {violation}")
+    # held against the served tree; the translators would trust its claims
+    mine, out = _served(matrix, kind, target)
+    normal = pq.normal_form if kind == "pq" else mm.normal_form
+    differ = first_difference(normal(tree), normal(mine))
+    if differ is not None:  # wrong, missing or repeated leaves differ at a node too
+        ours, theirs = differ
+        points = shorten(" ".join(map(str, leaf_points(ours))), 40, placeholder=" ...")
+        want = shorten(ascii_tree(tree_to_doc(kind, theirs, matrix)), 80, placeholder=" ...")
+        raise DocumentError(
+            f"tree does not fit the matrix: its {type(ours).__name__} over {points} should be {want}"
+        )
     _emit(target, out, matrix, args.format)
     return 0
 

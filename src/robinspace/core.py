@@ -79,6 +79,18 @@ def fold(tree, combine: Callable[[Any, list], Any], children=operator.attrgetter
     return done[0]
 
 
+def first_difference(t1, t2) -> tuple | None:
+    """The first pair of nodes in preorder whose type or fields differ,
+    children by their count; None for equal trees.  Unlike the dataclass
+    ``==`` it needs no recursion on deep trees, and a preorder of arities
+    fixes a tree, so shapes that agree until one ends end together."""
+    return next(((a, b) for a, b in zip(iter_nodes(t1), iter_nodes(t2)) if _shape(a) != _shape(b)), None)
+
+
+def _shape(node) -> tuple:
+    return type(node), *(len(v) if k == "children" else v for k, v in vars(node).items())
+
+
 def leaf_points(tree) -> list[int]:
     """Leaf points left to right."""
     out: list[int] = []

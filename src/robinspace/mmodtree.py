@@ -102,6 +102,25 @@ def _to_mmodule(matrix: DissimilarityMatrix, tree: pq.PQTree, kids: list[tuple])
     return Cap(out, special=delta, large_child=0), converted
 
 
+def normal_form(tree: MModuleTree) -> MModuleTree:
+    """Children sorted by smallest leaf, ``large_child`` following its
+    child and ``special`` kept: over distinct leaves, two trees have one
+    normal form exactly when they differ only in child order."""
+    return fold(tree, _normal_node)[1]
+
+
+def _normal_node(tree: MModuleTree, kids: list[tuple[int, MModuleTree]]) -> tuple:
+    # (smallest leaf, normal form) of ``tree`` from those of its children
+    if isinstance(tree, Leaf):
+        return tree.point, tree
+    order = sorted(range(len(kids)), key=lambda i: kids[i][0])
+    children = tuple(kids[i][1] for i in order)
+    if isinstance(tree, Cup):
+        return kids[order[0]][0], Cup(children)
+    large = None if tree.large_child is None else order.index(tree.large_child)
+    return kids[order[0]][0], Cap(children, tree.special, large)
+
+
 def is_mmodule_via_tree(tree: MModuleTree, candidate: Iterable[int]) -> bool:
     """Answer an mmodule query from the tree alone, no matrix needed.
 

@@ -24,7 +24,7 @@ from math import factorial
 from typing import Iterator, Sequence, Union
 
 from .core import DissimilarityMatrix, Leaf, RobinsonError
-from .core import first_leaf, fold, iter_nodes, leaf_points
+from .core import first_difference, first_leaf, fold, iter_nodes, leaf_points
 
 
 class TooManyOrders(RobinsonError):
@@ -119,16 +119,7 @@ def _normal_node(tree: PQTree, kids: list[tuple[int, PQTree]]) -> tuple[int, PQT
 
 def equivalent(t1: PQTree, t2: PQTree) -> bool:
     """True iff the two trees represent exactly the same set of orders."""
-
-    def shape(tree: PQTree) -> list:
-        # preorder of (type, point or arity) fixes a tree; unlike the
-        # dataclass ``==`` it needs no recursion on deep trees
-        return [
-            (type(t), t.point if isinstance(t, Leaf) else len(t.children))
-            for t in iter_nodes(normal_form(tree))
-        ]
-
-    return shape(t1) == shape(t2)
+    return first_difference(normal_form(t1), normal_form(t2)) is None
 
 
 def conical_apex(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import strategies as st
 
@@ -127,6 +129,59 @@ def symmetric_matrices(draw, min_n: int = 2, max_n: int = 7, max_value: int = 5)
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = next(it)
     return DissimilarityMatrix(rows, 1)
+
+
+def _doc_nodes(root: dict) -> list[dict]:
+    """Every node of a tree document, parents first."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.get("children", ()))
+    return out
+
+
+@st.composite
+def mutated_documents(draw, doc: dict, max_weight: int = 40) -> dict:
+    """A copy of a PQ or mmodule tree document with one or two edits: two
+    leaves swapped, P and Q or cup and cap exchanged, a cap's special
+    weight set, changed or dropped, its large child moved, or one node's
+    children reordered (the large child following its child).  Every
+    edit leaves a well-formed document over the same leaves, which may or
+    may not still describe the same tree."""
+    doc = copy.deepcopy(doc)
+    flip = {"P": "Q", "Q": "P", "cup": "cap", "cap": "cup"}
+    for _ in range(draw(st.integers(1, 2))):
+        nodes = _doc_nodes(doc["root"])
+        leaves = [node for node in nodes if node["type"] == "leaf"]
+        inner = [node for node in nodes if node["type"] != "leaf"]
+        caps = [node for node in inner if node["type"] == "cap"]
+        specials = [node for node in caps if "special" in node]
+        edits = ["swap", "flip", "reorder"] + ["special"] * bool(caps) + ["large"] * bool(specials)
+        edit = draw(st.sampled_from(edits))
+        if edit == "swap":
+            a, b = draw(st.lists(st.sampled_from(leaves), min_size=2, max_size=2, unique_by=id))
+            a["point"], b["point"] = b["point"], a["point"]
+        elif edit == "flip":
+            node = draw(st.sampled_from(inner))
+            node["type"] = flip[node["type"]]
+        elif edit == "reorder":
+            node = draw(st.sampled_from(inner))
+            perm = draw(st.permutations(range(len(node["children"]))))
+            node["children"] = [node["children"][i] for i in perm]
+            if "largeChild" in node:
+                node["largeChild"] = perm.index(node["largeChild"])
+        elif edit == "special":
+            node = draw(st.sampled_from(caps))
+            if "special" in node and draw(st.booleans()):
+                del node["special"], node["largeChild"]
+            else:
+                node["special"] = str(draw(st.integers(0, max_weight)))
+                node["largeChild"] = draw(st.integers(0, len(node["children"]) - 1))
+        else:
+            node = draw(st.sampled_from(specials))
+            node["largeChild"] = draw(st.integers(0, len(node["children"]) - 1))
+    return doc
 
 
 def canon_mm(tree: mm.MModuleTree):

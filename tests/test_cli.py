@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,11 +12,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from conftest import NONROB4, WORKED12, canon_mm, robinson_matrices, symmetric_matrices
-from robinspace import cli, copoints, dendrogram as dg, mmodtree as mm, pqtree as pq
-from robinspace import translate
+from conftest import NONROB4, WORKED12, canon_mm, mutated_documents, robinson_matrices
+from conftest import spine_with_block, symmetric_matrices
+from robinspace import cli, copoints, core, dendrogram as dg, mmodtree as mm, oracle
+from robinspace import pqtree as pq, translate
 from robinspace.cli import DocumentError, MatrixParseError
 from robinspace.core import AsymmetricInput, DissimilarityMatrix, NonzeroDiagonal
 from robinspace.reference import mmodule_tree_from_dendrogram as carved
@@ -392,6 +394,92 @@ def test_tree_rejects_non_robinson(tmp_path):
     assert cli.main(["tree", "-i", str(path), "-t", "dendrogram"]) == 0
 
 
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    """(exit status, stdout, stderr) of one in-process ``robinspace`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# recognize refuses this with the triple 3, 1, 0
+REFUSED_TEXT = "0 1 1 1\n1 0 3 3\n1 3 0 3\n1 3 3 0\n"
+
+
+@pytest.mark.parametrize("command", [["tree", "-t", "pq"], ["tree", "-t", "mmodule"], ["translate"]])
+def test_refusals_name_the_triple_recognize_reports(tmp_path, command):
+    mpath = tmp_path / "m.txt"
+    mpath.write_text(REFUSED_TEXT)
+    code, out, _ = _cli(["recognize", "-i", str(mpath)])
+    violation = json.loads(out)["violation"]
+    assert code == 1 and violation == [3, 1, 0]
+    argv = [*command, "-i", str(mpath)]
+    if command == ["translate"]:
+        dpath = tmp_path / "pq.json"
+        dpath.write_text(json.dumps({"kind": "pq", "root": {
+            "type": "P", "children": [{"type": "leaf", "point": p} for p in range(4)]}}))
+        argv = ["translate", "-i", str(dpath), "-m", str(mpath)]
+    code, out, err = _cli(argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "not Robinson: constructed order fails verification: violating triple "
+        + ", ".join(map(str, violation)) + "\n"
+    )
+
+
+@pytest.mark.parametrize("kind, node, want", [
+    ("pq", "P", "its P over 0 1 2 should be Q[0 1 2]"),
+    ("mmodule", "cap", "its Cap over 0 1 2 should be cap@1(*cap(0 2) 1)"),
+])
+def test_translate_rejects_a_tree_with_more_orders_than_the_line(tmp_path, kind, node, want):
+    # the three-point line has exactly two compatible orders; this tree
+    # claims all six, and its canonical order 0 1 2 is one of the two
+    mpath = tmp_path / "m.txt"
+    mpath.write_text("0 1 2\n1 0 1\n2 1 0\n")
+    dpath = tmp_path / "doc.json"
+    dpath.write_text(json.dumps({"kind": kind, "root": {
+        "type": node, "children": [{"type": "leaf", "point": p} for p in range(3)]}}))
+    code, out, err = _cli(["translate", "-i", str(dpath), "-m", str(mpath), "-f", "ascii"])
+    assert (code, out) == (2, "")
+    assert err == f"error: tree does not fit the matrix: {want}\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(robinson_matrices(), spine_with_block(max_n=5).map(lambda case: case[0])),
+    st.sampled_from(["pq", "mmodule"]),
+    st.data(),
+)
+def test_translate_exits_2_exactly_when_the_oracle_disagrees(matrix, kind, data):
+    # a served document with edits; the oracle that judges it knows nothing
+    # of the construction: brute-force orders, or the dendrogram carving.
+    # Every ``spine_with_block`` space (at most 8 points here) has a special node
+    target = "mmodule" if kind == "pq" else "pq"
+    with tempfile.TemporaryDirectory() as tmp:
+        mpath = Path(tmp) / "m.txt"
+        mpath.write_text(cli.serialize_matrix(matrix))
+        code, served, _ = _cli(["tree", "-i", str(mpath), "-t", kind])
+        assert code == 0
+        doc = data.draw(mutated_documents(json.loads(served)))
+        dpath = Path(tmp) / "doc.json"
+        dpath.write_text(json.dumps(doc))
+        code, out, err = _cli(["translate", "-i", str(dpath), "-m", str(mpath)])
+        _, tree = cli.doc_to_tree(doc, matrix.scale)
+        if kind == "pq":
+            orders = set(pq.enumerate_orders(tree, cap=math.factorial(matrix.n)))
+            agrees = orders == set(oracle.brute_compatible_orders(matrix, range(matrix.n)))
+        else:
+            agrees = canon_mm(tree) == canon_mm(carved(matrix, range(matrix.n)))
+        event(f"agrees={agrees} kind={kind}")
+        if agrees:
+            assert code == 0, err
+            assert out == _cli(["tree", "-i", str(mpath), "-t", target])[1]
+        else:
+            assert (code, out) == (2, ""), doc
+            assert err.startswith("error: tree does not fit the matrix: ")
+            assert err.count("\n") == 1
+
+
 def test_translate_roundtrip(capsys, tmp_path):
     mpath = tmp_path / "m.txt"
     mpath.write_text(WORKED12_TEXT)
@@ -518,7 +606,8 @@ def test_translate_rejects_misfit_pq_tree(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "(0, 2, 1)" in captured.err
+    # the first node that differs is the root, named with what the matrix gives
+    assert "its Q over 0 2 1 3 should be P(P(0 1) P(2 3))" in captured.err
 
 
 def test_translate_rejects_misfit_mmodule_tree(capsys, tmp_path):
@@ -655,10 +744,9 @@ def test_deep_documents_translate_back(tmp_path):
         proc = _run_fresh("translate", "-i", str(served[kind]), "-m", matrix)
         assert proc.returncode == 0, proc.stderr[-2000:]
         back[kind] = proc.stdout
-    # the PQ document translates to exactly the served mmodule document
+    # each document translates to exactly the other served document
     assert back["pq"] == served["mmodule"].read_text()
-    assert back["mmodule"].startswith('{"kind":"pq","root":{')
-    assert back["mmodule"].count("\n") == 1
+    assert back["mmodule"] == served["pq"].read_text()
 
 
 def test_public_calls_leave_the_recursion_limit(capsys, tmp_path):
@@ -683,6 +771,8 @@ def test_public_calls_leave_the_recursion_limit(capsys, tmp_path):
     unchanged(translate.mmodule_to_pq_tree, m, mtree)
     unchanged(pq.normalize, m, tree)
     unchanged(pq.normal_form, tree)
+    normal = unchanged(mm.normal_form, mtree)
+    assert unchanged(core.first_difference, normal, mm.normal_form(mtree)) is None
     unchanged(dg.build_dendrogram, m, pts)
     unchanged(carved, m, pts)
     with cli._recursion_room(10):

@@ -6,7 +6,8 @@ below the constructions that use it, and every import sits at module
 level, so the graph read here is the whole graph.  ``copoints`` builds
 its tree through ``pqtree.node`` with no normalizing pass or delta-graph
 search, one spine reading serves construction and translation, and one
-slot rule places a block in a Q-spine.  The functions that call themselves
+slot rule places a block in a Q-spine.  ``tree`` and ``translate`` take
+their trees from one helper.  The functions that call themselves
 are a known list, and no library module touches the recursion limit.
 Every package name the benchmark reaches for still resolves.
 """
@@ -104,10 +105,14 @@ def test_mmodule_tree_has_one_production_path():
     assert not _imported("mmodtree") & {"dendrogram", "refine"}
 
 
-def _called(name: str) -> set[str]:
-    """Names that ``name`` calls, bare (``f(...)``) or as an attribute (``m.f(...)``)."""
+def _called(name: str, function: str | None = None) -> set[str]:
+    """Names that module ``name``, or its top-level ``function``, calls,
+    bare (``f(...)``) or as an attribute (``m.f(...)``)."""
+    scope = _tree(name)
+    if function is not None:
+        scope = next(node for node in scope.body if getattr(node, "name", None) == function)
     out = set()
-    for node in ast.walk(_tree(name)):
+    for node in ast.walk(scope):
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Name):
@@ -142,6 +147,17 @@ def test_one_spine_reading_for_construction_and_translation():
     # a subtree is read as a linear spine by ``copoints.spine_children`` alone
     assert "spine_children" in _called("copoints") & _called("translate")
     assert not any("_spine_children" in _defined(name) for name in MODULES)
+
+
+def test_tree_and_translate_serve_one_recognized_tree():
+    # both take the verified PQ-tree, and the mmodule tree read off it, from
+    # one helper; translate holds the document against them and runs no
+    # translator on it and no check of one of its orders
+    tree, translate = _called("cli", "cmd_tree"), _called("cli", "cmd_translate")
+    assert "_served" in tree & translate
+    assert "recognize_validated" in _called("cli", "_served")
+    assert "recognize_validated" not in tree | translate
+    assert not translate & {"mmodule_to_pq_tree", "pq_to_mmodule_tree", "violating_triple"}
 
 
 @pytest.mark.parametrize("name", PRODUCTION)

@@ -3,9 +3,10 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import EQUAL3, FLAT3, WORKED12, canon_mm, robinson_matrices
+from conftest import EQUAL3, FLAT3, WORKED12, canon_mm, mutated_documents, robinson_matrices
+from conftest import spine_with_block
 from robinspace import cli, core, mmodtree as mm, oracle, reference
 from robinspace.mmodtree import Cap, Cup, Leaf
 
@@ -182,3 +183,21 @@ def test_empty_subset_is_refused():
     # the copoint construction refuses it before any tree is built
     with pytest.raises(core.SubsetTooSmall):
         mm.mmodule_tree(WORKED12, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(robinson_matrices(), spine_with_block(max_n=5).map(lambda case: case[0])), st.data())
+def test_normal_form_agrees_with_canon_mm(m, data):
+    # the recursive ``canon_mm`` stays the reference for the iterative form;
+    # every ``spine_with_block`` tree has a special node
+    tree = mm.mmodule_tree(m, range(m.n))
+    doc = data.draw(mutated_documents(cli.tree_to_doc("mmodule", tree, m)))
+    _, other = cli.doc_to_tree(doc, m.scale)
+    same = core.first_difference(mm.normal_form(tree), mm.normal_form(other)) is None
+    assert same == (canon_mm(tree) == canon_mm(other))
+
+
+def test_normal_form_sorts_children_and_follows_the_large_child():
+    tree = Cap((Cup((Leaf(5), Leaf(3), Leaf(4))), Leaf(2), Cap((Leaf(1), Leaf(0)))), 7, 0)
+    want = Cap((Cap((Leaf(0), Leaf(1))), Leaf(2), Cup((Leaf(3), Leaf(4), Leaf(5)))), 7, 2)
+    assert mm.normal_form(tree) == want
