@@ -60,7 +60,7 @@ class DocumentError(ValueError):
 def _scan_weight(token: str) -> tuple[int, int]:
     """(digits as int, count of decimal places); rejects signs and exponents."""
     whole, dot, frac = token.partition(".")
-    if not whole.isdigit() or (dot and not frac.isdigit()):
+    if not whole.isdecimal() or (dot and not frac.isdecimal()):
         raise ValueError(f"not a nonnegative decimal: {token!r}")
     return int(whole + frac), len(frac)
 
@@ -114,7 +114,7 @@ class _Weights(dict):
             value *= 10**shift
         # canonical: ASCII, no leading zero, no trailing zero after the point
         if token.isascii() and not (
-            token[0] == "0" and token[1:2].isdigit() or places and token[-1] == "0"
+            token[0] == "0" and token[1:2].isdecimal() or places and token[-1] == "0"
         ):
             self[token] = value
         else:

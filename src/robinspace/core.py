@@ -37,7 +37,7 @@ class SubsetTooSmall(RobinsonError):
 
 
 class NotRobinson(RobinsonError):
-    """The input admits no compatible order (detected structurally)."""
+    """No compatible order: the refusal names a violating triple or the failed step."""
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,9 @@ class Leaf:
 
 # Tree walkers shared by all three tree kinds: an internal node is anything
 # with ``.children``.  Iterative, because trees can be chains of depth n.
+# The node types' dataclass-generated ``==``, ``hash`` and ``repr`` recurse
+# once per level instead, so compare deep trees with ``first_difference``
+# or ``pqtree.equivalent``.
 
 
 def iter_nodes(tree) -> Iterator:
@@ -88,20 +91,15 @@ def first_difference(t1, t2) -> tuple | None:
 
 
 def _shape(node) -> tuple:
-    return type(node), *(len(v) if k == "children" else v for k, v in vars(node).items())
+    fields = vars(node).copy()
+    if "children" in fields:
+        fields["children"] = len(fields["children"])
+    return type(node), fields
 
 
 def leaf_points(tree) -> list[int]:
     """Leaf points left to right."""
-    out: list[int] = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.point)
-        else:
-            stack.extend(reversed(node.children))
-    return out
+    return [node.point for node in iter_nodes(tree) if isinstance(node, Leaf)]
 
 
 def leaf_set(tree) -> frozenset[int]:
@@ -138,9 +136,6 @@ class DissimilarityMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def dist(self, x: int, y: int) -> int:
-        return self.rows[x][y]
 
 
 def validate(matrix: DissimilarityMatrix) -> None:

@@ -27,7 +27,7 @@ from typing import Iterable, Union
 
 from . import pqtree as pq
 from .copoints import pq_tree2
-from .core import DissimilarityMatrix, Leaf, fold, leaf_set
+from .core import DissimilarityMatrix, Leaf, fold
 
 
 @dataclass(frozen=True)
@@ -127,27 +127,21 @@ def is_mmodule_via_tree(tree: MModuleTree, candidate: Iterable[int]) -> bool:
     True exactly for: the empty set, singletons, the whole set, and —
     at the deepest node whose leaf set contains the candidate — the
     node's own leaf set or a union of a proper subset of a Cap node's
-    children.
+    children.  One fold counts each subtree's leaves and candidate
+    points; the first node it finishes that holds them all is the deepest.
     """
     cand = frozenset(candidate)
-    whole = leaf_set(tree)
-    if not cand <= whole:
+    k = len(cand)
+    deepest: list[bool] = []  # the verdict at the deepest node
+
+    def count(node, kids: list[tuple[int, int]]) -> tuple[int, int]:
+        if isinstance(node, Leaf):
+            return 1, int(node.point in cand)
+        size, hits = map(sum, zip(*kids))
+        if hits == k and not deepest:
+            deepest.append(size == k or isinstance(node, Cap) and all(h in (0, s) for s, h in kids))
+        return size, hits
+
+    if fold(tree, count)[1] < k:
         raise ValueError("candidate contains points outside the tree")
-    if len(cand) <= 1 or cand == whole:
-        return True
-    node = tree
-    while not isinstance(node, Leaf):
-        down = None
-        for child in node.children:
-            if cand <= leaf_set(child):
-                down = child
-                break
-        if down is None:
-            break
-        node = down
-    if leaf_set(node) == cand:
-        return True
-    if not isinstance(node, Cap):
-        return False
-    sets = [leaf_set(c) for c in node.children]
-    return all(s <= cand or not (s & cand) for s in sets)
+    return k <= 1 or deepest[0]

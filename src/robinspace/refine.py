@@ -4,16 +4,17 @@ One engine (``_refine``) runs every refinement: the copoint partition at
 a point, which the copoint construction splits on, and the stable
 partition carved out of trees (``stable_trees``), which only the
 dendrogram carving in ``reference`` calls; it stays here because the
-benchmark's tracer names it as ``refine.stable_trees``.  The stable
-partition of point classes is ``reference.stable_partition``, on the
-same engine.  A class is a list of points with a FIFO queue of pivots
-from outside it.  Classes are refined in order, each until it is a
-single point or its queue runs out.  The first queued pivot that sees
-the class at two distances splits it in place, and the pivots in front
-of it are dropped.  Each part inherits a queue of its sibling parts'
-points followed by the pivots its class had left, and the first part is
-refined next.  Callers differ only in how the parts are laid out:
-distance buckets for point classes, carved subtrees for tree classes.
+benchmark's tracer names it as ``refine.stable_trees``.  Its carve is one
+``core.fold``, so the module imports only ``core``.  The stable partition
+of point classes is ``reference.stable_partition``, on the same engine.
+A class is a list of points with a FIFO queue of pivots from outside it.
+Classes are refined in order, each until it is a single point or its
+queue runs out.  The first queued pivot that sees the class at two
+distances splits it in place, and the pivots in front of it are dropped.
+Each part inherits a queue of its sibling parts' points followed by the
+pivots its class had left, and the first part is refined next.  Callers
+differ only in how the parts are laid out: distance buckets for point
+classes, carved subtrees for tree classes.
 
 The ordered-output discipline is fixed deliberately: pivot queues are FIFO,
 splits happen in place so class positions never cross, and copoint
@@ -32,12 +33,12 @@ symmetry that ``DissimilarityMatrix`` guarantees.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import compress, count
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Sequence
 
 from .core import DissimilarityMatrix, Leaf, RobinsonError, fold, leaf_points
-from .dendrogram import Internal, Tree
 
 
 class NotAPartition(RobinsonError):
@@ -167,50 +168,38 @@ def copoint_partition(
     return [(p,)] + [tuple(c) for c in final]
 
 
-def _pivot_forest(rows: list[list[int]], q: int, tree: Tree) -> list[Tree]:
+def _pivot_forest(rows: list[list[int]], q: int, tree) -> list:
     """Split a tree into the finest forest where d(q, .) is constant per tree.
 
     q is not a leaf of the tree.  Subtrees whose points all sit at one
     distance from q survive whole; constant-distance siblings merge into a
     join carrying their parent's weight; everything else splits further.
-    Output order: the splits first in child order, then the joins by
-    increasing distance.
+    One fold, bottom up: a node at two distances adds its joins, by
+    increasing distance, after what its children split into.
     """
     rq = rows[q]
-    info: dict[int, tuple[int, int]] = {}  # (lo, hi) of d(q, leaf) per node
+    out: list = []
 
-    def span(node: Tree, spans: list[tuple[int, int]]) -> tuple[int, int]:
+    def carve(node, spans: list[tuple[int, int]]) -> tuple[int, int]:
+        # (lo, hi) of d(q, leaf) over the node
         if isinstance(node, Leaf):
-            got = (rq[node.point],) * 2
-        else:
-            got = (min(s[0] for s in spans), max(s[1] for s in spans))
-        info[id(node)] = got
-        return got
+            return rq[node.point], rq[node.point]
+        lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
+        if lo < hi:
+            joined: dict[int, list] = {}
+            for child, (clo, chi) in zip(node.children, spans):
+                if clo == chi:
+                    joined.setdefault(clo, []).append(child)
+            for w in sorted(joined):
+                grp = joined[w]
+                out.append(grp[0] if len(grp) == 1 else replace(node, children=grp))
+        return lo, hi
 
-    lo, hi = fold(tree, span)
-    if lo == hi:
-        return [tree]
-    out: list[Tree] = []
-
-    def split(node: Internal) -> None:
-        joined: dict[int, list[Tree]] = {}
-        for child in node.children:
-            clo, chi = info[id(child)]
-            if clo == chi:
-                joined.setdefault(clo, []).append(child)
-            else:
-                # a Leaf always has lo == hi, so this child is Internal
-                split(child)
-        for w in sorted(joined):
-            grp = joined[w]
-            out.append(grp[0] if len(grp) == 1 else Internal(node.weight, grp))
-
-    assert isinstance(tree, Internal)
-    split(tree)
-    return out
+    lo, hi = fold(tree, carve)
+    return out if lo < hi else [tree]
 
 
-def stable_trees(matrix: DissimilarityMatrix, trees: Sequence[Tree]) -> list[Tree]:
+def stable_trees(matrix: DissimilarityMatrix, trees: Sequence) -> list:
     """Tree-shaped stable partition: the classes of
     ``reference.stable_partition``, each carved out of the input trees.
     The carve runs only for a pivot already known to split its tree."""

@@ -17,9 +17,9 @@ from hypothesis import event, given, settings, strategies as st
 from conftest import NONROB4, WORKED12, canon_mm, mutated_documents, robinson_matrices
 from conftest import spine_with_block, symmetric_matrices
 from robinspace import cli, copoints, core, dendrogram as dg, mmodtree as mm, oracle
-from robinspace import pqtree as pq, translate
+from robinspace import pqtree as pq, refine, translate
 from robinspace.cli import DocumentError, MatrixParseError
-from robinspace.core import AsymmetricInput, DissimilarityMatrix, NonzeroDiagonal
+from robinspace.core import AsymmetricInput, DissimilarityMatrix, Leaf, NonzeroDiagonal
 from robinspace.reference import mmodule_tree_from_dendrogram as carved
 
 WORKED12_TEXT = cli.serialize_matrix(WORKED12)
@@ -774,6 +774,10 @@ def test_public_calls_leave_the_recursion_limit(capsys, tmp_path):
     normal = unchanged(mm.normal_form, mtree)
     assert unchanged(core.first_difference, normal, mm.normal_form(mtree)) is None
     unchanged(dg.build_dendrogram, m, pts)
+    # point 0 sees every other point at a distance of its own
+    forest = unchanged(refine.stable_trees, m, [dg.build_dendrogram(m, range(1, n)), Leaf(0)])
+    assert len(forest) == n
+    assert unchanged(mm.is_mmodule_via_tree, mtree, [0, 1])
     unchanged(carved, m, pts)
     with cli._recursion_room(10):
         assert sys.getrecursionlimit() == limit + 10

@@ -7,8 +7,9 @@ level, so the graph read here is the whole graph.  ``copoints`` builds
 its tree through ``pqtree.node`` with no normalizing pass or delta-graph
 search, one spine reading serves construction and translation, and one
 slot rule places a block in a Q-spine.  ``tree`` and ``translate`` take
-their trees from one helper.  The functions that call themselves
-are a known list, and no library module touches the recursion limit.
+their trees from one helper.  No production function calls itself, the
+tree queries walk their tree once, ``refine`` imports only ``core``, and
+no library module touches the recursion limit.
 Every package name the benchmark reaches for still resolves.
 """
 
@@ -105,6 +106,10 @@ def test_mmodule_tree_has_one_production_path():
     assert not _imported("mmodtree") & {"dendrogram", "refine"}
 
 
+def test_refine_reads_trees_through_core_alone():
+    assert _imported("refine") == {"core"}
+
+
 def _called(name: str, function: str | None = None) -> set[str]:
     """Names that module ``name``, or its top-level ``function``, calls,
     bare (``f(...)``) or as an attribute (``m.f(...)``)."""
@@ -160,6 +165,25 @@ def test_tree_and_translate_serve_one_recognized_tree():
     assert not translate & {"mmodule_to_pq_tree", "pq_to_mmodule_tree", "violating_triple"}
 
 
+WALKERS = {"fold", "iter_nodes", "leaf_points", "leaf_set"}
+
+
+@pytest.mark.parametrize(
+    "module, function, walker",
+    [
+        ("refine", "_pivot_forest", "fold"),
+        ("mmodtree", "is_mmodule_via_tree", "fold"),
+        ("core", "leaf_points", "iter_nodes"),
+    ],
+)
+def test_tree_queries_walk_the_tree_once(module, function, walker):
+    # one pass over the tree, not a leaf set per child per level or a
+    # second walk of the subtrees the first one measured
+    called = _called(module, function)
+    assert walker in called
+    assert not called & WALKERS - {walker}
+
+
 @pytest.mark.parametrize("name", PRODUCTION)
 def test_production_module_imports_only_at_module_level(name):
     tree = _tree(name)
@@ -172,11 +196,10 @@ def test_production_module_imports_only_at_module_level(name):
     assert not nested, f"{name}.py imports inside a block at lines {nested}"
 
 
-# Production functions that call themselves by name; every tree walk is
-# a ``core.fold`` or an explicit stack.  The one left is test-only and
-# leaves production with the tree half of ``refine``; none may join the
-# list unnoticed.
-SELF_CALLING = {"refine._pivot_forest.split"}
+# Production functions that call themselves by name: none, since every
+# tree walk is a ``core.fold``, ``core.iter_nodes`` or an explicit stack;
+# none may join the list unnoticed.
+SELF_CALLING: set[str] = set()
 
 
 def _self_calling(scope: ast.AST, prefix: str) -> set[str]:

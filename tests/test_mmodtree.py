@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import EQUAL3, FLAT3, WORKED12, canon_mm, mutated_documents, robinson_matrices
-from conftest import spine_with_block
+from conftest import profile_subsets, shape_subsets, spine_with_block
 from robinspace import cli, core, mmodtree as mm, oracle, reference
 from robinspace.mmodtree import Cap, Cup, Leaf
 
@@ -110,6 +110,30 @@ def test_tree_answers_match_brute_mmodules(m):
     for r in range(m.n + 1):
         for cand in itertools.combinations(range(m.n), r):
             assert mm.is_mmodule_via_tree(tree, cand) == (cand in mods), cand
+
+
+@st.composite
+def mmodule_queries(draw):
+    """A Robinson space of any profile or shape, its mmodule tree and
+    candidates: node leaf sets, unions of some children of each Cap node
+    and random subsets."""
+    m, pts = draw(st.one_of(profile_subsets(), shape_subsets()))
+    tree = mm.mmodule_tree(m, pts)
+    nodes = list(core.iter_nodes(tree))
+    cands = [core.leaf_points(draw(st.sampled_from(nodes))) for _ in range(4)]
+    for node in (node for node in nodes if isinstance(node, Cap)):
+        some = draw(st.lists(st.sampled_from(node.children), min_size=1, unique_by=id))
+        cands.append([x for c in some for x in core.leaf_points(c)])
+    cands += draw(st.lists(st.lists(st.sampled_from(pts), unique=True), max_size=4))
+    return m, pts, tree, cands
+
+
+@settings(max_examples=150, deadline=None)
+@given(mmodule_queries())
+def test_tree_answers_match_the_matrix(case):
+    m, pts, tree, cands = case
+    for cand in cands:
+        assert mm.is_mmodule_via_tree(tree, cand) == reference.is_mmodule(m, pts, cand), cand
 
 
 @settings(max_examples=80)

@@ -4,6 +4,7 @@ request, and the serializer."""
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import pytest
@@ -13,8 +14,9 @@ from robinspace import cli, copoints, core, reference
 from robinspace.cli import MatrixParseError
 from robinspace.core import DissimilarityMatrix
 
-# tokens the scan must refuse, or (the last two) accept in a surprising way:
-# "²" passes isdigit but not int(), "٣" is the digit three
+# tokens the scan must refuse, or (the last one) accept in a surprising way:
+# "²" is a digit but not a decimal, so int() refuses it too, and "٣" is the
+# decimal digit three
 BAD_TOKENS = ("x", "-1", "1e2", "1.", ".5", "+3", "1.2.3", "0x1", "²", "٣")
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
@@ -244,3 +246,18 @@ def test_serialize_spells_each_entry_like_weight_str(scale):
     m = DissimilarityMatrix(rows, scale)
     want = "\n".join(" ".join(cli.weight_str(v, scale) for v in row) for row in rows) + "\n"
     assert cli.serialize_matrix(m) == want
+
+
+def test_a_digit_that_is_not_decimal_is_a_bad_token(tmp_path, capsys):
+    # "²" passes ``str.isdigit`` but not int(); it gets every bad token's message
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("0 ²\n")
+    assert cli.main(["recognize", "-i", str(matrix)]) == 2
+    assert capsys.readouterr().err == "error: line 1, entry 2: not a nonnegative decimal: '²'\n"
+    matrix.write_text("0 1 1\n1 0 1\n1 1 0\n")
+    leaves = [{"type": "leaf", "point": p} for p in range(3)]
+    root = {"type": "cap", "special": "²", "largeChild": 0, "children": leaves}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "mmodule", "root": root}))
+    assert cli.main(["translate", "-i", str(path), "-m", str(matrix)]) == 2
+    assert capsys.readouterr().err == "error: not a nonnegative decimal: '²'\n"
