@@ -26,13 +26,14 @@ for success, 1 when the space is not Robinson, 2 for unusable input.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import random
 import statistics
 import sys
 import time
+import timeit
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from textwrap import shorten
@@ -485,10 +486,11 @@ def _generate_ultrametric(n: int, rng: random.Random) -> DissimilarityMatrix:
 
 
 def _read(path: str) -> str:
+    """The text of a file, or of stdin for ``-``, without a leading byte-order mark."""
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.read().removeprefix("\ufeff")
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return fh.read().removeprefix("\ufeff")
 
 
 def cmd_recognize(args) -> int:
@@ -571,9 +573,7 @@ def cmd_translate(args) -> int:
         raise DocumentError("tree document is nested too deeply") from None
     if kind == "dendrogram":
         raise DocumentError("dendrogram documents have no translation")
-    target = args.to or ("mmodule" if kind == "pq" else "pq")
-    if target == kind:
-        raise DocumentError(f"document already holds a {kind} tree")
+    target = "mmodule" if kind == "pq" else "pq"
     # held against the served tree; the translators would trust its claims
     mine, out = _served(matrix, kind, target)
     normal = pq.normal_form if kind == "pq" else mm.normal_form
@@ -595,14 +595,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
-BENCH_OPS: tuple[str, ...] = (
-    "dendrogram",
-    "mmodule-tree",
-    "pq-tree",
-    "pq-to-mmodule",
-    "mmodule-to-pq",
-    "verify",
-)
+# op name -> prepare(matrix, done): the call to time, given the outputs of
+# the ops before it in ``done``; what ``prepare`` itself does is not timed
+BENCH_OPS: dict[str, Callable[[DissimilarityMatrix, dict], Callable[[], Any]]] = {
+    "dendrogram": lambda m, done: partial(dg.build_dendrogram, m, range(m.n)),
+    "mmodule-tree": lambda m, done: partial(mm.mmodule_tree, m, range(m.n)),
+    "pq-tree": lambda m, done: partial(copoints.pq_tree2, m, range(m.n)),
+    "pq-to-mmodule": lambda m, done: partial(translate.pq_to_mmodule_tree, m, done["pq-tree"]),
+    "mmodule-to-pq": lambda m, done: partial(translate.mmodule_to_pq_tree, m, done["mmodule-tree"]),
+    "verify": lambda m, done: partial(core.violating_triple, m, pq.canonical_order(done["pq-tree"])),
+}
 
 
 def cmd_bench(args) -> int:
@@ -618,25 +620,13 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             matrix = generate_matrix(size, args.seed + rep, args.profile)
             generate_samples[size].append(time.perf_counter() - t0)
-            pts = range(size)
-            warm = rep == 0
-            per_op = samples[size]
-            per_op["dendrogram"].append(
-                _timed(warm, dg.build_dendrogram, matrix, pts)[0]
-            )
-            cost, mtree = _timed(warm, mm.mmodule_tree, matrix, pts)
-            per_op["mmodule-tree"].append(cost)
-            cost, ptree = _timed(warm, copoints.pq_tree2, matrix, pts)
-            per_op["pq-tree"].append(cost)
-            per_op["pq-to-mmodule"].append(
-                _timed(warm, translate.pq_to_mmodule_tree, matrix, ptree)[0]
-            )
-            per_op["mmodule-to-pq"].append(
-                _timed(warm, translate.mmodule_to_pq_tree, matrix, mtree)[0]
-            )
-            per_op["verify"].append(
-                _timed(warm, core.violating_triple, matrix, pq.canonical_order(ptree))[0]
-            )
+            done: dict[str, Any] = {}
+            for op, prepare in BENCH_OPS.items():
+                # one untimed call warms the caches and feeds the later ops; then
+                # ``timeit`` times five one-shot calls with the cyclic collector paused
+                call = prepare(matrix, done)
+                done[op] = call()
+                samples[size][op].append(min(timeit.repeat(call, repeat=5, number=1)))
     medians: dict[str, dict[str, float]] = {}
     generate_s: dict[str, float] = {}  # one call per rep, not an op's best of five
     if args.reps:
@@ -697,31 +687,6 @@ def _reps(text: str) -> int:
     return reps
 
 
-def _timed(warm: bool, fn: Callable, *fn_args) -> tuple[float, Any]:
-    """Wall time of ``fn(*fn_args)`` as the min over five back-to-back calls.
-
-    Repeat-min is the usual defence against scheduler jitter; the cyclic
-    collector is paused so its sweeps don't land on whichever call triggers
-    them.  ``warm`` runs one extra untimed call first (cold allocator caches
-    on the first touch of a size would otherwise tax the first sample).
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        if warm:
-            out = fn(*fn_args)
-        best = None
-        for _ in range(5):
-            t0 = time.perf_counter()
-            out = fn(*fn_args)
-            cost = time.perf_counter() - t0
-            best = cost if best is None else min(best, cost)
-        return best, out
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 # --- entry point -----------------------------------------------------------------
 
 
@@ -745,7 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="translate a tree document")
     p.add_argument("--input", "-i", required=True, help="tree document (JSON)")
     p.add_argument("--matrix", "-m", required=True, help="matrix file the tree describes")
-    p.add_argument("--to", choices=("pq", "mmodule"), help="target kind (default: the other one)")
     p.add_argument("--format", "-f", choices=("json", "dot", "ascii"), default="json")
     p.set_defaults(run=cmd_translate)
 

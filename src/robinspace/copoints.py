@@ -135,9 +135,9 @@ def pq_tree2(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:
             tree = done.value
 
 
-def _split(matrix: DissimilarityMatrix, pts: list[int]) -> tuple[int, list[list[int]]]:
-    """(p, the copoints attached at p) for p the smallest of ``pts``."""
-    return pts[0], [list(c) for c in refine.copoint_partition(matrix, pts[0], pts)[1:]]
+def _split(matrix: DissimilarityMatrix, pts: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """(p, the copoints attached at p, each ascending) for ``pts`` ascending."""
+    return pts[0], refine.copoint_partition(matrix, pts[0], pts)[1:]
 
 
 def copoints_to_pq_tree(
@@ -157,7 +157,7 @@ def copoints_to_pq_tree(
     if i < k - 1:
         kids = []
         for c in (*left, *right):
-            kids.append(pq.Leaf(c[0]) if len(c) == 1 else (yield _split(matrix, sorted(c))))
+            kids.append(pq.Leaf(c[0]) if len(c) == 1 else (yield _split(matrix, c)))
         kids.insert(len(left), t_p)
         return pq.node(matrix, pq.Q, kids)
 
@@ -165,7 +165,7 @@ def copoints_to_pq_tree(
     # PQ-tree of C_k.  The two ends of a compatible order of C_k are a
     # diametral pair; on non-Robinson input a wrong diameter only changes
     # the construction, and the order check still refuses.
-    ck = sorted(copoints[-1])
+    ck = copoints[-1]
     alpha = pq.Leaf(ck[0]) if len(ck) == 1 else (yield _split(matrix, ck))
     delta = matrix.rows[p][ck[0]]
     wide = matrix.rows[first_leaf(alpha)][last_leaf(alpha)] > delta

@@ -151,7 +151,7 @@ def _check_partition(classes: list[list[int]]) -> None:
 def copoint_partition(
     matrix: DissimilarityMatrix, p: int, subset: Iterable[int]
 ) -> list[tuple[int, ...]]:
-    """[{p}, C1, ..., Ck]: the copoints attached to p, nearest first.
+    """[{p}, C1, ..., Ck]: the copoints attached to p, nearest first, each ascending.
 
     The class order is the point of this op: it must be a proximity
     order valid for every compatible order, which is what the radial

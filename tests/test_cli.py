@@ -513,13 +513,18 @@ def test_translate_rejects_dendrogram_input(capsys, tmp_path):
     assert cli.main(["translate", "-i", str(dpath), "-m", str(mpath)]) == 2
 
 
-def test_translate_rejects_same_kind(capsys, tmp_path):
+def test_translate_reads_a_document_that_starts_with_a_byte_order_mark(capsys, tmp_path):
     mpath = tmp_path / "m.txt"
     mpath.write_text(WORKED12_TEXT)
     assert cli.main(["tree", "-i", str(mpath), "-t", "pq"]) == 0
+    doc = capsys.readouterr().out
     dpath = tmp_path / "pq.json"
-    dpath.write_text(capsys.readouterr().out)
-    assert cli.main(["translate", "-i", str(dpath), "-m", str(mpath), "--to", "pq"]) == 2
+    dpath.write_text(doc, encoding="utf-8")
+    assert cli.main(["translate", "-i", str(dpath), "-m", str(mpath)]) == 0
+    want = capsys.readouterr().out
+    dpath.write_text("\ufeff" + doc, encoding="utf-8")
+    assert cli.main(["translate", "-i", str(dpath), "-m", str(mpath)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_translate_rejects_leaf_mismatch(capsys, tmp_path):
@@ -1027,6 +1032,24 @@ def test_bench_text_format(capsys):
     assert "ratio 32/16" in out
     last = out.splitlines()[-1]
     assert last.startswith("generate") and "n=16" in last and "n=32" in last
+
+
+def test_bench_calls_each_op_once_untimed_then_five_times_per_rep(monkeypatch, capsys):
+    # every (rep, size) warms each op with one untimed call, not only the first rep
+    calls = {"dendrogram": 0, "verify": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(dg, "build_dendrogram", counted("dendrogram", dg.build_dendrogram))
+    monkeypatch.setattr(core, "violating_triple", counted("verify", core.violating_triple))
+    assert cli.main(["bench", "--sizes", "8", "--reps", "2", "-f", "json"]) == 0
+    capsys.readouterr()
+    assert calls == {"dendrogram": 2 * 6, "verify": 2 * 6}
 
 
 @pytest.mark.parametrize("sizes", ["", ",", "8,0", "-4", "8,x"])

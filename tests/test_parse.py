@@ -4,7 +4,9 @@ request, and the serializer."""
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -261,3 +263,22 @@ def test_a_digit_that_is_not_decimal_is_a_bad_token(tmp_path, capsys):
     path.write_text(json.dumps({"kind": "mmodule", "root": root}))
     assert cli.main(["translate", "-i", str(path), "-m", str(matrix)]) == 2
     assert capsys.readouterr().err == "error: not a nonnegative decimal: '²'\n"
+
+
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch):
+    # editors that save "UTF-8 with BOM" put U+FEFF before the first entry
+    text = _square_text(cli.generate_matrix(6, 2, "generic").rows)
+    path = tmp_path / "m.txt"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["recognize", "-i", str(path)]) == 0
+    want = capsys.readouterr().out
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert cli.main(["recognize", "-i", str(path)]) == 0
+    assert capsys.readouterr().out == want
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
+    assert cli.main(["recognize", "-i", "-"]) == 0
+    assert capsys.readouterr().out == want
+    # only one mark, and only at the start, is dropped
+    path.write_text("\ufeff\ufeff" + text, encoding="utf-8")
+    assert cli.main(["recognize", "-i", str(path)]) == 2
+    assert "line 1, entry 1: not a nonnegative decimal" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refine_reference as reference
-from conftest import EQUAL3, WORKED12, robinson_matrices
+from conftest import EQUAL3, WORKED12, profile_subsets, robinson_matrices, shape_subsets
 from robinspace import cli, core, dendrogram as dg, oracle, refine
 from robinspace import reference as rs_reference
 from robinspace.reference import is_mmodule
@@ -123,6 +123,18 @@ def test_copoint_partition_starts_at_p_and_respects_distance(m):
         assert firsts == sorted(firsts)
         for cls in classes[1:]:
             assert len(set(rp[x] for x in cls)) == 1
+
+
+@settings(deadline=None)
+@given(st.one_of(profile_subsets(), shape_subsets()), st.data())
+def test_copoint_partition_classes_are_ascending(case, data):
+    # the copoint construction splits each class again without sorting it
+    m, pts = case
+    shuffled = data.draw(st.permutations(pts))
+    p = shuffled[0]
+    classes = refine.copoint_partition(m, p, shuffled)
+    assert classes[0] == (p,)
+    assert all(list(c) == sorted(c) for c in classes[1:])
 
 
 @settings(max_examples=60)
