@@ -398,6 +398,10 @@ def generate_matrix(n: int, seed: int, profile: str) -> DissimilarityMatrix:
     The same (n, seed, profile) gives the same matrix, so the same bytes
     from ``serialize_matrix``; ``test_cli`` pins their sha256 digests.  Each
     distinct weight is one int object, shared by every entry that holds it.
+    One grid is alive at a time: the output rows are gathered base point by
+    base point from the m x m staircase, and each staircase row is dropped
+    as soon as its copies exist, so the peak stays near the size of the
+    result.
     """
     if n < 1:
         raise ValueError("need at least one point")
@@ -420,20 +424,33 @@ def generate_matrix(n: int, seed: int, profile: str) -> DissimilarityMatrix:
     rng.shuffle(perm)
     index = [spread[p] for p in perm]  # the base point of each output point
     gather = itemgetter(*index)
-    return DissimilarityMatrix([list(gather(base[i])) for i in index], 1)
+    copies: list[list[int]] = [[] for _ in range(m)]  # the output points of each base point
+    for i, b in enumerate(index):
+        copies[b].append(i)
+    rows: list = [None] * n
+    # in base order, so the freed staircase rows lie side by side and the
+    # allocator reuses their runs for the output rows
+    for b, points in enumerate(copies):
+        entries = gather(base[b])
+        base[b] = None
+        for i in points:
+            rows[i] = list(entries)
+    return DissimilarityMatrix(rows, 1)
 
 
 def _staircase(m: int, rng: random.Random, profile: str) -> list[list[int]]:
     """Symmetric m x m grid grown outward from the diagonal, column by
     column, so each entry dominates its inner pair; each distinct weight
-    is one int object."""
-    random_, randint = rng.random, rng.randint
+    is one int object.  A ranged bump calls ``randint``'s own draw,
+    ``_randbelow``, directly: ``randint(1, k)`` is ``1 + _randbelow(k)``, so
+    the stream is the same, at one call per draw instead of three."""
+    random_, randbelow = rng.random, rng._randbelow
     if profile == "flat-heavy":
-        bump = lambda: 1 + (randint(1, 2) if random_() < 0.15 else 0)
+        bump = lambda: 2 + randbelow(2) if random_() < 0.15 else 1
     elif profile == "tie-heavy":
         bump = lambda: 0 if random_() < 0.6 else 1
     else:
-        bump = lambda: 0 if random_() < 0.35 else randint(1, 4)
+        bump = lambda: 0 if random_() < 0.35 else 1 + randbelow(4)
     intern = {}.setdefault
     # row j first holds d(i, j) for i <= j, column j of the upper triangle,
     # drawn from the diagonal outward: d(i, j) is one bump above the larger

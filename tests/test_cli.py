@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -887,8 +888,9 @@ def test_generate_rejects_zero(capsys):
 
 def test_generate_command_output_parses(capsys):
     assert cli.main(["generate", "-n", "9", "--seed", "2", "--profile", "tie-heavy"]) == 0
-    m = cli.parse_matrix(capsys.readouterr().out)
-    assert m.n == 9
+    out = capsys.readouterr().out
+    assert out == cli.serialize_matrix(cli.generate_matrix(9, 2, "tie-heavy"))
+    assert cli.parse_matrix(out).n == 9
 
 
 def test_ultrametric_profile_is_ultrametric():
@@ -992,6 +994,20 @@ def test_generated_weights_are_interned(profile):
 def test_generate_rejects_unknown_profile():
     with pytest.raises(ValueError, match="nope.*generic, ultrametric, flat-heavy, tie-heavy"):
         cli.generate_matrix(5, 0, "nope")
+
+
+@pytest.mark.parametrize("profile", cli.PROFILES)
+def test_generation_holds_one_grid(profile):
+    tracemalloc.start()
+    try:
+        matrix = cli.generate_matrix(400, 0, profile)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each staircase row is dropped once its copies are gathered, so the
+    # peak is the result and a few rows, not the result and the staircase
+    assert matrix.n == 400
+    assert peak <= 1.25 * size, (peak, size)
 
 
 # --- bench ---------------------------------------------------------------------
