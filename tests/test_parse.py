@@ -8,9 +8,11 @@ import io
 import json
 import sys
 import tracemalloc
+from contextlib import contextmanager
+from typing import Iterator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from robinspace import cli, copoints, core, reference
 from robinspace.cli import MatrixParseError
@@ -206,17 +208,25 @@ def test_parse_work_stays_linear_when_the_scale_grows_on_every_line(monkeypatch)
     assert (m.rows, m.scale) == _outcome(reference.parse_matrix_all_tokens, text)
 
 
-@pytest.fixture
-def validate_calls(monkeypatch):
-    calls = []
+@contextmanager
+def counted_validate() -> Iterator[list[int]]:
+    """The sizes of the matrices ``core.validate`` checks inside the block."""
+    calls: list[int] = []
     real = core.validate
 
     def counted(matrix):
         calls.append(matrix.n)
         return real(matrix)
 
-    monkeypatch.setattr(core, "validate", counted)
-    return calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "validate", counted)
+        yield calls
+
+
+@pytest.fixture
+def validate_calls():
+    with counted_validate() as calls:
+        yield calls
 
 
 @pytest.mark.parametrize(
@@ -224,15 +234,151 @@ def validate_calls(monkeypatch):
     [["recognize"], ["tree", "-t", "mmodule"], ["tree", "-t", "pq"], ["tree", "-t", "dendrogram"]],
 )
 def test_each_request_validates_a_square_file_once(argv, validate_calls, tmp_path, capsys):
+    # a canonical square is read by its upper triangle and needs no check; a
+    # square spelled otherwise from some line on is checked exactly once; a
+    # triangle needs no check.  All four spell the same matrix.
     rows = cli.generate_matrix(20, 4, "generic").rows
-    square, triangle = tmp_path / "square.txt", tmp_path / "triangle.txt"
-    square.write_text(_square_text(rows))
-    triangle.write_text(_triangle_text(rows))
-    assert cli.main([argv[0], "-i", str(square), *argv[1:]]) == 0
-    assert validate_calls == [20]
-    assert cli.main([argv[0], "-i", str(triangle), *argv[1:]]) == 0
-    assert validate_calls == [20]
-    capsys.readouterr()
+    square = _square_text(rows)
+    lines = square.splitlines(keepends=True)
+    lines[5] = "0" + lines[5]  # a padded first entry, left of the diagonal
+    files = {
+        "canonical": (square, []),
+        "tabbed": (square.replace(" ", "\t"), [20]),
+        "padded": ("".join(lines), [20]),
+        "triangle": (_triangle_text(rows), []),
+    }
+    outputs = set()
+    for name, (text, want) in files.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        validate_calls.clear()
+        assert cli.main([argv[0], "-i", str(path), *argv[1:]]) == 0
+        assert validate_calls == want, name
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+
+
+SQUARE_MUTATIONS = (
+    "asymmetric", "respelled", "spacing", "leading spaces", "diagonal", "bad tokens",
+    "extra token", "extra row", "missing row", "comment", "commas", "crlf",
+)
+
+
+@st.composite
+def canonical_squares(draw) -> tuple[str, str | None]:
+    """``serialize_matrix`` of a random valid matrix with at most one
+    mutation, and the mutation's name (None for the file as written)."""
+    n = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from([1, 10, 10**6]))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(0, 3 * scale))
+    text = cli.serialize_matrix(DissimilarityMatrix(rows, scale))
+    cells = [line.split(" ") for line in text.splitlines()]
+    mutation = draw(st.sampled_from((None, *SQUARE_MUTATIONS)))
+    lower = [(i, j) for i in range(n) for j in range(i)]
+    if not lower and mutation in ("asymmetric", "respelled", "spacing", "bad tokens"):
+        mutation = None
+    if mutation == "asymmetric":
+        i, j = draw(st.sampled_from(lower))
+        cells[i][j] = cli.weight_str(rows[i][j] + draw(st.integers(1, scale)), scale)
+    elif mutation == "respelled":
+        i, j = draw(st.sampled_from(lower))
+        token = cells[i][j]
+        cells[i][j] = draw(
+            st.sampled_from(
+                ["0" + token, token + ("0" if "." in token else ".0"), token.translate(ARABIC_INDIC)]
+            )
+        )
+    elif mutation == "diagonal":
+        i = draw(st.integers(0, n - 1))
+        cells[i][i] = cli.weight_str(draw(st.integers(1, 3 * scale)), scale)
+    elif mutation == "bad tokens":  # the first in a lower half, the second after it
+        i, j = draw(st.sampled_from(lower))
+        cells[i][j] = draw(st.sampled_from(BAD_TOKENS[:-1]))
+        later = [(a, b) for a in range(n) for b in range(n) if (a, b) > (i, j)]
+        if later:
+            a, b = draw(st.sampled_from(later))
+            cells[a][b] = draw(st.sampled_from(BAD_TOKENS[:-1]))
+    elif mutation == "extra token":
+        cells[draw(st.integers(0, n - 1))].append(draw(st.sampled_from(["0", "1"])))
+    elif mutation == "extra row":
+        cells.insert(draw(st.integers(0, n)), list(cells[draw(st.integers(0, n - 1))]))
+    elif mutation == "missing row":
+        del cells[draw(st.integers(0, n - 1))]
+    lines = [" ".join(row) for row in cells]
+    if mutation == "spacing":  # after the k-th entry of a lower half
+        i, k = draw(st.sampled_from(lower))
+        head, tail = " ".join(cells[i][: k + 1]), " ".join(cells[i][k + 1 :])
+        lines[i] = head + draw(st.sampled_from(["\t", "  "])) + tail
+    elif mutation == "leading spaces":
+        i = draw(st.integers(0, n - 1))
+        lines[i] = draw(st.sampled_from([" ", "  ", "\t"])) + lines[i]
+    elif mutation == "comment":
+        i = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            lines.insert(i, "# a comment")
+        else:
+            lines[i] += " # 1 2"
+    elif mutation == "commas":
+        sep = draw(st.sampled_from([",", ", "]))
+        for i in range(n) if draw(st.booleans()) else [draw(st.integers(0, n - 1))]:
+            lines[i] = sep.join(cells[i])
+    return ("\r\n" if mutation == "crlf" else "\n").join(lines) + "\n", mutation
+
+
+def _places(tokens) -> int:
+    return max(len(token.partition(".")[2]) for token in tokens)
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical_squares())
+@example(("0 1 2\n1 0 1.5\n2 1.5 0\n", None))  # the scale grows on row 1
+def test_upper_triangle_read_matches_reference(square):
+    text, mutation = square
+    with counted_validate() as calls:
+        got = _outcome(cli.parse_matrix, text)
+    assert got == _outcome(reference.parse_matrix_all_tokens, text)
+    if mutation is None:
+        # read by its upper triangle unless a finer weight than row 0 holds
+        # comes later: then the general path reads the rest and checks it once
+        grows = _places(text.split()) > _places(text.split("\n", 1)[0].split())
+        assert calls == ([len(got[0])] if grows else []), got
+    else:
+        assert len(calls) <= 1
+
+
+def test_parse_work_stays_linear_when_a_square_falls_back_on_its_last_row(monkeypatch):
+    # every weight is distinct, and the last row's first entry is padded:
+    # the upper-triangle read gets through all but the last row, and the
+    # general path reads the last row with the same table
+    n = 60
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = i * n + j
+    lines = _square_text(rows).splitlines(keepends=True)
+    lines[-1] = "0" + lines[-1]
+    text = "".join(lines)
+    calls = {"scan": 0, "spell": 0}
+    scan, spell = cli._scan_weight, cli.weight_str
+
+    def counted_scan(token):
+        calls["scan"] += 1
+        return scan(token)
+
+    def counted_spell(value, scale):
+        calls["spell"] += 1
+        return spell(value, scale)
+
+    monkeypatch.setattr(cli, "_scan_weight", counted_scan)
+    monkeypatch.setattr(cli, "weight_str", counted_spell)
+    with counted_validate() as validated:
+        m = cli.parse_matrix(text)
+    assert validated == [n]
+    assert calls["scan"] + calls["spell"] <= 4 * n * n, calls
+    assert m.rows == rows
 
 
 def test_library_recognition_still_validates(validate_calls):
