@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import compress, count, islice
 from typing import Any, Callable, Iterator, Sequence
 
 
@@ -139,7 +140,16 @@ class DissimilarityMatrix:
 
 
 def validate(matrix: DissimilarityMatrix) -> None:
-    """Check shape, symmetry and zero diagonal; raise on the first defect."""
+    """Check shape, symmetry and zero diagonal; raise on the first defect.
+
+    The first defect is the one a walk over the rows meets first, reading
+    each row's diagonal entry before its entries right of the diagonal
+    (``reference.first_defect_loop`` is that walk).  Every scan is in C:
+    the first nonzero diagonal entry k, the first row r unequal to its
+    column, and in that row the first entry unequal to the column, which
+    lies right of the diagonal because every earlier row equals its
+    column.  A nonzero diagonal wins when k <= r.
+    """
     rows = matrix.rows
     if not rows:
         raise EmptyMatrix("matrix has no rows")
@@ -147,19 +157,13 @@ def validate(matrix: DissimilarityMatrix) -> None:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise AsymmetricInput(i, len(row))
-    # every row equal to its column, compared in C; the index loop below
-    # runs only to name the first defect
-    if all(map(operator.eq, map(tuple, rows), zip(*rows))) and not any(
-        map(operator.getitem, rows, range(n))
-    ):
-        return
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise NonzeroDiagonal(i)
-        ri = rows[i]
-        for j in range(i + 1, n):
-            if ri[j] != rows[j][i]:
-                raise AsymmetricInput(i, j)
+    k = next(compress(count(), map(operator.getitem, rows, range(n))), n)
+    r = next(compress(count(), map(operator.ne, map(tuple, rows), zip(*rows))), n)
+    if k < n and k <= r:
+        raise NonzeroDiagonal(k)
+    if r < n:
+        column = map(operator.itemgetter(r), rows)
+        raise AsymmetricInput(r, next(compress(count(), map(operator.ne, rows[r], column))))
 
 
 def intern_weights(matrix: DissimilarityMatrix) -> None:
@@ -200,31 +204,39 @@ def violating_triple(
     non-increasing left of the point and non-decreasing right of it.
     ``zip`` over the rows taken in order yields every column read along
     the order, which by symmetry is that point's row, and timsort confirms
-    a sorted run in one C pass.  Only when a row fails does the index loop
-    run, to name the first triple in its order (the one
-    ``reference.violating_triple_loop`` names); the neighbour that is
-    larger names the triple.
+    a sorted run in one C pass.
+
+    The triple named is the first one ``reference.violating_triple_loop``
+    meets: the loop visits pairs of positions (a, b) in order and checks
+    the row rule, d(a, b-1) <= d(a, b), before the column rule,
+    d(a+1, b) <= d(a, b).  So the row of the point at position p fails
+    with key (p, b, 0) at its first descent right of the diagonal and
+    with key (a, p, 1) at its first ascent left of it; the smallest key
+    over all failing rows is the loop's first failure.  Each failing row's
+    key is found by C scans while its column is at hand, so the pass over
+    every row, which an acceptance pays anyway, is the whole cost.
     """
     rows = matrix.rows
+    m = len(order)
     at: list[int | None] = [None] * len(rows)
     for a, x in enumerate(order):
         at[x] = a
-    for a, seen in zip(at, zip(*map(rows.__getitem__, order))):
-        if a is None:
+    best = (m, 0, 0)  # the smallest failure key so far; sorts after every real key
+    for p, seen in zip(at, zip(*map(rows.__getitem__, order))):
+        if p is None:
             continue
-        left, right = seen[:a], seen[a + 1 :]
-        if list(right) != sorted(right) or list(left) != sorted(left, reverse=True):
-            break
-    else:
+        left, right = seen[:p], seen[p + 1 :]
+        if list(left) != sorted(left, reverse=True):
+            # a row's ascent key beats its descent keys; scan up to best's a only
+            stop = best[0] + 1
+            rises = map(operator.lt, islice(left, stop), islice(left, 1, stop + 1))
+            a = next(compress(count(), rises), m)
+            best = min(best, (a, p, 1))
+        elif p <= best[0] and list(right) != sorted(right):
+            # left half sorted: the first descent right of p, if p can still win
+            falls = map(operator.lt, islice(right, 1, None), right)
+            best = min(best, (p, next(compress(count(p + 2), falls)), 0))
+    a, b, kind = best
+    if a == m:
         return None
-    m = len(order)
-    for a in range(m):
-        ra = rows[order[a]]
-        for b in range(a + 2, m):
-            v = ra[order[b]]
-            if v < ra[order[b - 1]]:
-                return order[a], order[b - 1], order[b]
-            if v < rows[order[a + 1]][order[b]]:
-                return order[a], order[a + 1], order[b]
-    return None
-
+    return order[a], (order[b - 1] if kind == 0 else order[a + 1]), order[b]

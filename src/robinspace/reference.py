@@ -25,7 +25,8 @@ constructions against these, which follow the paper's other routes:
   diameter, and ``stable_partition`` is the point-class form of
   ``refine.stable_trees``, on the same engine;
 * ``violating_triple_loop`` is the order check as a plain index loop,
-  ``core.violating_triple``'s differential reference;
+  ``core.violating_triple``'s differential reference, and
+  ``first_defect_loop`` is ``core.validate``'s walk over the rows as one;
 * ``prim_dendrogram_loop`` is the single-linkage sweep as a plain index
   loop, and ``witness_dendrogram`` reads the dendrogram off a compatible
   order in linear time, a cross-check at sizes the oracles cannot reach;
@@ -741,8 +742,8 @@ def violating_triple_loop(
 
     Each entry is checked against its two inner neighbours, in order of
     the row's position and then the column's, and the first failure
-    names the triple; ``core.violating_triple`` runs this loop only after
-    its sorted-run check fails, so both name the same triple.
+    names the triple; ``core.violating_triple`` finds the same first
+    failure by C scans of the rows that fail.
     """
     rows = matrix.rows
     m = len(order)
@@ -754,6 +755,19 @@ def violating_triple_loop(
                 return order[a], order[b - 1], order[b]
             if v < rows[order[a + 1]][order[b]]:
                 return order[a], order[a + 1], order[b]
+    return None
+
+
+def first_defect_loop(rows: Sequence[Sequence[int]]) -> tuple | None:
+    """The first defect ``core.validate`` names, by the index loop over the
+    rows: ``("diagonal", i)``, ``("asymmetric", (i, j))`` or None."""
+    n = len(rows)
+    for i in range(n):
+        if rows[i][i] != 0:
+            return ("diagonal", i)
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                return ("asymmetric", (i, j))
     return None
 
 

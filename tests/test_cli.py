@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,7 +19,7 @@ from hypothesis import event, given, settings, strategies as st
 from conftest import NONROB4, WORKED12, canon_mm, mutated_documents, robinson_matrices
 from conftest import spine_with_block, symmetric_matrices
 from robinspace import cli, copoints, core, dendrogram as dg, mmodtree as mm, oracle
-from robinspace import pqtree as pq, refine, translate
+from robinspace import pqtree as pq, reference, refine, translate
 from robinspace.cli import DocumentError, MatrixParseError
 from robinspace.core import AsymmetricInput, DissimilarityMatrix, Leaf, NonzeroDiagonal
 from robinspace.reference import mmodule_tree_from_dendrogram as carved
@@ -146,18 +147,6 @@ def test_parse_decimal_triangle_with_comments_and_commas():
     ]
 
 
-def _first_defect(rows):
-    """The index loop validation ran before its C-level fast check."""
-    n = len(rows)
-    for i in range(n):
-        if rows[i][i] != 0:
-            return ("diagonal", i)
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                return ("asymmetric", (i, j))
-    return None
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     symmetric_matrices(min_n=1, max_n=6),
@@ -169,7 +158,7 @@ def test_parse_names_first_defect_like_index_loop(m, edits):
         if i < m.n and j < m.n:
             rows[i][j] = v
     text = "\n".join(" ".join(map(str, row)) for row in rows)
-    want = _first_defect(rows)
+    want = reference.first_defect_loop(rows)
     if want is None:
         assert cli.parse_matrix(text).rows == rows
     elif want[0] == "diagonal":
@@ -371,6 +360,49 @@ def test_tree_commands_build_no_second_tree(monkeypatch, capsys, tmp_path):
     for kind in ("pq", "mmodule"):
         assert cli.main(["tree", "-i", str(path), "-t", kind]) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == kind
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys, tmp_path):
+    tops = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "robinspace":
+            tops.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    path = tmp_path / "m.txt"
+    path.write_text(WORKED12_TEXT)
+    assert cli.main(["recognize", "-i", str(path)]) == 0
+    assert cli.main(["tree", "-i", str(path), "-t", "dendrogram"]) == 0
+    assert len(tops) == 1
+    assert cli.build_parser() is cli.build_parser() is tops[0]
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(cli.serialize_matrix(NONROB4))
+    runs = []
+    for argv in (["recognize", "-i", str(path)], ["recognize"], ["recognize", "-i", str(path)]):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        runs.append((code, capsys.readouterr()))
+    first, usage, second = runs
+    assert first == second
+    assert first[0] == 1 and first[1].out and first[1].err == ""
+    assert usage[0] == ("exit", 2)
+    assert usage[1].out == "" and usage[1].err.startswith("usage: robinspace recognize")
+
+
+def test_main_runs_the_command_function_it_finds_at_call_time(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_recognize", lambda args: seen.append(args.input) or 7)
+    assert cli.main(["recognize", "-i", "m.txt"]) == 7
+    assert seen == ["m.txt"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import random
+import sys
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import EQUAL3, FLAT3, NONROB4, WORKED12, robinson_matrices
 from robinspace import cli, copoints, core, pqtree as pq, reference
@@ -43,6 +46,22 @@ def test_validate_nonzero_diagonal():
     with pytest.raises(NonzeroDiagonal) as exc:
         core.validate(DissimilarityMatrix([[0, 1], [1, 5]]))
     assert exc.value.index == 1
+
+
+def test_validate_names_a_defect_in_the_last_rows_like_the_index_loop():
+    base = cli.generate_matrix(400, 3, "generic").rows
+    cases = [((398, 399), 7), ((399, 399), 1), ((397, 397), 2), ((397, 399), 5), ((396, 398), 9)]
+    for edits in itertools.chain.from_iterable(itertools.combinations(cases, k) for k in (1, 2)):
+        rows = [list(r) for r in base]
+        for (i, j), v in edits:
+            rows[i][j] = v
+        want = reference.first_defect_loop(rows)
+        with pytest.raises((AsymmetricInput, NonzeroDiagonal)) as exc:
+            core.validate(DissimilarityMatrix(rows))
+        if want[0] == "diagonal":
+            assert exc.type is NonzeroDiagonal and exc.value.index == want[1], edits
+        else:
+            assert exc.type is AsymmetricInput and exc.value.indices == want[1], edits
 
 
 def test_intern_weights_preserves_values():
@@ -128,8 +147,25 @@ def checked_orders(draw) -> tuple[DissimilarityMatrix, list[int]]:
     return DissimilarityMatrix(rows), order
 
 
+def _symmetric(n: int, entries: dict) -> DissimilarityMatrix:
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), v in entries.items():
+        rows[i][j] = rows[j][i] = v
+    return DissimilarityMatrix(rows)
+
+
 @settings(max_examples=1500, deadline=None)
 @given(checked_orders())
+# at (0, 3) both rules fail: the row rule names (0, 2, 3), the column rule (0, 1, 3)
+@example((_symmetric(4, {(0, 1): 1, (0, 2): 2, (1, 2): 1, (0, 3): 1, (1, 3): 2, (2, 3): 1}), [0, 1, 2, 3]))
+# the row at position 1 fails right of its diagonal, key (1, 4, 0), but the first
+# triple is read off the left part of the later row at position 3, key (0, 3, 1)
+@example(
+    (
+        _symmetric(5, {**dict.fromkeys(itertools.combinations(range(5), 2), 1), (1, 3): 2, (0, 4): 2}),
+        [0, 1, 2, 3, 4],
+    )
+)
 def test_violating_triple_matches_index_loop(case):
     m, order = case
     assert core.violating_triple(m, order) == reference.violating_triple_loop(m, order)
@@ -140,6 +176,60 @@ def test_violating_triple_on_short_orders(length):
     for order in itertools.permutations(range(4), length):
         want = reference.violating_triple_loop(NONROB4, order)
         assert core.violating_triple(NONROB4, order) == want, order
+
+
+@pytest.mark.parametrize("profile", cli.PROFILES)
+def test_violating_triple_names_a_planted_obstruction_like_the_index_loop(profile):
+    # four consecutive middle points of a compatible order become a 4-cycle
+    # a-b-d-c with short sides and long diagonals, which no order can hold
+    base = cli.generate_matrix(200, 0, profile)
+    order = pq.canonical_order(copoints.pq_tree2(base, range(base.n)))
+    rows = [list(r) for r in base.rows]
+    a, b, c, d = order[98:102]
+    short = min(rows[a][b], rows[b][c], rows[c][d])
+    long = max(rows[a][d], short + 1)
+    for x, y in ((a, b), (b, d), (d, c), (c, a)):
+        rows[x][y] = rows[y][x] = short
+    for x, y in ((a, d), (b, c)):
+        rows[x][y] = rows[y][x] = long
+    m = DissimilarityMatrix(rows)
+    shuffled = random.Random(profile).sample(order, len(order))
+    for got in (order, order[::-1], shuffled, order[90:110], order[::3]):
+        assert core.violating_triple(m, got) == reference.violating_triple_loop(m, got)
+    assert core.violating_triple(m, order) is not None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_violating_triple_on_two_value_alphabets_matches_index_loop(seed):
+    rng = random.Random(seed)
+    n = 60
+    m = _symmetric(n, {(i, j): rng.randrange(2) for i, j in itertools.combinations(range(n), 2)})
+    for _ in range(5):
+        order = rng.sample(range(n), n)
+        partial = [x for x in order if rng.random() < 0.5]
+        for got in (order, partial):
+            assert core.violating_triple(m, got) == reference.violating_triple_loop(m, got)
+
+
+def test_violating_triple_holds_no_copy_of_the_failing_rows():
+    rng = random.Random(0)
+    n = 300
+    m = _symmetric(n, {(i, j): rng.randrange(10) for i, j in itertools.combinations(range(n), 2)})
+    order = list(range(n))
+    assert not any(
+        row[:p] == sorted(row[:p], reverse=True) and row[p + 1 :] == sorted(row[p + 1 :])
+        for p, row in enumerate(m.rows)
+    )  # every row fails along the identity order
+    tracemalloc.start()
+    try:
+        got = core.violating_triple(m, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == reference.violating_triple_loop(m, order)
+    # the pass holds about 16 rows' worth (zip's n row iterators, one column,
+    # its halves and their sorted copies); a column kept per failing row is n
+    assert peak < 32 * sys.getsizeof(tuple(range(n)))
 
 
 def test_delta_star_frozen():

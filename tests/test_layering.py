@@ -72,6 +72,7 @@ TEST_ONLY_NAMES = {
     "quotient",
     "is_mmodule",
     "violating_triple_loop",
+    "first_defect_loop",
     "parse_matrix_all_tokens",
     "mmodule_tree_from_dendrogram",
     "_from_dendrogram",
