@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import statistics
 import sys
@@ -291,9 +292,14 @@ def parse_matrix(text: str) -> DissimilarityMatrix:
 
 
 def serialize_matrix(matrix: DissimilarityMatrix) -> str:
+    return "".join(_matrix_lines(matrix))
+
+
+def _matrix_lines(matrix: DissimilarityMatrix) -> Iterator[str]:
+    """The lines of ``serialize_matrix``, one per row, newline included."""
     # each distinct weight is spelled once
     spell = _Spellings(matrix.scale).__getitem__
-    return "\n".join(" ".join(map(spell, row)) for row in matrix.rows) + "\n"
+    return (" ".join(map(spell, row)) + "\n" for row in matrix.rows)
 
 
 # --- tree documents ----------------------------------------------------------
@@ -689,7 +695,14 @@ def cmd_translate(args) -> int:
 
 def cmd_generate(args) -> int:
     matrix = generate_matrix(args.size, args.seed, args.profile)
-    sys.stdout.write(serialize_matrix(matrix))
+    try:
+        sys.stdout.writelines(_matrix_lines(matrix))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``generate | head``), which ends the
+        # output, not the command; stdout then points at the null device,
+        # so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -115,14 +115,14 @@ def pq_tree2(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:
     """PQ-tree of the subset, built from the copoints at its smallest point.
 
     Every node is built through ``pq.node``, so the tree comes out in
-    normal form as it is assembled.  Each subproblem is a
-    ``copoints_to_pq_tree`` generator on one explicit stack, so no depth
-    of tree meets the recursion limit.
+    normal form as it is assembled.  The subset is a ``_class_tree``
+    generator and each subproblem a ``copoints_to_pq_tree`` one, on one
+    explicit stack, so no depth of tree meets the recursion limit.
     """
     pts = sorted(subset)
     if not pts:
         raise core.SubsetTooSmall("need at least one point")
-    stack = [copoints_to_pq_tree(matrix, *_split(matrix, pts))]
+    stack = [_class_tree(matrix, pts)]
     tree = None  # sent to the generator on top: the tree it waits for
     while True:
         try:
@@ -135,39 +135,78 @@ def pq_tree2(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:
             tree = done.value
 
 
-def _split(matrix: DissimilarityMatrix, pts: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
-    """(p, the copoints attached at p, each ascending) for ``pts`` ascending."""
-    return pts[0], refine.copoint_partition(matrix, pts[0], pts)[1:]
+def _class_tree(
+    matrix: DissimilarityMatrix, pts: Sequence[int]
+) -> Generator[tuple[int, list[tuple[int, ...]]], PQTree, PQTree]:
+    """The PQ-tree of ``pts`` (ascending), as the copoints at ``pts[0]``
+    build it: yields the one subproblem ``(p, the copoints at p)`` it
+    needs, if any, like ``copoints_to_pq_tree``.
+
+    A point at distance 0 from every point after it has one copoint, the
+    points after it, and the construction hangs it off their tree at
+    distance 0.  So the leading run of such points (``_zero_run``) is
+    hung directly, without a copoint partition each; when the run takes
+    all of ``pts``, every pair is at distance 0 and the tree is the
+    P-node of the leaves in descending order.
+    """
+    run = _zero_run(matrix.rows, pts)
+    if run == len(pts) - 1:
+        return pq.Leaf(pts[0]) if run == 0 else pq.P(tuple(map(pq.Leaf, reversed(pts))))
+    tree = yield pts[run], refine.copoint_partition(matrix, pts[run], pts[run:])[1:]
+    for x in reversed(pts[:run]):
+        tree = _hang(matrix, pq.Leaf(x), tree, 0)
+    return tree
+
+
+def _zero_run(rows: list[list[int]], pts: Sequence[int]) -> int:
+    """How many leading points of ``pts`` are each at distance 0 from all
+    the points after them; ``len(pts) - 1`` when every pair is.
+
+    Each row is read over the points after it, up to its first nonzero
+    entry.  So the run reads no more than the pivot rows of the copoint
+    partitions it saves, plus at most one row of the partition at the
+    point that ends it, which reads that row too.
+    """
+    last = len(pts) - 1
+    return next((k for k in range(last) if any(map(rows[pts[k]].__getitem__, pts[k + 1 :]))), last)
 
 
 def copoints_to_pq_tree(
     matrix: DissimilarityMatrix, p: int, copoints: Sequence[Sequence[int]]
 ) -> Generator[tuple[int, Sequence[Sequence[int]]], PQTree, PQTree]:
-    """Assemble the PQ-tree of {p} ∪ copoints, in normal form.
+    """Assemble the PQ-tree of {p} ∪ copoints, in normal form; at least
+    one copoint, each ascending.
 
     Yields each subproblem ``(p', copoints')`` whose tree it needs, is sent
     that tree, and returns its own.  Only ``pq_tree2`` drives it: ``yield
-    from`` would nest the frames again.  A one-point copoint is a leaf.
+    from`` itself would nest the frames again.  A one-point copoint is a
+    leaf; a larger one is a ``_class_tree``, which builds a copoint whose
+    points are pairwise at distance 0 as one P-node, the node that a
+    copoint partition per point would build, and partitions none.
     """
     k = len(copoints)
-    if k == 0:
-        return pq.Leaf(p)
     left, i, right = next_frontier(matrix, p, copoints)
     t_p = (yield p, copoints[:i]) if i > 0 else pq.Leaf(p)
     if i < k - 1:
         kids = []
         for c in (*left, *right):
-            kids.append(pq.Leaf(c[0]) if len(c) == 1 else (yield _split(matrix, c)))
+            kids.append(pq.Leaf(c[0]) if len(c) == 1 else (yield from _class_tree(matrix, c)))
         kids.insert(len(left), t_p)
         return pq.node(matrix, pq.Q, kids)
-
-    # Only C_k lies beyond the last frontier: hang p's tree off the
-    # PQ-tree of C_k.  The two ends of a compatible order of C_k are a
-    # diametral pair; on non-Robinson input a wrong diameter only changes
-    # the construction, and the order check still refuses.
     ck = copoints[-1]
-    alpha = pq.Leaf(ck[0]) if len(ck) == 1 else (yield _split(matrix, ck))
-    delta = matrix.rows[p][ck[0]]
+    alpha = pq.Leaf(ck[0]) if len(ck) == 1 else (yield from _class_tree(matrix, ck))
+    return _hang(matrix, t_p, alpha, matrix.rows[p][ck[0]])
+
+
+def _hang(matrix: DissimilarityMatrix, t_p: PQTree, alpha: PQTree, delta: int) -> PQTree:
+    """p's tree ``t_p`` joined to ``alpha``, the PQ-tree of C_k, the only
+    copoint beyond p's last frontier, at distance ``delta``: beside it,
+    under its conical apex, or at its admissible hole.
+
+    The two ends of a compatible order of C_k are a diametral pair; on
+    non-Robinson input a wrong diameter only changes the construction,
+    and the order check still refuses.
+    """
     wide = matrix.rows[first_leaf(alpha)][last_leaf(alpha)] > delta
     spine = spine_children(alpha) if wide else None
     if spine is not None:

@@ -65,8 +65,12 @@ def build_dendrogram(matrix: DissimilarityMatrix, subset: Iterable[int]) -> Tree
     unvisited points are kept in ascending order beside their best
     distances, so each step runs over live entries only, in C (``min``,
     ``index``) and one list comprehension (the merge with the new point's
-    row).  Child order records insertion history and is not part of the
-    contract.
+    row).  A row equal to the last row merged, a twin's, would lower no
+    distance, so its merge is skipped.  The C compare that finds this
+    stops at the first entry that differs, so it reads at most one row
+    per step, each entry at a small fraction of the merge's cost, and
+    the sweep stays quadratic.  Child order records insertion history
+    and is not part of the contract.
     """
     pts = sorted(subset)
     if not pts:
@@ -74,7 +78,8 @@ def build_dendrogram(matrix: DissimilarityMatrix, subset: Iterable[int]) -> Tree
     rows = matrix.rows
     tree: Tree = Leaf(pts[0])
     rem = pts[1:]
-    dist = list(map(rows[pts[0]].__getitem__, rem))
+    merged = rows[pts[0]]
+    dist = list(map(merged.__getitem__, rem))
     while rem:
         best_d = min(dist)
         # index() finds the first minimum: the smallest such point
@@ -82,7 +87,9 @@ def build_dendrogram(matrix: DissimilarityMatrix, subset: Iterable[int]) -> Tree
         u = rem.pop(i)
         del dist[i]
         tree = _insert(u, best_d, tree)
-        dist = [a if a < b else b for a, b in zip(dist, map(rows[u].__getitem__, rem))]
+        if rows[u] != merged:  # a twin of the last row merged lowers nothing
+            merged = rows[u]
+            dist = [a if a < b else b for a, b in zip(dist, map(merged.__getitem__, rem))]
     return tree
 
 

@@ -27,8 +27,11 @@ Most pivots split nothing, so ``_next_split`` skips them in bulk: one
 ``operator.itemgetter`` over a window of queued pivots reads each point's
 distances to all of them, and the points' tuples are compared in C; the
 window widens 4, 16, 64, ... pivots, so a split near the front stays
-cheap.  The scan reads d(q, x) as ``rows[x][q]``, so it relies on the
-symmetry that ``DissimilarityMatrix`` guarantees.
+cheap.  A class of identical rows (twins) is split by no pivot at all,
+so once the scan has read a sixteenth of a row per point, one C compare
+of the rows themselves may confirm the class without reading the rest
+of its queue.  The scan reads d(q, x) as ``rows[x][q]``, so it relies on
+the symmetry that ``DissimilarityMatrix`` guarantees.
 """
 
 from __future__ import annotations
@@ -85,13 +88,25 @@ def _push(work: list, parts: list[tuple[object, list[int]]], tail: list[int]) ->
 
 def _next_split(rows: list[list[int]], pts: list[int], queue: list[int]) -> int:
     """Index of the first pivot in ``queue`` that sees ``pts`` at two
-    distances, or ``len(queue)`` when none does."""
+    distances, or ``len(queue)`` when none does.
+
+    No pivot splits a class of identical rows.  So once the scan has
+    read a sixteenth of a row per point without a split, one compare of
+    the rows themselves may end it.  The compare runs at most once, and
+    reads at most a whole row per point: at most 16 times what the scan
+    has read, but each entry in C at about a fourteenth of the scan's
+    cost (CPython 3.11), so the call stays O(|pts| |queue|).  Rows that
+    differ leave the scan to go on as if nothing had been compared.
+    """
     end = len(queue)
     lead = rows[pts[0]]
     others = [rows[x] for x in pts[1:]]
+    twins_at = len(lead) // 16  # pivots scanned before the row compare
     lo, width = 0, 4
     while lo < end:
         hi = min(lo + width, end)
+        if lo < twins_at < hi:
+            hi = twins_at
         get = itemgetter(*queue[lo:hi])
         ref = get(lead)
         seen = list(map(get, others))
@@ -102,6 +117,10 @@ def _next_split(rows: list[list[int]], pts: list[int], queue: list[int]) -> int:
                 next(compress(count(), map(ne, ref, got))) for got in seen if got != ref
             )
         lo, width = hi, width * 4
+        if twins_at <= lo < end:
+            if others.count(lead) == len(others):
+                return end
+            twins_at = end
     return end
 
 

@@ -706,15 +706,20 @@ def test_translate_rejects_special_node_without_spine(capsys, tmp_path):
     assert captured.err.count("\n") == 1
 
 
-def _python_fresh(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports this package, at the default
-    recursion limit as a user's would be."""
+def _fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
     )
+    return env
+
+
+def _python_fresh(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this package, at the default
+    recursion limit as a user's would be."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=_fresh_env(), timeout=120
     )
 
 
@@ -931,6 +936,22 @@ def test_generate_command_output_parses(capsys):
     out = capsys.readouterr().out
     assert out == cli.serialize_matrix(cli.generate_matrix(9, 2, "tie-heavy"))
     assert cli.parse_matrix(out).n == 9
+
+
+def test_generate_ends_quietly_when_its_reader_stops_early():
+    # about 1 MB of lines, far more than a pipe holds, so the writes go on
+    # after the reader has closed its end, as in ``generate | head -c 64``
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "robinspace.cli", "generate", "-n", "400"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_fresh_env(),
+    )
+    head = proc.stdout.read(64)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert len(head) == 64
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_ultrametric_profile_is_ultrametric():
