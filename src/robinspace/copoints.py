@@ -22,6 +22,8 @@ the same verdict without the validation, for matrices valid already.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import ne
 from typing import Generator, Iterable, Sequence
 
 from . import core
@@ -114,12 +116,15 @@ def spine_children(spine: PQTree) -> tuple[PQTree, ...] | None:
 def pq_tree2(matrix: DissimilarityMatrix, subset: Iterable[int]) -> PQTree:
     """PQ-tree of the subset, built from the copoints at its smallest point.
 
+    A subset point that is no int index of the matrix, or appears
+    twice, raises ``core.BadSubsetPoint``.
+
     Every node is built through ``pq.node``, so the tree comes out in
     normal form as it is assembled.  The subset is a ``_class_tree``
     generator and each subproblem a ``copoints_to_pq_tree`` one, on one
     explicit stack, so no depth of tree meets the recursion limit.
     """
-    pts = sorted(subset)
+    pts = core.checked_subset(matrix, subset)
     if not pts:
         raise core.SubsetTooSmall("need at least one point")
     stack = [_class_tree(matrix, pts)]
@@ -142,33 +147,49 @@ def _class_tree(
     build it: yields the one subproblem ``(p, the copoints at p)`` it
     needs, if any, like ``copoints_to_pq_tree``.
 
-    A point at distance 0 from every point after it has one copoint, the
-    points after it, and the construction hangs it off their tree at
-    distance 0.  So the leading run of such points (``_zero_run``) is
-    hung directly, without a copoint partition each; when the run takes
-    all of ``pts``, every pair is at distance 0 and the tree is the
-    P-node of the leaves in descending order.
+    A point at one distance δ from every point after it has one copoint,
+    the points after it, and the construction hangs it off their tree at
+    δ.  So the leading run of such points (``_constant_run``) is hung
+    directly, without a copoint partition each.  When the run takes all
+    of ``pts``, its last points that are pairwise at one distance are
+    one P-node, their leaves in descending order, which is the node that
+    hanging them one by one would build; so a class whose pairs are all
+    at 0 is one P-node.
     """
-    run = _zero_run(matrix.rows, pts)
-    if run == len(pts) - 1:
-        return pq.Leaf(pts[0]) if run == 0 else pq.P(tuple(map(pq.Leaf, reversed(pts))))
-    tree = yield pts[run], refine.copoint_partition(matrix, pts[run], pts[run:])[1:]
-    for x in reversed(pts[:run]):
-        tree = _hang(matrix, pq.Leaf(x), tree, 0)
+    rows = matrix.rows
+    last = len(pts) - 1
+    run = _constant_run(rows, pts)
+    if run < last:
+        tree = yield pts[run], refine.copoint_partition(matrix, pts[run], pts[run:])[1:]
+    elif last == 0:
+        tree = pq.Leaf(pts[0])
+    else:
+        delta = rows[pts[last - 1]][pts[last]]
+        while run and rows[pts[run - 1]][pts[run]] == delta:
+            run -= 1
+        tree = pq.P(tuple(map(pq.Leaf, reversed(pts[run:]))))
+    # each earlier point at its one distance from the points after it
+    for k in reversed(range(run)):
+        tree = _hang(matrix, pq.Leaf(pts[k]), tree, rows[pts[k]][pts[k + 1]])
     return tree
 
 
-def _zero_run(rows: list[list[int]], pts: Sequence[int]) -> int:
-    """How many leading points of ``pts`` are each at distance 0 from all
-    the points after them; ``len(pts) - 1`` when every pair is.
+def _constant_run(rows: list[list[int]], pts: Sequence[int]) -> int:
+    """How many leading points of ``pts`` are each at one distance from
+    all the points after them; ``len(pts) - 1`` when every point is.
 
-    Each row is read over the points after it, up to its first nonzero
-    entry.  So the run reads no more than the pivot rows of the copoint
-    partitions it saves, plus at most one row of the partition at the
-    point that ends it, which reads that row too.
+    Each row is read over the points after it, up to its first entry
+    that differs from the first.  The copoint partition at a point reads
+    that point's row over the whole class as its first pivot.  So the
+    run reads no more than the partitions it saves, plus at most one row
+    of the partition at the point that ends it, which reads that row too.
     """
-    last = len(pts) - 1
-    return next((k for k in range(last) if any(map(rows[pts[k]].__getitem__, pts[k + 1 :]))), last)
+    for k in range(len(pts) - 1):
+        row = rows[pts[k]]
+        later = map(row.__getitem__, pts[k + 1 :])
+        if any(map(ne, later, repeat(next(later)))):
+            return k
+    return len(pts) - 1
 
 
 def copoints_to_pq_tree(
@@ -180,9 +201,11 @@ def copoints_to_pq_tree(
     Yields each subproblem ``(p', copoints')`` whose tree it needs, is sent
     that tree, and returns its own.  Only ``pq_tree2`` drives it: ``yield
     from`` itself would nest the frames again.  A one-point copoint is a
-    leaf; a larger one is a ``_class_tree``, which builds a copoint whose
-    points are pairwise at distance 0 as one P-node, the node that a
-    copoint partition per point would build, and partitions none.
+    leaf; a larger one is a ``_class_tree``, which hangs the leading
+    points that are each at one distance from all later points without
+    a copoint partition, and builds a copoint whose points are pairwise
+    at one distance as one P-node, the node that a copoint partition per
+    point would build, and partitions none.
     """
     k = len(copoints)
     left, i, right = next_frontier(matrix, p, copoints)

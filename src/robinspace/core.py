@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import compress, count, islice
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
 class RobinsonError(Exception):
@@ -35,6 +35,12 @@ class NonzeroDiagonal(RobinsonError):
 
 class SubsetTooSmall(RobinsonError):
     pass
+
+
+class BadSubsetPoint(RobinsonError):
+    def __init__(self, point: object, why: str) -> None:
+        super().__init__(f"subset point {point!r} {why}")
+        self.point = point
 
 
 class NotRobinson(RobinsonError):
@@ -137,6 +143,23 @@ class DissimilarityMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
+
+
+def checked_subset(matrix: DissimilarityMatrix, subset: Iterable[int]) -> list[int]:
+    """The points of ``subset`` ascending; ``BadSubsetPoint`` names the
+    first one that is not an int (``bool`` is not), then the first one
+    out of range or repeated.  Past the sort, two passes in C."""
+    pts = list(subset)
+    if set(map(type, pts)) - {int}:
+        raise BadSubsetPoint(next(x for x in pts if type(x) is not int), "is not an int")
+    pts.sort()
+    n = len(matrix.rows)
+    if pts and not 0 <= pts[0] <= pts[-1] < n:
+        raise BadSubsetPoint(pts[0] if pts[0] < 0 else pts[-1], f"is outside 0..{n - 1}")
+    twice = next(compress(pts, map(operator.eq, pts, islice(pts, 1, None))), None)
+    if twice is not None:
+        raise BadSubsetPoint(twice, "appears twice")
+    return pts
 
 
 def validate(matrix: DissimilarityMatrix) -> None:

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .core import DissimilarityMatrix, Leaf, RobinsonError, fold, iter_nodes, leaf_points
+from .core import DissimilarityMatrix, Leaf, RobinsonError, checked_subset, fold, iter_nodes
+from .core import leaf_points
 
 
 class EmptySubset(RobinsonError):
@@ -70,9 +71,10 @@ def build_dendrogram(matrix: DissimilarityMatrix, subset: Iterable[int]) -> Tree
     stops at the first entry that differs, so it reads at most one row
     per step, each entry at a small fraction of the merge's cost, and
     the sweep stays quadratic.  Child order records insertion history
-    and is not part of the contract.
+    and is not part of the contract.  A subset point that is no int index
+    of the matrix, or appears twice, raises ``core.BadSubsetPoint``.
     """
-    pts = sorted(subset)
+    pts = checked_subset(matrix, subset)
     if not pts:
         raise EmptySubset("cannot build a dendrogram on no points")
     rows = matrix.rows

@@ -58,9 +58,10 @@ def mmodule_tree(matrix: DissimilarityMatrix, subset: Iterable[int]) -> MModuleT
     The PQ-tree of the copoint construction, translated.  An empty
     subset raises ``core.SubsetTooSmall`` (the dendrogram carving this
     replaced raised ``dendrogram.EmptySubset``; both are
-    ``RobinsonError``).  The input is assumed Robinson: the copoint
-    construction is total, so a non-Robinson input still gets a tree
-    over its points, which carries no guarantee.
+    ``RobinsonError``), and a point that is no int index of the matrix,
+    or appears twice, ``core.BadSubsetPoint``.  The input is assumed
+    Robinson: the copoint construction is total, so a non-Robinson input
+    still gets a tree over its points, which carries no guarantee.
     """
     return pq_to_mmodule_tree(matrix, pq_tree2(matrix, subset))
 

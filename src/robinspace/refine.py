@@ -12,7 +12,10 @@ Classes are refined in order, each until it is a single point or its
 queue runs out.  The first queued pivot that sees the class at two
 distances splits it in place, and the pivots in front of it are dropped.
 Each part inherits a queue of its sibling parts' points followed by the
-pivots its class had left, and the first part is refined next.  Callers
+pivots its class had left, and the first part is refined next.  No
+part gets a copy of that queue: a split builds one list, its parts'
+points in layout order then the pivots left after the splitting one,
+and each part's queue is that list read without its own slice.  Callers
 differ only in how the parts are laid out: distance buckets for point
 classes, carved subtrees for tree classes.
 
@@ -61,34 +64,48 @@ def _refine(
     siblings' points then ``tail``; return the final payloads in order."""
     out: list = []
     earlier: set[int] = set()
-    work: list[tuple[object, list[int], list[int]]] = []
+    work: list[tuple[object, list[int], list[int], int, int]] = []
     _push(work, parts, tail)
     while work:
-        payload, pts, queue = work.pop()
-        at = _next_split(rows, pts, queue)
+        payload, pts, queue, a, b = work.pop()
+        # a single point never splits
+        at = _next_split(rows, pts, queue, a, b) if len(pts) > 1 else len(queue)
         if at == len(queue):
             out.append(payload)
             earlier.update(pts)
         else:
-            _push(work, split(payload, pts, queue[at], earlier), queue[at + 1 :])
+            tails = (queue[at + 1 : a], queue[b:]) if at < a else (queue[at + 1 :],)
+            _push(work, split(payload, pts, queue[at], earlier), *tails)
     return out
 
 
-def _push(work: list, parts: list[tuple[object, list[int]]], tail: list[int]) -> None:
-    # Stacked in reverse so the first part pops first.  A single point
-    # never splits, so it needs no queue.
-    ext = [x for _, pts in parts for x in pts]
+def _push(work: list, parts: list[tuple[object, list[int]]], *tails: list[int]) -> None:
+    # One list per split: the parts' points in layout order, then the
+    # pivots left.  Each part's queue is that list without its own slice
+    # [a, b).  Stacked in reverse so the first part pops first.
+    ext: list[int] = []
+    for _, pts in parts:
+        ext += pts
     b = len(ext)
-    ext += tail
+    for tail in tails:
+        ext += tail
     for payload, pts in reversed(parts):
         a = b - len(pts)
-        work.append((payload, pts, ext[:a] + ext[b:] if len(pts) > 1 else []))
+        work.append((payload, pts, ext, a, b))
         b = a
 
 
-def _next_split(rows: list[list[int]], pts: list[int], queue: list[int]) -> int:
-    """Index of the first pivot in ``queue`` that sees ``pts`` at two
+def _next_split(
+    rows: list[list[int]], pts: list[int], queue: list[int], a: int = 0, b: int = 0
+) -> int:
+    """Index in ``queue`` of the first pivot that sees ``pts`` at two
     distances, or ``len(queue)`` when none does.
+
+    The pivots are ``queue`` without its slice [a, b), which holds the
+    class's own points when the queue is shared by the parts of a split;
+    a plain list of pivots has no gap.  The windows count pivots, not
+    list positions, so a window may straddle the gap, and the scan is
+    the one a copy of the pivots without the gap would get.
 
     No pivot splits a class of identical rows.  So once the scan has
     read a sixteenth of a row per point without a split, one compare of
@@ -98,7 +115,8 @@ def _next_split(rows: list[list[int]], pts: list[int], queue: list[int]) -> int:
     cost (CPython 3.11), so the call stays O(|pts| |queue|).  Rows that
     differ leave the scan to go on as if nothing had been compared.
     """
-    end = len(queue)
+    gap = b - a
+    end = len(queue) - gap  # pivots, counted without the gap
     lead = rows[pts[0]]
     others = [rows[x] for x in pts[1:]]
     twins_at = len(lead) // 16  # pivots scanned before the row compare
@@ -107,21 +125,26 @@ def _next_split(rows: list[list[int]], pts: list[int], queue: list[int]) -> int:
         hi = min(lo + width, end)
         if lo < twins_at < hi:
             hi = twins_at
-        get = itemgetter(*queue[lo:hi])
+        if hi <= a:
+            window = queue[lo:hi]
+        elif lo >= a:
+            window = queue[lo + gap : hi + gap]
+        else:
+            window = queue[lo:a] + queue[b : hi + gap]
+        get = itemgetter(*window)
         ref = get(lead)
         seen = list(map(get, others))
         if seen.count(ref) != len(seen):
-            if hi - lo == 1:  # one pivot: itemgetter gave bare values
-                return lo
-            return lo + min(
-                next(compress(count(), map(ne, ref, got))) for got in seen if got != ref
-            )
+            at = lo
+            if hi - lo > 1:  # tuples, not one pivot's bare values
+                at += min(next(compress(count(), map(ne, ref, got))) for got in seen if got != ref)
+            return at if at < a else at + gap
         lo, width = hi, width * 4
         if twins_at <= lo < end:
             if others.count(lead) == len(others):
-                return end
+                return len(queue)
             twins_at = end
-    return end
+    return len(queue)
 
 
 def _buckets(rq: list[int], pts: Iterable[int]) -> dict[int, list[int]]:

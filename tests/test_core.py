@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import EQUAL3, FLAT3, NONROB4, WORKED12, robinson_matrices
-from robinspace import cli, copoints, core, pqtree as pq, reference
+from robinspace import cli, copoints, core, mmodtree as mm, pqtree as pq, reference
 from robinspace.core import (
     AsymmetricInput,
     DissimilarityMatrix,
@@ -301,6 +301,27 @@ def test_diameter_and_pair():
     assert reference.diameter_and_pair(WORKED12, [9, 10]) == (2, 9, 10)
     with pytest.raises(SubsetTooSmall):
         reference.diameter_and_pair(WORKED12, [0])
+
+
+LINE3 = DissimilarityMatrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+
+@pytest.mark.parametrize(
+    "build, subset, message",
+    [
+        (build_dendrogram, [0, 0, 1], "subset point 0 appears twice"),
+        (mm.mmodule_tree, [2, 2], "subset point 2 appears twice"),
+        (copoints.pq_tree2, [-1, 0], "subset point -1 is outside 0..2"),
+        (copoints.pq_tree2, [0, 7], "subset point 7 is outside 0..2"),
+        (copoints.pq_tree2, [2, True], "subset point True is not an int"),
+        (build_dendrogram, (1, 0.5), "subset point 0.5 is not an int"),
+    ],
+)
+def test_subset_points_are_checked(build, subset, message):
+    with pytest.raises(core.BadSubsetPoint) as exc:
+        build(LINE3, subset)
+    assert str(exc.value) == message
+    assert repr(exc.value.point) == message.split()[2]
 
 
 @given(robinson_matrices(max_n=7))

@@ -1,12 +1,15 @@
-"""Identical rows (twins) and points at distance 0 that are not twins.
+"""Identical rows (twins), points at one distance from all later points,
+and the shared pivot queues of the refinement.
 
 Three shortcuts skip work on them: the refinement scan confirms a class of
-identical rows with one row compare, the copoint construction builds a
-class of pairwise-0 points as one P-node without recursing, and Prim's
-sweep skips the merge of a row equal to the last one merged.  None may
-move a byte: the golden digests below were taken from the construction
-before the shortcuts, and the property tests hold them to the loop
-references and to the construction with its shortcut switched off.
+identical rows with one row compare, the copoint construction hangs each
+point at one distance from all later points without a copoint partition
+and builds a class of pairwise-equidistant points as one P-node without
+recursing, and Prim's sweep skips the merge of a row equal to the last one
+merged.  None may move a byte: the golden digests below were taken from
+the construction before the shortcuts, and the property tests hold them
+to the loop references and to the construction with its shortcut
+switched off.
 """
 
 from __future__ import annotations
@@ -47,14 +50,35 @@ def random_symmetric(n: int, seed: int, lo: int, hi: int) -> DissimilarityMatrix
     return DissimilarityMatrix(rows)
 
 
-def zero_hub(m: int) -> DissimilarityMatrix:
-    """Points 0..m-1 at distance 0 from every point, then x = m and y = m+1
-    at distance 1: Robinson (x, the hub, y).  The hub points are twins, and
-    x and y are at distance 0 from them without being their twins."""
+def zero_hub(m: int, hub: int = 0) -> DissimilarityMatrix:
+    """Points 0..m-1 at distance ``hub`` from every point, then x = m and
+    y = m+1 at distance 1.  With ``hub`` 0 it is Robinson (x, the hub, y):
+    the hub points are twins, and x and y are at distance 0 from them
+    without being their twins.  With ``hub`` 2 it is Robinson (x, y, the
+    hub), and each hub point's row is constant without being a twin's."""
     n = m + 2
-    rows = [[0] * n for _ in range(n)]
+    rows = [[hub] * n for _ in range(n)]
+    for x in range(n):
+        rows[x][x] = 0
     rows[m][m + 1] = rows[m + 1][m] = 1
     return DissimilarityMatrix(rows)
+
+
+def plant_constant_rows(
+    matrix: DissimilarityMatrix, points: list[int], seed: int, hi: int
+) -> DissimilarityMatrix:
+    """``matrix`` with each of ``points``, in turn, put at one seeded
+    distance in [0, hi] from every other point.  A point planted later
+    overwrites its entry in the rows planted before it, so a point is at
+    one distance from all points planted after it."""
+    rng = random.Random(seed)
+    rows = [list(row) for row in matrix.rows]
+    for x in points:
+        d = rng.randint(0, hi)
+        for y in range(matrix.n):
+            if y != x:
+                rows[x][y] = rows[y][x] = d
+    return DissimilarityMatrix(rows, matrix.scale)
 
 
 GOLDEN_CASES = {
@@ -65,10 +89,22 @@ GOLDEN_CASES = {
     "random-twins": lambda: plant_twins(random_symmetric(60, 4, 1, 5), 60, 4, 4),
     "random-zeros-twins": lambda: plant_twins(random_symmetric(60, 5, 0, 3), 40, 5, 8),
     "zero-hub-100": lambda: zero_hub(100),
+    "hub-2-100": lambda: zero_hub(100, 2),
+    # each point at one distance from every later one: one run per class
+    "constant-rows-leading": lambda: plant_constant_rows(
+        random_symmetric(60, 6, 1, 5), list(range(58, -1, -1)), 6, 2
+    ),
+    "constant-rows-random": lambda: plant_constant_rows(
+        random_symmetric(80, 7, 0, 4), random.Random(7).sample(range(80), 30), 7, 3
+    ),
+    "constant-rows-ultrametric": lambda: plant_constant_rows(
+        cli.generate_matrix(120, 8, "ultrametric"), random.Random(8).sample(range(120), 40), 8, 4
+    ),
 }
 
 # sha256 of repr(pq_tree2), repr(mmodule_tree) and repr(build_dendrogram)
-# over all points of each case, pinned before the shortcuts existed
+# over all points of each case, pinned before the shortcuts existed (the
+# hub-2 and constant-rows cases before the constant run and shared queues)
 GOLDEN_TREES = {
     "generic-300": (
         "a3483105cfe1b920ee1c665d7ec35a3d6bf5b22decc7851d3d473238f21bc156",
@@ -140,6 +176,26 @@ GOLDEN_TREES = {
         "2394a1ea7107bd4fbd8b8e2cfbf2fafda4c27cae57a076d4ac5ac2ffe65bf64e",
         "267b667dcbdf5e4f5dd0e1cd40d78b1e8dfb31cf4e4b0f0cd7d55696bc232a97",
     ),
+    "hub-2-100": (
+        "d5ae88c7d872835db41873610b9889f38ac907520505204f4ceef8b51893f900",
+        "20f0d0f6f2f9aab10d30af684b0d453aa0563b9354a694a7522c9579430ac63d",
+        "bb1cbed0d71b0fa55bdf21d609a107e39cdad6297cd6554b672ec0e78ca112b4",
+    ),
+    "constant-rows-leading": (
+        "93ea1344eb533544c304c2ae55fc47d7bbfbbca088edb5654f9d1fccbb265b5b",
+        "11a4035142b017659b84b9683354c7725668c74dc047d9f7e57cd7e2b8db1020",
+        "ab0513e9b98362462ccbb3639cfdd795db1c108f26a7746d14f4e0562865f69f",
+    ),
+    "constant-rows-random": (
+        "275341954bf8661c02f461c02370843bf1552ba70339f301b7af7ff854271590",
+        "90fe6ac46e2667a9ea36c59b5ca61d6d3738216b8e56a0b20f0694d6cb4fa941",
+        "4475256c5862203df38972e82ab89538b679f491678308dbb2dc23f69a5615e3",
+    ),
+    "constant-rows-ultrametric": (
+        "8be35fe4e811bedcb91ada53ac7f0d8086c3e73dc39a23b2bb19fa37000cadc6",
+        "c2957da6181e076cddc6def0fe62897205dd7301b66884339cf8b991a3f9ad1d",
+        "55037f0c38ea8ccf413ded5da872b246df2c2668e202af4ed56d6a4431bf0582",
+    ),
 }
 
 
@@ -182,13 +238,22 @@ def test_shortcuts_match_the_loops(m):
     assert dg.build_dendrogram(m, pts) == reference.prim_dendrogram_loop(m, pts)
 
 
+@st.composite
+def constant_rowed_matrices(draw):
+    """A ``twinned_matrices`` matrix with drawn points put at one distance
+    from all others, so runs start, end and restart inside classes."""
+    base = draw(twinned_matrices())
+    points = draw(st.lists(st.integers(0, base.n - 1), max_size=base.n))
+    return plant_constant_rows(base, points, draw(st.integers(0, 10**6)), 3)
+
+
 @settings(max_examples=150, deadline=None)
-@given(twinned_matrices())
+@given(constant_rowed_matrices())
 def test_zero_run_changes_no_tree(m):
     tree = copoints.pq_tree2(m, range(m.n))
     with pytest.MonkeyPatch.context() as mp:
         # every class through its own copoint partition, as before the run
-        mp.setattr(copoints, "_zero_run", lambda rows, pts: 0)
+        mp.setattr(copoints, "_constant_run", lambda rows, pts: 0)
         assert repr(copoints.pq_tree2(m, range(m.n))) == repr(tree)
 
 
@@ -237,7 +302,8 @@ def test_failed_row_compare_leaves_the_scan_unchanged(monkeypatch):
     assert sum(windows) == 312
 
 
-def test_zero_run_takes_no_partition_per_point(monkeypatch):
+def counting_partitions(monkeypatch) -> list[int]:
+    """Make the construction record the point of each copoint partition."""
     calls: list[int] = []
     partition = refine.copoint_partition
 
@@ -246,9 +312,57 @@ def test_zero_run_takes_no_partition_per_point(monkeypatch):
         return partition(matrix, p, subset)
 
     monkeypatch.setattr(refine, "copoint_partition", counted)
+    return calls
+
+
+@st.composite
+def gapped_scans(draw):
+    """(rows, pts, queue, a, b): a class of near-twins, read by a queue
+    whose slice [a, b) is left out.  The class copies one source row, and
+    at most one entry of one copy is changed, so the first split can sit
+    anywhere, past several windows and past the twin compare.  With 32 to
+    160 points a row's sixteenth cuts the windows at 2 to 10 pivots."""
+    n = draw(st.integers(32, 160))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    k = draw(st.integers(1, 6))
+    src = n - k - 1
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n - k):
+        for j in range(i + 1, n - k):
+            rows[i][j] = rows[j][i] = rng.randint(1, 3)
+    pts = [src, *range(n - k, n)]
+    for c in pts[1:]:  # a copy of src: d(c, y) = d(src, y), and d(c, src) = 0
+        for y in range(n):
+            rows[c][y] = rows[y][c] = rows[src][y] if y not in pts else 0
+    pivots = rng.sample(range(n - k - 1), draw(st.integers(0, n - k - 1)))
+    if pivots and draw(st.booleans()):  # one queued pivot tells a copy apart
+        c, q = pts[draw(st.integers(1, k))], pivots[draw(st.integers(0, len(pivots) - 1))]
+        rows[c][q] = rows[q][c] = rows[src][q] + 1
+    a = draw(st.integers(0, len(pivots)))
+    gap = pts if draw(st.booleans()) else []
+    return rows, pts, pivots[:a] + gap + pivots[a:], a, a + len(gap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gapped_scans())
+def test_gapped_scan_finds_the_first_split_of_the_copy(scan):
+    rows, pts, queue, a, b = scan
+    copy = queue[:a] + queue[b:]
+    want = first_split(rows, pts, copy)
+    got = refine._next_split(rows, pts, queue, a, b)
+    if want == len(copy):
+        assert got == len(queue)
+    else:
+        assert got == (want if want < a else want + b - a)
+
+
+def test_zero_run_takes_no_partition_per_point(monkeypatch):
+    calls = counting_partitions(monkeypatch)
     m = zero_hub(300)
     tree = copoints.pq_tree2(m, range(m.n))
-    assert calls == [300]  # x, for the pair (x, y); the hub is hung point by point
+    # the hub and x are each at one distance from all later points, so
+    # the run takes the whole space, and every point is hung
+    assert calls == []
     assert pq.canonical_order(tree)[0] == 301 and pq.canonical_order(tree)[-1] == 300
     assert core.violating_triple(m, pq.canonical_order(tree)) is None
 
@@ -267,7 +381,17 @@ def construction_reads(m: DissimilarityMatrix) -> int:
 
 
 def test_zero_run_reads_grow_quadratically():
-    # a run that ends just before its class does is read once per class:
-    # reading it again for every point it hangs would grow cubically
-    small, large = construction_reads(zero_hub(100)), construction_reads(zero_hub(200))
-    assert large <= 4.5 * small
+    # a run is read once per class: reading it again for every point it
+    # hangs would grow cubically
+    for hub in (0, 2):
+        small = construction_reads(zero_hub(100, hub))
+        large = construction_reads(zero_hub(200, hub))
+        assert large <= 4.5 * small, hub
+
+
+def test_ultrametric_partition_count(monkeypatch):
+    # pinned when the constant run landed; 178 before it, when every point
+    # at one nonzero distance from all later points had its own partition
+    calls = counting_partitions(monkeypatch)
+    copoints.pq_tree2(cli.generate_matrix(300, 1, "ultrametric"), range(300))
+    assert len(calls) == 62
