@@ -486,14 +486,16 @@ def generate_matrix(n: int, seed: int, profile: str) -> DissimilarityMatrix:
     One grid is alive at a time: the output rows are gathered base point by
     base point from the m x m staircase, and each staircase row is dropped
     as soon as its copies exist, so the peak stays near the size of the
-    result.
+    result.  Rows are tuples, and the copies of one base point share one
+    row object: the cyclic collector skips a tuple of ints, and twins
+    compare by identity.
     """
     if n < 1:
         raise ValueError("need at least one point")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}: expected one of {', '.join(PROFILES)}")
     if n == 1:  # nothing to draw; and an itemgetter of one index returns no tuple
-        return DissimilarityMatrix([[0]], 1)
+        return DissimilarityMatrix([(0,)], 1)
     rng = random.Random(f"{seed}:{profile}:{n}")
     if profile == "ultrametric":
         return _generate_ultrametric(n, rng)
@@ -514,12 +516,13 @@ def generate_matrix(n: int, seed: int, profile: str) -> DissimilarityMatrix:
         copies[b].append(i)
     rows: list = [None] * n
     # in base order, so the freed staircase rows lie side by side and the
-    # allocator reuses their runs for the output rows
+    # allocator reuses their runs for the output rows; every copy of base
+    # point b is the one tuple the gather built
     for b, points in enumerate(copies):
         entries = gather(base[b])
         base[b] = None
         for i in points:
-            rows[i] = list(entries)
+            rows[i] = entries
     return DissimilarityMatrix(rows, 1)
 
 
@@ -566,7 +569,8 @@ def _staircase(m: int, rng: random.Random, profile: str) -> list[list[int]]:
 
 def _generate_ultrametric(n: int, rng: random.Random) -> DissimilarityMatrix:
     """Random merges at rising heights; each merge writes its one height
-    object, so equal weights already share one int."""
+    object, so equal weights already share one int.  The rows become
+    tuples one at a time, so the peak stays one grid."""
     rows = [[0] * n for _ in range(n)]
     clusters = [[i] for i in range(n)]
     height = 0
@@ -581,6 +585,8 @@ def _generate_ultrametric(n: int, rng: random.Random) -> DissimilarityMatrix:
                     for y in merged[b]:
                         rows[x][y] = rows[y][x] = height
         clusters.append([x for part in merged for x in part])
+    for i, row in enumerate(rows):
+        rows[i] = tuple(row)
     return DissimilarityMatrix(rows, 1)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import ne
+from operator import getitem, ne
 from typing import Generator, Iterable, Sequence
 
 from . import core
@@ -174,7 +174,7 @@ def _class_tree(
     return tree
 
 
-def _constant_run(rows: list[list[int]], pts: Sequence[int]) -> int:
+def _constant_run(rows: Sequence[Sequence[int]], pts: Sequence[int]) -> int:
     """How many leading points of ``pts`` are each at one distance from
     all the points after them; ``len(pts) - 1`` when every point is.
 
@@ -186,7 +186,7 @@ def _constant_run(rows: list[list[int]], pts: Sequence[int]) -> int:
     """
     for k in range(len(pts) - 1):
         row = rows[pts[k]]
-        later = map(row.__getitem__, pts[k + 1 :])
+        later = map(getitem, repeat(row), pts[k + 1 :])
         if any(map(ne, later, repeat(next(later)))):
             return k
     return len(pts) - 1

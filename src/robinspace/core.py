@@ -135,9 +135,16 @@ class DissimilarityMatrix:
     ten the original decimal values were multiplied by (1 when the input was
     integral).  Algorithms only ever touch the integers; ``scale`` matters
     for serialization alone.
+
+    Rows are read-only sequences of ints: no code in the package writes
+    into a row.  Tuples are what ``cli.generate_matrix`` and
+    ``intern_weights`` build, and every read in the package takes them at
+    least as fast as lists, while the cyclic collector skips a tuple of
+    ints; ``cli.parse_matrix`` fills its rows by writes and returns lists.
+    Equal rows may be one object (a generated point's copies share its row).
     """
 
-    rows: list[list[int]]
+    rows: list[Sequence[int]]
     scale: int = 1
 
     @property
@@ -148,16 +155,19 @@ class DissimilarityMatrix:
 def checked_subset(matrix: DissimilarityMatrix, subset: Iterable[int]) -> list[int]:
     """The points of ``subset`` ascending; ``BadSubsetPoint`` names the
     first one that is not an int (``bool`` is not), then the first one
-    out of range or repeated.  Past the sort, two passes in C."""
+    out of range or repeated.  Past the sort, two passes in C: a count of
+    the exact ints and a set of the points; the scans that name a bad
+    point run only when one fails.  The copoint construction calls this
+    once per copoint partition, so the passes are the cheapest found."""
     pts = list(subset)
-    if set(map(type, pts)) - {int}:
+    if operator.countOf(map(type, pts), int) != len(pts):
         raise BadSubsetPoint(next(x for x in pts if type(x) is not int), "is not an int")
     pts.sort()
     n = len(matrix.rows)
     if pts and not 0 <= pts[0] <= pts[-1] < n:
         raise BadSubsetPoint(pts[0] if pts[0] < 0 else pts[-1], f"is outside 0..{n - 1}")
-    twice = next(compress(pts, map(operator.eq, pts, islice(pts, 1, None))), None)
-    if twice is not None:
+    if len(set(pts)) != len(pts):
+        twice = next(compress(pts, map(operator.eq, pts, islice(pts, 1, None))))
         raise BadSubsetPoint(twice, "appears twice")
     return pts
 
@@ -194,11 +204,20 @@ def intern_weights(matrix: DissimilarityMatrix) -> None:
 
     Weights above the interpreter's small-int range are otherwise one heap
     object per entry, which quadruples the footprint of a large matrix and
-    drags every scan through cold memory.
+    drags every scan through cold memory.  Rows are read-only, so each is
+    replaced by a tuple of the shared ints, one row at a time; a row object
+    met again gets the tuple built for it, so rows that were one object
+    stay one.  Keying by ``id`` is safe: the old rows are all alive when
+    the walk begins, so no two of them share one.
     """
     cache: dict[int, int] = {}
-    for row in matrix.rows:
-        row[:] = [cache.setdefault(v, v) for v in row]
+    built: dict[int, tuple[int, ...]] = {}  # id of an old row -> its tuple
+    rows = matrix.rows
+    for i, row in enumerate(rows):
+        new = built.get(id(row))
+        if new is None:
+            new = built[id(row)] = tuple([cache.setdefault(v, v) for v in row])
+        rows[i] = new
 
 
 def is_compatible_order(matrix: DissimilarityMatrix, order: Sequence[int]) -> bool:

@@ -15,7 +15,8 @@ weight of their lowest common ancestor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .core import DissimilarityMatrix, Leaf, RobinsonError, checked_subset, fold, iter_nodes
 from .core import leaf_points
@@ -81,7 +82,7 @@ def build_dendrogram(matrix: DissimilarityMatrix, subset: Iterable[int]) -> Tree
     tree: Tree = Leaf(pts[0])
     rem = pts[1:]
     merged = rows[pts[0]]
-    dist = list(map(merged.__getitem__, rem))
+    dist = list(_gather(merged, rem))
     while rem:
         best_d = min(dist)
         # index() finds the first minimum: the smallest such point
@@ -91,8 +92,16 @@ def build_dendrogram(matrix: DissimilarityMatrix, subset: Iterable[int]) -> Tree
         tree = _insert(u, best_d, tree)
         if rows[u] != merged:  # a twin of the last row merged lowers nothing
             merged = rows[u]
-            dist = [a if a < b else b for a, b in zip(dist, map(merged.__getitem__, rem))]
+            dist = [a if a < b else b for a, b in zip(dist, _gather(merged, rem))]
     return tree
+
+
+def _gather(row: Sequence[int], pts: list[int]) -> Sequence[int]:
+    """``row``'s entries at ``pts``, gathered in C at the same cost from a
+    tuple row or a list row (a row's own ``__getitem__``, called once per
+    entry, takes twice as long on a tuple).  ``itemgetter`` of one index
+    returns the bare entry, so one point gets a tuple of its own."""
+    return itemgetter(*pts)(row) if len(pts) > 1 else tuple(row[x] for x in pts)
 
 
 def subdominant_distance(tree: Tree, x: int, y: int) -> int:

@@ -44,7 +44,7 @@ from itertools import compress, count
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Sequence
 
-from .core import DissimilarityMatrix, Leaf, RobinsonError, fold, leaf_points
+from .core import DissimilarityMatrix, Leaf, RobinsonError, checked_subset, fold, leaf_points
 
 
 class NotAPartition(RobinsonError):
@@ -58,7 +58,10 @@ Split = Callable[[object, list[int], int, set[int]], list[tuple[object, list[int
 
 
 def _refine(
-    rows: list[list[int]], parts: list[tuple[object, list[int]]], tail: list[int], split: Split
+    rows: Sequence[Sequence[int]],
+    parts: list[tuple[object, list[int]]],
+    tail: list[int],
+    split: Split,
 ) -> list:
     """Refine ordered (payload, points) classes, each first queued with its
     siblings' points then ``tail``; return the final payloads in order."""
@@ -96,7 +99,7 @@ def _push(work: list, parts: list[tuple[object, list[int]]], *tails: list[int]) 
 
 
 def _next_split(
-    rows: list[list[int]], pts: list[int], queue: list[int], a: int = 0, b: int = 0
+    rows: Sequence[Sequence[int]], pts: list[int], queue: list[int], a: int = 0, b: int = 0
 ) -> int:
     """Index in ``queue`` of the first pivot that sees ``pts`` at two
     distances, or ``len(queue)`` when none does.
@@ -147,7 +150,7 @@ def _next_split(
     return len(queue)
 
 
-def _buckets(rq: list[int], pts: Iterable[int]) -> dict[int, list[int]]:
+def _buckets(rq: Sequence[int], pts: Iterable[int]) -> dict[int, list[int]]:
     """Points grouped by distance, input order kept inside each group."""
     out: dict[int, list[int]] = {}
     for x in pts:
@@ -155,7 +158,7 @@ def _buckets(rq: list[int], pts: Iterable[int]) -> dict[int, list[int]]:
     return out
 
 
-def _split_points(rows: list[list[int]], center: int | None = None) -> Split:
+def _split_points(rows: Sequence[Sequence[int]], center: int | None = None) -> Split:
     """Parts of a point class by distance to the pivot.
 
     Without a center, parts are laid out by increasing distance.  With
@@ -200,9 +203,15 @@ def copoint_partition(
     split rule in the refinement loop buys (plain ascending distance is
     wrong as soon as a pivot beyond the class has the far side of p in
     hand).  The first pivot is p itself, whose radial layout around
-    itself is plain ascending distance.
+    itself is plain ascending distance.  ``subset`` may hold p or not.  A
+    subset point, or p, that is no int index of the matrix, or a subset
+    point that appears twice, raises ``core.BadSubsetPoint``.
     """
-    rest = sorted(x for x in subset if x != p)
+    if type(p) is not int or not 0 <= p < len(matrix.rows):
+        checked_subset(matrix, (p,))  # raises, naming p
+    rest = checked_subset(matrix, subset)
+    if p in rest:
+        rest.remove(p)
     if not rest:
         return [(p,)]
     rows = matrix.rows
@@ -210,7 +219,7 @@ def copoint_partition(
     return [(p,)] + [tuple(c) for c in final]
 
 
-def _pivot_forest(rows: list[list[int]], q: int, tree) -> list:
+def _pivot_forest(rows: Sequence[Sequence[int]], q: int, tree) -> list:
     """Split a tree into the finest forest where d(q, .) is constant per tree.
 
     q is not a leaf of the tree.  Subtrees whose points all sit at one

@@ -167,7 +167,7 @@ def test_03_recognition_verdict_matches_oracle(capsys):
             if flavor == 2 and n >= 2:
                 a = rng.randrange(n)
                 b = (a + rng.randrange(1, n)) % n
-                rows = [row[:] for row in matrix.rows]
+                rows = [list(row) for row in matrix.rows]
                 rows[a][b] = rows[b][a] = rows[a][b] + rng.randint(1, 3)
                 matrix = DissimilarityMatrix(rows, matrix.scale)
         verdict = cop.recognize_robinson(matrix).accepted

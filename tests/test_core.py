@@ -4,12 +4,14 @@ import itertools
 import random
 import sys
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import EQUAL3, FLAT3, NONROB4, WORKED12, robinson_matrices
-from robinspace import cli, copoints, core, mmodtree as mm, pqtree as pq, reference
+from conftest import EQUAL3, FLAT3, NONROB4, SHAPES, WORKED12, robinson_matrices, shape_matrix
+from robinspace import cli, copoints, core, mmodtree as mm, pqtree as pq, reference, refine
+from robinspace import translate
 from robinspace.core import (
     AsymmetricInput,
     DissimilarityMatrix,
@@ -68,8 +70,25 @@ def test_intern_weights_preserves_values():
     rows = [[0, 1000, 2000], [1000, 0, 1000], [2000, 1000, 0]]
     m = DissimilarityMatrix([list(r) for r in rows])
     core.intern_weights(m)
-    assert m.rows == rows
+    # rows are rebuilt as tuples, so they compare to the lists by value
+    assert m.rows == list(map(tuple, rows))
     assert m.rows[0][1] is m.rows[1][2]
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_intern_weights_rebuilds_rows_as_tuples(kind):
+    # a shared row, and equal weights above the small-int cache held as
+    # separate int objects, as a parse of separate tokens would hold them
+    twin = kind([0, 0, int("1000")])
+    rows = [twin, twin, kind([int("1000"), int("1000"), 0])]
+    assert rows[0][2] is not rows[2][1]
+    m = DissimilarityMatrix(list(rows))
+    core.intern_weights(m)
+    assert all(type(row) is tuple for row in m.rows)
+    assert m.rows == [tuple(row) for row in rows]
+    assert m.rows[0] is m.rows[1]
+    assert m.rows[0][2] is m.rows[2][1] is m.rows[2][0]
+    core.validate(m)
 
 
 def test_is_compatible_order_flat():
@@ -306,6 +325,11 @@ def test_diameter_and_pair():
 LINE3 = DissimilarityMatrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 
+def _partition_at(p):
+    """``refine.copoint_partition`` at ``p``, called as a tree builder is."""
+    return lambda matrix, subset: refine.copoint_partition(matrix, p, subset)
+
+
 @pytest.mark.parametrize(
     "build, subset, message",
     [
@@ -315,6 +339,12 @@ LINE3 = DissimilarityMatrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         (copoints.pq_tree2, [0, 7], "subset point 7 is outside 0..2"),
         (copoints.pq_tree2, [2, True], "subset point True is not an int"),
         (build_dendrogram, (1, 0.5), "subset point 0.5 is not an int"),
+        (_partition_at(0), [1, 1, 2], "subset point 1 appears twice"),
+        (_partition_at(0), [5], "subset point 5 is outside 0..2"),
+        (_partition_at(0), [True, 2], "subset point True is not an int"),
+        (_partition_at(-1), [0, 1], "subset point -1 is outside 0..2"),
+        (_partition_at(7), [0, 1], "subset point 7 is outside 0..2"),
+        (_partition_at(False), [1, 2], "subset point False is not an int"),
     ],
 )
 def test_subset_points_are_checked(build, subset, message):
@@ -322,6 +352,56 @@ def test_subset_points_are_checked(build, subset, message):
         build(LINE3, subset)
     assert str(exc.value) == message
     assert repr(exc.value.point) == message.split()[2]
+
+
+def test_copoint_partition_takes_p_in_or_out_of_the_subset():
+    want = [(1,), (0, 2)]
+    assert refine.copoint_partition(LINE3, 1, [2, 0]) == want
+    assert refine.copoint_partition(LINE3, 1, [2, 1, 0]) == want
+
+
+def _library_sequence(m: DissimilarityMatrix) -> str:
+    """The repr of every library op's result on ``m``."""
+    pts = range(m.n)
+    result = copoints.recognize_robinson(m)
+    mtree = mm.mmodule_tree(m, pts)
+    out = (
+        result,
+        mtree,
+        build_dendrogram(m, pts),
+        translate.pq_to_mmodule_tree(m, result.tree),
+        translate.mmodule_to_pq_tree(m, mtree),
+        [refine.copoint_partition(m, p, pts) for p in sorted({0, m.n // 3, m.n - 1})],
+    )
+    return repr(out)
+
+
+def _row_layouts(m: DissimilarityMatrix) -> list[DissimilarityMatrix]:
+    """``m`` itself, then copies with list rows, with tuple rows of their
+    own, and with tuple rows where equal rows are one object."""
+    shared: dict[tuple, tuple] = {}
+    return [
+        m,
+        DissimilarityMatrix([list(row) for row in m.rows], m.scale),
+        DissimilarityMatrix([tuple(list(row)) for row in m.rows], m.scale),
+        DissimilarityMatrix([shared.setdefault(tuple(row), tuple(row)) for row in m.rows], m.scale),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [partial(cli.generate_matrix, 90, 4, profile) for profile in cli.PROFILES]
+    + [partial(shape_matrix, name, 40) for name in sorted(SHAPES)],
+    ids=[*cli.PROFILES, *sorted(SHAPES)],
+)
+def test_row_layout_changes_no_result(make):
+    m = make()
+    layouts = _row_layouts(m)
+    assert [type(x.rows[0]) for x in layouts[1:]] == [list, tuple, tuple]
+    assert copoints.recognize_robinson(m).accepted
+    want = _library_sequence(m)
+    for other in layouts[1:]:
+        assert _library_sequence(other) == want
 
 
 @given(robinson_matrices(max_n=7))

@@ -144,7 +144,8 @@ def test_parse_peak_memory_is_a_few_grids(profile, shape):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert m.rows == rows
+    # parsed rows are lists, generated rows tuples: compared by value
+    assert list(map(tuple, m.rows)) == rows
     assert peak <= 3 * 8 * n * n, peak / (8 * n * n)
 
 
