@@ -15,7 +15,7 @@ import argparse
 import statistics
 from dataclasses import dataclass
 
-from robinspace import cli, copoints, core, dendrogram, mmodtree, pqtree, translate
+from robinspace import copoints, core, dendrogram, generator, mmodtree, pqtree, translate
 
 
 @dataclass
@@ -36,7 +36,7 @@ def survey(config: SurveyConfig, profile: str) -> dict[str, float]:
     cups = caps = specials = 0
     heights: list[int] = []
     for i in range(config.batch):
-        matrix = cli.generate_matrix(config.n, config.seed + i, profile)
+        matrix = generator.generate_matrix(config.n, config.seed + i, profile)
         t_pq = copoints.pq_tree2(matrix, range(config.n))
         count = min(pqtree.count_orders(t_pq), config.order_cap)
         order_counts.append(count)
@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> None:
     ]
     print(f"n={config.n} batch={config.batch} seed={config.seed}")
     print(f"{'profile':>12}" + "".join(f"{f:>20}" for f in fields))
-    for profile in cli.PROFILES:
+    for profile in generator.PROFILES:
         stats = survey(config, profile)
         row = "".join(
             f"{stats[f]:>20.3g}" if isinstance(stats[f], float) else f"{stats[f]:>20}"

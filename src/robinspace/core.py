@@ -1,7 +1,7 @@
 """Exact dissimilarity matrices, the compatible-order check and the tree walkers.
 
 All weights are plain Python ints (decimal inputs are scaled on parsing, see
-``robinspace.cli``), so every comparison in the package is exact.  Points are
+``robinspace.formats``), so every comparison in the package is exact.  Points are
 0-based indices into one shared matrix; subsets are sequences of indices.
 """
 
@@ -137,10 +137,10 @@ class DissimilarityMatrix:
     for serialization alone.
 
     Rows are read-only sequences of ints: no code in the package writes
-    into a row.  Tuples are what ``cli.generate_matrix`` and
+    into a row.  Tuples are what ``generator.generate_matrix`` and
     ``intern_weights`` build, and every read in the package takes them at
     least as fast as lists, while the cyclic collector skips a tuple of
-    ints; ``cli.parse_matrix`` fills its rows by writes and returns lists.
+    ints; ``formats.parse_matrix`` fills its rows by writes and returns lists.
     Equal rows may be one object (a generated point's copies share its row).
     """
 

@@ -31,7 +31,7 @@ constructions against these, which follow the paper's other routes:
   loop, and ``witness_dendrogram`` reads the dendrogram off a compatible
   order in linear time, a cross-check at sizes the oracles cannot reach;
 * ``parse_matrix_all_tokens`` parses a matrix file through one table
-  built over every token at once, the streamed ``cli.parse_matrix``'s
+  built over every token at once, the streamed ``formats.parse_matrix``'s
   differential reference.
 """
 
@@ -43,9 +43,10 @@ from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from . import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, refine
-from .cli import MatrixParseError, _recursion_room, _scan_weight
+from .cli import _recursion_room
 from .core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError
 from .core import first_leaf, iter_nodes, leaf_points, leaf_set
+from .formats import MatrixParseError, _scan_weight
 from .pqtree import P, PQTree, Q
 from .refine import stable_trees
 
@@ -842,7 +843,7 @@ def witness_dendrogram(matrix: DissimilarityMatrix, order: Sequence[int]) -> dg.
 
 
 def parse_matrix_all_tokens(text: str) -> DissimilarityMatrix:
-    """``cli.parse_matrix`` as one table built over every token of the file.
+    """``formats.parse_matrix`` as one table built over every token of the file.
 
     All token strings stay alive until the rows are built, and the
     triangle grid is validated like a square file.  Same rows, scale and

@@ -5,7 +5,7 @@ import copy
 import pytest
 from hypothesis import strategies as st
 
-from robinspace import cli, mmodtree as mm, reference
+from robinspace import generator, mmodtree as mm, reference
 from robinspace.core import DissimilarityMatrix
 
 
@@ -55,8 +55,8 @@ def profile_subsets(draw, max_n: int = 64):
     Robinsonness is hereditary, so every subset is a Robinson space too.
     """
     n = draw(st.integers(1, max_n))
-    profile = draw(st.sampled_from(cli.PROFILES))
-    m = cli.generate_matrix(n, draw(st.integers(0, 10**6)), profile)
+    profile = draw(st.sampled_from(generator.PROFILES))
+    m = generator.generate_matrix(n, draw(st.integers(0, 10**6)), profile)
     return m, _whole_or_subset(draw, n)
 
 
@@ -67,7 +67,7 @@ def _whole_or_subset(draw, n: int) -> list[int]:
 
 
 # Robinson shapes outside the generator profiles, d(i, j) for i != j.  They
-# stay out of ``cli.PROFILES``: tests index that tuple and sample from it.
+# stay out of ``generator.PROFILES``: tests index that tuple and sample from it.
 SHAPES = {
     "uniform": lambda n, i, j: 1,
     "reversed-caterpillar": lambda n, i, j: n - min(i, j),

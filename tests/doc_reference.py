@@ -2,7 +2,7 @@
 each tree kind had its own recursive functions.
 
 Kept verbatim beside the oracles so the single iterative layer in
-``robinspace.cli`` can be held to exactly their output: the same
+``robinspace.formats`` can be held to exactly their output: the same
 documents, the same trees, the same ascii and dot bytes and the same
 ``DocumentError`` messages.  They recurse once per level of the tree.
 """
@@ -10,8 +10,8 @@ documents, the same trees, the same ascii and dot bytes and the same
 from __future__ import annotations
 
 from robinspace import dendrogram as dg, mmodtree as mm, pqtree as pq
-from robinspace.cli import DocumentError, _weight_from_str, weight_str
 from robinspace.core import DissimilarityMatrix, Leaf
+from robinspace.formats import DocumentError, _doc_weight, weight_str
 
 
 def tree_to_doc(kind: str, tree, matrix: DissimilarityMatrix) -> dict:
@@ -109,7 +109,7 @@ def _mm_node(node, scale: int) -> mm.MModuleTree:
     large = node.get("largeChild")
     if not isinstance(large, int) or not 0 <= large < len(children):
         raise DocumentError("special cap nodes need a valid 'largeChild' index")
-    return mm.Cap(children, _weight_from_str(str(node["special"]), scale), large)
+    return mm.Cap(children, _doc_weight(node["special"], scale), large)
 
 
 def _dg_node(node, scale: int) -> dg.Tree:
@@ -118,7 +118,7 @@ def _dg_node(node, scale: int) -> dg.Tree:
         return dg.Leaf(node["point"])
     if "weight" not in node:
         raise DocumentError("internal dendrogram nodes need a 'weight'")
-    weight = _weight_from_str(str(node["weight"]), scale)
+    weight = _doc_weight(node["weight"], scale)
     return dg.Internal(weight, [_dg_node(c, scale) for c in kids])
 
 

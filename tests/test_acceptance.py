@@ -19,6 +19,7 @@ from robinspace import (
     copoints as cop,
     core,
     dendrogram as dg,
+    generator,
     mmodtree as mm,
     oracle,
     pqtree as pq,
@@ -135,11 +136,11 @@ def test_01_worked_example(capsys):
 def test_02_order_sets_match_oracle(capsys):
     t0 = time.perf_counter()
     per_profile = 500
-    for profile in cli.PROFILES:
+    for profile in generator.PROFILES:
         rng = random.Random(f"accept2:{profile}")
         for i in range(per_profile):
             n = rng.randint(2, 9)
-            matrix = cli.generate_matrix(n, i, profile)
+            matrix = generator.generate_matrix(n, i, profile)
             result = cop.recognize_robinson(matrix)
             assert result.accepted, (profile, i)
             got = set(pq.enumerate_orders(result.tree, cap=10**6))
@@ -149,7 +150,7 @@ def test_02_order_sets_match_oracle(capsys):
     assert elapsed < 60.0
     _report(
         capsys, 2, "order sets equal brute enumeration", t0,
-        f"{per_profile} instances x {len(cli.PROFILES)} profiles",
+        f"{per_profile} instances x {len(generator.PROFILES)} profiles",
     )
 
 
@@ -163,7 +164,7 @@ def test_03_recognition_verdict_matches_oracle(capsys):
         if flavor == 0:
             matrix = _random_symmetric(rng, n, rng.randint(1, 4))
         else:
-            matrix = cli.generate_matrix(n, i, cli.PROFILES[i % 4])
+            matrix = generator.generate_matrix(n, i, generator.PROFILES[i % 4])
             if flavor == 2 and n >= 2:
                 a = rng.randrange(n)
                 b = (a + rng.randrange(1, n)) % n
@@ -186,7 +187,7 @@ def test_04_mmodules_and_copoints_match_oracle(capsys):
     rng = random.Random("accept4")
     for i in range(200):
         n = rng.randint(2, 12)
-        matrix = cli.generate_matrix(n, i, cli.PROFILES[i % 4])
+        matrix = generator.generate_matrix(n, i, generator.PROFILES[i % 4])
         tree = mm.mmodule_tree(matrix, range(n))
         pts = list(range(n))
 
@@ -211,7 +212,7 @@ def test_05_translation_roundtrips(capsys):
     rng = random.Random("accept5")
     for i in range(500):
         n = rng.randint(2, 40)
-        matrix = cli.generate_matrix(n, i, cli.PROFILES[i % 4])
+        matrix = generator.generate_matrix(n, i, generator.PROFILES[i % 4])
         t_pq = cop.pq_tree2(matrix, range(n))
         t_mm = reference.mmodule_tree_from_dendrogram(matrix, range(n))
         back_pq = translate.mmodule_to_pq_tree(
@@ -233,7 +234,7 @@ def test_06_subdominant_ultrametric(capsys):
         if i % 3 == 0:
             matrix = _random_symmetric(rng, n, rng.randint(1, 6))
         else:
-            matrix = cli.generate_matrix(n, i, cli.PROFILES[i % 4])
+            matrix = generator.generate_matrix(n, i, generator.PROFILES[i % 4])
         tree = dg.build_dendrogram(matrix, range(n))
         sub = oracle.brute_subdominant(matrix, range(n)).rows
         for a in range(n):
@@ -258,7 +259,7 @@ def test_07_ultrametric_specializations(capsys):
     rng = random.Random("accept7")
     for i in range(100):
         n = rng.randint(2, 64)
-        matrix = cli.generate_matrix(n, i, "ultrametric")
+        matrix = generator.generate_matrix(n, i, "ultrametric")
         t_pq = cop.pq_tree2(matrix, range(n))
         t_mm = mm.mmodule_tree(matrix, range(n))
         t_dg = dg.build_dendrogram(matrix, range(n))
@@ -298,7 +299,7 @@ def test_08_structural_bounds(capsys):
     rng = random.Random("accept8")
     for i in range(80):
         n = rng.randint(2, 24)
-        matrix = cli.generate_matrix(n, i, cli.PROFILES[i % 4])
+        matrix = generator.generate_matrix(n, i, generator.PROFILES[i % 4])
         pts = list(range(n))
 
         distinct: set[tuple[int, ...]] = set()
@@ -342,7 +343,7 @@ def test_09_order_counting(capsys):
     checked = 0
     for i in range(300):
         n = rng.randint(2, 12)
-        matrix = cli.generate_matrix(n, i, cli.PROFILES[i % 4])
+        matrix = generator.generate_matrix(n, i, generator.PROFILES[i % 4])
         tree = cop.pq_tree2(matrix, range(n))
         count = pq.count_orders(tree)
         if count <= 10_000:

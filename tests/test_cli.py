@@ -18,48 +18,48 @@ from hypothesis import event, given, settings, strategies as st
 
 from conftest import NONROB4, WORKED12, canon_mm, mutated_documents, robinson_matrices
 from conftest import spine_with_block, symmetric_matrices
-from robinspace import cli, copoints, core, dendrogram as dg, mmodtree as mm, oracle
-from robinspace import pqtree as pq, reference, refine, translate
-from robinspace.cli import DocumentError, MatrixParseError
+from robinspace import bench, cli, copoints, core, dendrogram as dg, formats, generator
+from robinspace import mmodtree as mm, oracle, pqtree as pq, reference, refine, translate
 from robinspace.core import AsymmetricInput, DissimilarityMatrix, Leaf, NonzeroDiagonal
+from robinspace.formats import DocumentError, MatrixParseError
 from robinspace.reference import mmodule_tree_from_dendrogram as carved
 
-WORKED12_TEXT = cli.serialize_matrix(WORKED12)
+WORKED12_TEXT = formats.serialize_matrix(WORKED12)
 
 
 # --- matrix files ------------------------------------------------------------
 
 
 def test_parse_square():
-    m = cli.parse_matrix("0 1 2\n1 0 1\n2 1 0\n")
+    m = formats.parse_matrix("0 1 2\n1 0 1\n2 1 0\n")
     assert m.rows == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     assert m.scale == 1
 
 
 def test_parse_triangle():
-    m = cli.parse_matrix("1.5, 2.5\n0.5\n")
+    m = formats.parse_matrix("1.5, 2.5\n0.5\n")
     assert m.rows == [[0, 15, 25], [15, 0, 5], [25, 5, 0]]
     assert m.scale == 10
 
 
 def test_parse_single_point():
-    assert cli.parse_matrix("0\n").rows == [[0]]
+    assert formats.parse_matrix("0\n").rows == [[0]]
 
 
 def test_parse_comments_and_commas():
-    m = cli.parse_matrix("# heading\n0, 1\n1, 0  # trailing\n\n")
+    m = formats.parse_matrix("# heading\n0, 1\n1, 0  # trailing\n\n")
     assert m.rows == [[0, 1], [1, 0]]
 
 
 def test_parse_scale_is_canonical():
-    m = cli.parse_matrix("0 1.50\n1.50 0\n")
+    m = formats.parse_matrix("0 1.50\n1.50 0\n")
     assert m.scale == 10
     assert m.rows[0][1] == 15
 
 
 def test_parse_rejects_bad_token():
     with pytest.raises(MatrixParseError) as exc:
-        cli.parse_matrix("0 1\n1 x\n")
+        formats.parse_matrix("0 1\n1 x\n")
     assert exc.value.line == 2
     assert exc.value.col == 2
     assert "line 2, entry 2" in str(exc.value)
@@ -67,22 +67,22 @@ def test_parse_rejects_bad_token():
 
 def test_parse_rejects_negative():
     with pytest.raises(MatrixParseError):
-        cli.parse_matrix("0 -1\n-1 0\n")
+        formats.parse_matrix("0 -1\n-1 0\n")
 
 
 def test_parse_rejects_ragged_shape():
     with pytest.raises(MatrixParseError):
-        cli.parse_matrix("0 1 2\n1 0\n2 0 0\n")
+        formats.parse_matrix("0 1 2\n1 0\n2 0 0\n")
 
 
 def test_parse_short_triangle():
-    m = cli.parse_matrix("1 2\n3\n")
+    m = formats.parse_matrix("1 2\n3\n")
     assert m.rows == [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
 
 
 def test_parse_rejects_asymmetry():
     with pytest.raises(Exception):
-        cli.parse_matrix("0 1\n2 0\n")
+        formats.parse_matrix("0 1\n2 0\n")
 
 
 def test_parse_reports_first_bad_token_in_reading_order():
@@ -94,15 +94,15 @@ def test_parse_reports_first_bad_token_in_reading_order():
         ("# note\n0 1e2\n1e2 0 q\n", 2, 2),
     ):
         with pytest.raises(MatrixParseError) as exc:
-            cli.parse_matrix(text)
+            formats.parse_matrix(text)
         assert (exc.value.line, exc.value.col) == (line, col), text
 
 
 def test_parse_equal_spellings_are_equal_weights():
-    m = cli.parse_matrix("0 1 01\n1 0 1.0\n01 1.0 0\n")
+    m = formats.parse_matrix("0 1 01\n1 0 1.0\n01 1.0 0\n")
     assert m.rows == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     assert m.scale == 1
-    m = cli.parse_matrix("0 0.5 0.50\n0.5 0 0.500\n0.50 0.500 0\n")
+    m = formats.parse_matrix("0 0.5 0.50\n0.5 0 0.500\n0.50 0.500 0\n")
     assert m.rows == [[0, 5, 5], [5, 0, 5], [5, 5, 0]]
     assert m.scale == 10
 
@@ -112,22 +112,22 @@ def test_parse_all_distinct_weights():
     # with up to four decimal places
     x = [0, 3, 1_0000, 2_5001, 2_6010, 9_0000, 12_3457]
     text = "".join(
-        " ".join(cli.weight_str(x[j] - x[i], 10_000) for j in range(i + 1, len(x))) + "\n"
+        " ".join(formats.weight_str(x[j] - x[i], 10_000) for j in range(i + 1, len(x))) + "\n"
         for i in range(len(x) - 1)
     )
-    m = cli.parse_matrix(text)
+    m = formats.parse_matrix(text)
     assert m.scale == 10_000
     assert m.rows == [[abs(a - b) for b in x] for a in x]
 
 
 def test_parse_interns_weights():
     # values above the small-int cache, spelled three ways
-    m = cli.parse_matrix("0 1000 1000.0\n1000 0 01000\n1000.0 01000 0\n")
+    m = formats.parse_matrix("0 1000 1000.0\n1000 0 01000\n1000.0 01000 0\n")
     objects = {id(v) for row in m.rows for v in row}
     values = {v for row in m.rows for v in row}
     assert len(objects) == len(values) == 2
-    rows = [[1000 * v for v in row] for row in cli.generate_matrix(40, 1, "generic").rows]
-    big = cli.parse_matrix(cli.serialize_matrix(DissimilarityMatrix(rows)))
+    rows = [[1000 * v for v in row] for row in generator.generate_matrix(40, 1, "generic").rows]
+    big = formats.parse_matrix(formats.serialize_matrix(DissimilarityMatrix(rows)))
     assert big.rows == rows
     first: dict[int, int] = {}
     for row in big.rows:
@@ -137,7 +137,7 @@ def test_parse_interns_weights():
 
 def test_parse_decimal_triangle_with_comments_and_commas():
     text = "# weights in metres\n0.25, 1.5, 2 # first row\n\n0.5,1.75\n1.5  # last\n"
-    m = cli.parse_matrix(text)
+    m = formats.parse_matrix(text)
     assert m.scale == 100
     assert m.rows == [
         [0, 25, 150, 200],
@@ -160,44 +160,44 @@ def test_parse_names_first_defect_like_index_loop(m, edits):
     text = "\n".join(" ".join(map(str, row)) for row in rows)
     want = reference.first_defect_loop(rows)
     if want is None:
-        assert cli.parse_matrix(text).rows == rows
+        assert formats.parse_matrix(text).rows == rows
     elif want[0] == "diagonal":
         with pytest.raises(NonzeroDiagonal) as exc:
-            cli.parse_matrix(text)
+            formats.parse_matrix(text)
         assert exc.value.index == want[1]
     else:
         with pytest.raises(AsymmetricInput) as exc:
-            cli.parse_matrix(text)
+            formats.parse_matrix(text)
         assert exc.value.indices == want[1]
 
 
 def test_serialize_parse_roundtrip_decimal():
-    m = cli.parse_matrix("0 0.25 1\n0.25 0 0.5\n1 0.5 0\n")
-    again = cli.parse_matrix(cli.serialize_matrix(m))
+    m = formats.parse_matrix("0 0.25 1\n0.25 0 0.5\n1 0.5 0\n")
+    again = formats.parse_matrix(formats.serialize_matrix(m))
     assert again.rows == m.rows and again.scale == m.scale
 
 
 @given(robinson_matrices(max_n=8))
 def test_serialize_parse_roundtrip(m):
-    again = cli.parse_matrix(cli.serialize_matrix(m))
+    again = formats.parse_matrix(formats.serialize_matrix(m))
     assert again.rows == m.rows
     assert again.scale == m.scale
 
 
 def test_weight_str_frozen():
-    assert cli.weight_str(15, 10) == "1.5"
-    assert cli.weight_str(105, 100) == "1.05"
-    assert cli.weight_str(1000, 100) == "10"
-    assert cli.weight_str(0, 10) == "0"
-    assert cli.weight_str(7, 1) == "7"
+    assert formats.weight_str(15, 10) == "1.5"
+    assert formats.weight_str(105, 100) == "1.05"
+    assert formats.weight_str(1000, 100) == "10"
+    assert formats.weight_str(0, 10) == "0"
+    assert formats.weight_str(7, 1) == "7"
 
 
 # --- tree documents ----------------------------------------------------------
 
 
 def _doc_roundtrip(kind: str, tree, matrix):
-    doc = cli.tree_to_doc(kind, tree, matrix)
-    kind2, tree2 = cli.doc_to_tree(json.loads(json.dumps(doc)), matrix.scale)
+    doc = formats.tree_to_doc(kind, tree, matrix)
+    kind2, tree2 = formats.doc_to_tree(json.loads(json.dumps(doc)), matrix.scale)
     assert kind2 == kind
     return tree2
 
@@ -219,19 +219,19 @@ def test_dendrogram_doc_roundtrip():
 
 def test_pq_doc_carries_advisory_apex():
     tree = copoints.pq_tree2(WORKED12, [0, 1, 2, 3])
-    doc = cli.tree_to_doc("pq", tree, WORKED12)
+    doc = formats.tree_to_doc("pq", tree, WORKED12)
     assert doc["root"]["type"] == "Q"
     assert doc["root"]["apex"] == 1
     # parser ignores the advisory field entirely
     mangled = json.loads(json.dumps(doc))
     mangled["root"]["apex"] = 99
-    assert cli.doc_to_tree(mangled, 1)[1] == tree
+    assert formats.doc_to_tree(mangled, 1)[1] == tree
 
 
 def test_mm_doc_weights_are_decimal_strings():
-    matrix = cli.parse_matrix("0 0.5 1\n0.5 0 0.5\n1 0.5 0\n")
+    matrix = formats.parse_matrix("0 0.5 1\n0.5 0 0.5\n1 0.5 0\n")
     tree = mm.mmodule_tree(matrix, range(3))
-    doc = cli.tree_to_doc("mmodule", tree, matrix)
+    doc = formats.tree_to_doc("mmodule", tree, matrix)
     specials = [
         node["special"]
         for node in _walk(doc["root"])
@@ -248,14 +248,14 @@ def _walk(node):
 
 def test_doc_rejects_unknown_kind():
     with pytest.raises(DocumentError):
-        cli.doc_to_tree({"kind": "splay", "root": {"type": "leaf", "point": 0}}, 1)
+        formats.doc_to_tree({"kind": "splay", "root": {"type": "leaf", "point": 0}}, 1)
 
 
 def test_doc_rejects_missing_fields():
     with pytest.raises(DocumentError):
-        cli.doc_to_tree({"kind": "pq"}, 1)
+        formats.doc_to_tree({"kind": "pq"}, 1)
     with pytest.raises(DocumentError):
-        cli.doc_to_tree({"kind": "pq", "root": {"type": "leaf"}}, 1)
+        formats.doc_to_tree({"kind": "pq", "root": {"type": "leaf"}}, 1)
 
 
 def test_doc_rejects_bad_large_child():
@@ -272,7 +272,7 @@ def test_doc_rejects_bad_large_child():
         },
     }
     with pytest.raises(DocumentError):
-        cli.doc_to_tree(doc, 1)
+        formats.doc_to_tree(doc, 1)
 
 
 # --- renderers ----------------------------------------------------------------
@@ -291,7 +291,7 @@ def test_ascii_frozen(capsys, tmp_path):
         "cup(cap@2(*cap(0 3) cap(2 1)) cap(6 5 4) cap@2(*cup(7 8 11) 10 9))"
     )
     assert cli.main(["tree", "-i", str(path), "-t", "mmodule"]) == 0
-    _, served = cli.doc_to_tree(json.loads(capsys.readouterr().out), 1)
+    _, served = formats.doc_to_tree(json.loads(capsys.readouterr().out), 1)
     assert canon_mm(served) == canon_mm(carved(WORKED12, range(12)))
     assert cli.main(["tree", "-i", str(path), "-t", "dendrogram", "-f", "ascii"]) == 0
     assert capsys.readouterr().out.strip() == (
@@ -324,7 +324,7 @@ def test_recognize_accepts(capsys, tmp_path):
 
 def test_recognize_rejects(capsys, tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text(cli.serialize_matrix(NONROB4))
+    path.write_text(formats.serialize_matrix(NONROB4))
     assert cli.main(["recognize", "-i", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["robinson"] is False
@@ -345,7 +345,7 @@ def test_tree_json_kinds(capsys, tmp_path):
         assert cli.main(["tree", "-i", str(path), "-t", kind]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == kind
-        cli.doc_to_tree(doc, 1)
+        formats.doc_to_tree(doc, 1)
 
 
 def test_tree_commands_build_no_second_tree(monkeypatch, capsys, tmp_path):
@@ -383,7 +383,7 @@ def test_main_builds_one_parser_per_process(monkeypatch, capsys, tmp_path):
 
 def test_a_usage_error_leaves_the_parser_as_it_was(capsys, tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text(cli.serialize_matrix(NONROB4))
+    path.write_text(formats.serialize_matrix(NONROB4))
     runs = []
     for argv in (["recognize", "-i", str(path)], ["recognize"], ["recognize", "-i", str(path)]):
         try:
@@ -406,22 +406,22 @@ def test_main_runs_the_command_function_it_finds_at_call_time(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(cli.PROFILES), st.integers(1, 64), st.integers(0, 10**6))
+@given(st.sampled_from(generator.PROFILES), st.integers(1, 64), st.integers(0, 10**6))
 def test_served_mmodule_tree_equals_direct_construction(profile, n, seed):
-    matrix = cli.generate_matrix(n, seed, profile)
+    matrix = generator.generate_matrix(n, seed, profile)
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.txt"
-        path.write_text(cli.serialize_matrix(matrix))
+        path.write_text(formats.serialize_matrix(matrix))
         with contextlib.redirect_stdout(out):
             assert cli.main(["tree", "-i", str(path), "-t", "mmodule"]) == 0
-    _, served = cli.doc_to_tree(json.loads(out.getvalue()), matrix.scale)
+    _, served = formats.doc_to_tree(json.loads(out.getvalue()), matrix.scale)
     assert canon_mm(served) == canon_mm(carved(matrix, range(n)))
 
 
 def test_tree_rejects_non_robinson(tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text(cli.serialize_matrix(NONROB4))
+    path.write_text(formats.serialize_matrix(NONROB4))
     assert cli.main(["tree", "-i", str(path), "-t", "pq"]) == 1
     # the dendrogram exists for any dissimilarity, Robinson or not
     assert cli.main(["tree", "-i", str(path), "-t", "dendrogram"]) == 0
@@ -490,14 +490,14 @@ def test_translate_exits_2_exactly_when_the_oracle_disagrees(matrix, kind, data)
     target = "mmodule" if kind == "pq" else "pq"
     with tempfile.TemporaryDirectory() as tmp:
         mpath = Path(tmp) / "m.txt"
-        mpath.write_text(cli.serialize_matrix(matrix))
+        mpath.write_text(formats.serialize_matrix(matrix))
         code, served, _ = _cli(["tree", "-i", str(mpath), "-t", kind])
         assert code == 0
         doc = data.draw(mutated_documents(json.loads(served)))
         dpath = Path(tmp) / "doc.json"
         dpath.write_text(json.dumps(doc))
         code, out, err = _cli(["translate", "-i", str(dpath), "-m", str(mpath)])
-        _, tree = cli.doc_to_tree(doc, matrix.scale)
+        _, tree = formats.doc_to_tree(doc, matrix.scale)
         if kind == "pq":
             orders = set(pq.enumerate_orders(tree, cap=math.factorial(matrix.n)))
             agrees = orders == set(oracle.brute_compatible_orders(matrix, range(matrix.n)))
@@ -524,7 +524,7 @@ def test_translate_roundtrip(capsys, tmp_path):
     assert cli.main(["translate", "-i", str(dpath), "-m", str(mpath)]) == 0
     mm_doc = json.loads(capsys.readouterr().out)
     assert mm_doc["kind"] == "mmodule"
-    _, got = cli.doc_to_tree(mm_doc, 1)
+    _, got = formats.doc_to_tree(mm_doc, 1)
     assert canon_mm(got) == canon_mm(carved(WORKED12, range(12)))
 
     back = tmp_path / "mm.json"
@@ -532,7 +532,7 @@ def test_translate_roundtrip(capsys, tmp_path):
     assert cli.main(["translate", "-i", str(back), "-m", str(mpath)]) == 0
     pq_back = json.loads(capsys.readouterr().out)
     assert pq_back["kind"] == "pq"
-    _, tree = cli.doc_to_tree(pq_back, 1)
+    _, tree = formats.doc_to_tree(pq_back, 1)
     assert pq.equivalent(tree, copoints.pq_tree2(WORKED12, range(12)))
 
 
@@ -606,7 +606,7 @@ def test_translate_rejects_boolean_point(capsys, tmp_path):
     assert _translate(tmp_path, doc) == 2
     assert capsys.readouterr().out == ""
     with pytest.raises(DocumentError):
-        cli.doc_to_tree({"kind": "mmodule", "root": _leaf(False)}, 1)
+        formats.doc_to_tree({"kind": "mmodule", "root": _leaf(False)}, 1)
 
 
 def test_translate_rejects_boolean_large_child(capsys, tmp_path):
@@ -632,7 +632,7 @@ def test_translate_rejects_unary_node(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     with pytest.raises(DocumentError):
-        cli.doc_to_tree({"kind": "mmodule", "root": {"type": "cap", "children": [_leaf(0)]}}, 1)
+        formats.doc_to_tree({"kind": "mmodule", "root": {"type": "cap", "children": [_leaf(0)]}}, 1)
 
 
 def test_translate_rejects_unary_chain(capsys, tmp_path):
@@ -706,6 +706,58 @@ def test_translate_rejects_special_node_without_spine(capsys, tmp_path):
     assert captured.err.count("\n") == 1
 
 
+def _served_special(tmp_path, halved: bool) -> tuple[Path, str, str]:
+    """(matrix path, served mmodule document, its special weight) of the
+    generic 4-point space, whose root is a special cap; halved, its
+    weights need one decimal place."""
+    matrix = generator.generate_matrix(4, 1, "generic")
+    if halved:
+        matrix = DissimilarityMatrix([[5 * v for v in row] for row in matrix.rows], 10)
+    mpath = tmp_path / "m.txt"
+    mpath.write_text(formats.serialize_matrix(matrix))
+    code, served, _ = _cli(["tree", "-i", str(mpath), "-t", "mmodule"])
+    assert code == 0
+    special = json.loads(served)["root"]["special"]
+    assert special == ("0.5" if halved else "1")
+    return mpath, served, special
+
+
+@pytest.mark.parametrize("halved, padded", [(True, "0.50"), (False, "1.0")])
+def test_translate_reads_a_padded_weight_as_a_matrix_file_would(tmp_path, halved, padded):
+    # places past the matrix's scale are accepted when they are trailing zeros
+    mpath, served, special = _served_special(tmp_path, halved)
+    dpath = tmp_path / "doc.json"
+    outs = []
+    for weight in (special, padded):
+        dpath.write_text(served.replace(f'"special":"{special}"', f'"special":"{weight}"'))
+        outs.append(_cli(["translate", "-i", str(dpath), "-m", str(mpath)]))
+    assert outs[0][0] == 0
+    assert outs[1] == outs[0]
+
+
+def test_translate_refuses_a_weight_finer_than_the_matrix(tmp_path):
+    mpath, served, special = _served_special(tmp_path, halved=True)
+    dpath = tmp_path / "doc.json"
+    dpath.write_text(served.replace(f'"special":"{special}"', '"special":"0.25"'))
+    assert _cli(["translate", "-i", str(dpath), "-m", str(mpath)]) == (
+        2,
+        "",
+        "error: weight 0.25 is finer-grained than the matrix\n",
+    )
+
+
+def test_dendrogram_weights_take_the_matrix_rule():
+    def doc(weight):
+        root = {"type": "internal", "weight": weight, "children": [_leaf(0), _leaf(1)]}
+        return {"kind": "dendrogram", "root": root}
+
+    pair = [Leaf(0), Leaf(1)]
+    assert formats.doc_to_tree(doc("1.50"), 10) == ("dendrogram", dg.Internal(15, pair))
+    assert formats.doc_to_tree(doc("2.0"), 1) == ("dendrogram", dg.Internal(2, pair))
+    with pytest.raises(DocumentError, match="^weight 1.25 is finer-grained than the matrix$"):
+        formats.doc_to_tree(doc("1.25"), 10)
+
+
 def _fresh_env() -> dict[str, str]:
     """The environment of a fresh interpreter that imports this package."""
     env = dict(os.environ)
@@ -745,6 +797,29 @@ def test_translate_deep_document_exits_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+
+def test_running_out_of_memory_exits_2(tmp_path):
+    resource = pytest.importorskip("resource")
+    n = 3000
+    path = tmp_path / "big.txt"
+    with path.open("w") as fh:  # 18 MB of text whose rows alone take 72 MB
+        for i in range(n):
+            fh.write("1 " * i + "0" + " 1" * (n - 1 - i) + "\n")
+    limit = 100_000 * 1024  # bytes of address space
+
+    def cap_the_child():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "robinspace.cli", "recognize", "-i", str(path)],
+        capture_output=True,
+        text=True,
+        env=_fresh_env(),
+        timeout=120,
+        preexec_fn=cap_the_child,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
 def _caterpillar(tmp_path, n: int) -> str:
@@ -804,7 +879,7 @@ def test_public_calls_leave_the_recursion_limit(capsys, tmp_path):
     # the caterpillar's trees are n - 1 levels deep, past the default limit
     n = 1200
     path = _caterpillar(tmp_path, n)
-    m = cli.parse_matrix(Path(path).read_text())
+    m = formats.parse_matrix(Path(path).read_text())
     pts = range(n)
     limit = sys.getrecursionlimit()
 
@@ -847,7 +922,7 @@ def test_every_json_output_is_one_compact_line(capsys, tmp_path):
     mpath = tmp_path / "m.txt"
     mpath.write_text(WORKED12_TEXT)
     refuse = tmp_path / "refuse.txt"
-    refuse.write_text(cli.serialize_matrix(NONROB4))
+    refuse.write_text(formats.serialize_matrix(NONROB4))
 
     def run(argv, code=0):
         assert cli.main(argv) == code, argv
@@ -869,7 +944,7 @@ def test_document_walks_need_no_recursion_headroom():
     # chains 3,000 levels deep, built by hand
     script = """
 import sys
-from robinspace import cli, dendrogram as dg, mmodtree as mm, pqtree as pq
+from robinspace import dendrogram as dg, formats, mmodtree as mm, pqtree as pq
 from robinspace.core import DissimilarityMatrix, Leaf, iter_nodes
 
 depth = 3000
@@ -887,15 +962,14 @@ def shape(tree):
             for node in iter_nodes(tree)]
 
 for kind, tree in chains.items():
-    doc = cli.tree_to_doc(kind, tree, matrix)
-    back_kind, back = cli.doc_to_tree(doc, matrix.scale)
+    doc = formats.tree_to_doc(kind, tree, matrix)
+    back_kind, back = formats.doc_to_tree(doc, matrix.scale)
     assert back_kind == kind and shape(back) == shape(tree), kind
-    text = cli.ascii_tree(doc)
+    text = formats.ascii_tree(doc)
     assert text.count(" ") >= depth and text.endswith(")" * depth), kind
-    assert cli.dot_tree(doc).count(" -- ") == 2 * depth, kind
-assert cli.ascii_tree(cli.tree_to_doc("dendrogram", chains["dendrogram"], matrix)).startswith(
-    "(1500: 3000 (1499.5: 2999 ("
-)
+    assert formats.dot_tree(doc).count(" -- ") == 2 * depth, kind
+text = formats.ascii_tree(formats.tree_to_doc("dendrogram", chains["dendrogram"], matrix))
+assert text.startswith("(1500: 3000 (1499.5: 2999 (")
 assert sys.getrecursionlimit() == limit
 print("ok")
 """
@@ -908,17 +982,17 @@ print("ok")
 
 
 def test_generate_is_deterministic():
-    a = cli.generate_matrix(30, 7, "generic")
-    b = cli.generate_matrix(30, 7, "generic")
-    c = cli.generate_matrix(30, 8, "generic")
+    a = generator.generate_matrix(30, 7, "generic")
+    b = generator.generate_matrix(30, 7, "generic")
+    c = generator.generate_matrix(30, 8, "generic")
     assert a.rows == b.rows
     assert a.rows != c.rows
 
 
 def test_generate_profiles_are_robinson():
-    for profile in cli.PROFILES:
+    for profile in generator.PROFILES:
         for seed in range(3):
-            m = cli.generate_matrix(17, seed, profile)
+            m = generator.generate_matrix(17, seed, profile)
             assert copoints.recognize_robinson(m).accepted, (profile, seed)
 
 
@@ -934,8 +1008,8 @@ def test_generate_rejects_zero(capsys):
 def test_generate_command_output_parses(capsys):
     assert cli.main(["generate", "-n", "9", "--seed", "2", "--profile", "tie-heavy"]) == 0
     out = capsys.readouterr().out
-    assert out == cli.serialize_matrix(cli.generate_matrix(9, 2, "tie-heavy"))
-    assert cli.parse_matrix(out).n == 9
+    assert out == formats.serialize_matrix(generator.generate_matrix(9, 2, "tie-heavy"))
+    assert formats.parse_matrix(out).n == 9
 
 
 def test_generate_ends_quietly_when_its_reader_stops_early():
@@ -955,7 +1029,7 @@ def test_generate_ends_quietly_when_its_reader_stops_early():
 
 
 def test_ultrametric_profile_is_ultrametric():
-    m = cli.generate_matrix(20, 4, "ultrametric")
+    m = generator.generate_matrix(20, 4, "ultrametric")
     for i in range(20):
         for j in range(20):
             for k in range(20):
@@ -1037,14 +1111,111 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("profile, seed", list(GOLDEN_DIGESTS))
 def test_generate_matches_golden_digests(profile, seed):
-    texts = (cli.serialize_matrix(cli.generate_matrix(n, seed, profile)) for n in GOLDEN_SIZES)
+    texts = (
+        formats.serialize_matrix(generator.generate_matrix(n, seed, profile)) for n in GOLDEN_SIZES
+    )
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
     assert digests == GOLDEN_DIGESTS[profile, seed]
 
 
-@pytest.mark.parametrize("profile", cli.PROFILES)
+# --- command outputs, pinned ---------------------------------------------------
+
+
+def _decimal_triangle(matrix: DissimilarityMatrix) -> str:
+    """The upper triangle of ``matrix`` in quarter steps, under a comment line."""
+    lines = ["# upper triangle, weights in quarter steps\n"]
+    for i, row in enumerate(matrix.rows[:-1]):
+        lines.append(" ".join(formats.weight_str(25 * v, 100) for v in row[i + 1 :]) + "\n")
+    return "".join(lines)
+
+
+def _planted_refusal(matrix: DissimilarityMatrix) -> str:
+    """The square of ``matrix`` with points 0, 1, 3, 2 made a 4-cycle of
+    short sides and long diagonals, which no order makes compatible."""
+    rows = [list(row) for row in matrix.rows]
+    short, long = 1, 1 + max(map(max, rows))
+    for x, y in ((0, 1), (1, 3), (3, 2), (2, 0)):
+        rows[x][y] = rows[y][x] = short
+    for x, y in ((0, 3), (1, 2)):
+        rows[x][y] = rows[y][x] = long
+    return formats.serialize_matrix(DissimilarityMatrix(rows))
+
+
+def _command_input(profile: str, form: str) -> str:
+    matrix = generator.generate_matrix(64, 1, profile)
+    if form == "square":
+        return formats.serialize_matrix(matrix)
+    return _decimal_triangle(matrix) if form == "triangle" else _planted_refusal(matrix)
+
+
+# (exit codes, sha256 of every exit code and stdout in turn) of ``recognize``,
+# ``tree`` for each kind in each format, then ``translate`` of the served
+# PQ and mmodule documents, per input; pinned before the CLI was split into
+# modules, so every output stays the same, byte for byte
+COMMAND_DIGESTS = {
+    ("generic", "square"): (
+        "000000000000",
+        "c3477bb089f5beee0ccdd2fa23cac224557fb952218710a04759c34f530f57fb",
+    ),
+    ("ultrametric", "square"): (
+        "000000000000",
+        "b615effea2944d53f962fcb1893b22140d71e7572a719c3e083bbcc40abccd58",
+    ),
+    ("flat-heavy", "square"): (
+        "000000000000",
+        "3d80e7b5cedd3f2d1224bdb42ea1411340fe4ea077d49f9bff45a6b2adae0376",
+    ),
+    ("tie-heavy", "square"): (
+        "000000000000",
+        "35143b6b14f5c742e3b5ba7724534abf984b1bc2b8f0567f07230c6d36949a94",
+    ),
+    ("generic", "triangle"): (
+        "000000000000",
+        "60d203249a83ea8f8257c4596929f3253feccb93cbe135218118499914172636",
+    ),
+    ("ultrametric", "triangle"): (
+        "000000000000",
+        "380286bf14769b79fc839f0e3200b9e778b82ea4630b943aea17dbbdcce5bd18",
+    ),
+    ("flat-heavy", "triangle"): (
+        "000000000000",
+        "41b371a8a0596b3a6af2da542e2082538b58e253bf645a861f755a11697d9d24",
+    ),
+    ("tie-heavy", "triangle"): (
+        "000000000000",
+        "704c09bfea88dbe099e395e530f7e242d06b8ea945ceb74ff7fd09b60f8e991f",
+    ),
+    ("generic", "refusal"): (
+        "1111111000",
+        "538e5ab905be6ff4a60559b4d8fc3baab004ba0c6a3767fac4d5569956ddd171",
+    ),
+}
+
+
+@pytest.mark.parametrize("profile, form", list(COMMAND_DIGESTS))
+def test_command_outputs_match_golden_digests(tmp_path, profile, form):
+    mpath = tmp_path / "m.txt"
+    mpath.write_text(_command_input(profile, form))
+    runs = [_cli(["recognize", "-i", str(mpath)])]
+    for kind in ("pq", "mmodule", "dendrogram"):
+        for fmt in ("json", "dot", "ascii"):
+            runs.append(_cli(["tree", "-i", str(mpath), "-t", kind, "-f", fmt]))
+        if kind != "dendrogram" and runs[-3][0] == 0:
+            (tmp_path / f"{kind}.json").write_text(runs[-3][1])
+    for kind in ("pq", "mmodule"):
+        dpath = tmp_path / f"{kind}.json"
+        if dpath.exists():
+            runs.append(_cli(["translate", "-i", str(dpath), "-m", str(mpath)]))
+    digest = hashlib.sha256()
+    for code, out, _ in runs:
+        digest.update(f"{code}\n{out}".encode())
+    codes = "".join(str(code) for code, _, _ in runs)
+    assert (codes, digest.hexdigest()) == COMMAND_DIGESTS[profile, form]
+
+
+@pytest.mark.parametrize("profile", generator.PROFILES)
 def test_generated_weights_are_interned(profile):
-    rows = cli.generate_matrix(200, 3, profile).rows
+    rows = generator.generate_matrix(200, 3, profile).rows
     assert all(type(row) is tuple for row in rows)
     entries = [v for row in rows for v in row]
     # at this size only generic and flat-heavy weights pass 256, the top of
@@ -1058,14 +1229,14 @@ def test_generated_weights_are_interned(profile):
 
 def test_generate_rejects_unknown_profile():
     with pytest.raises(ValueError, match="nope.*generic, ultrametric, flat-heavy, tie-heavy"):
-        cli.generate_matrix(5, 0, "nope")
+        generator.generate_matrix(5, 0, "nope")
 
 
-@pytest.mark.parametrize("profile", cli.PROFILES)
+@pytest.mark.parametrize("profile", generator.PROFILES)
 def test_generation_holds_one_grid(profile):
     tracemalloc.start()
     try:
-        matrix = cli.generate_matrix(400, 0, profile)
+        matrix = generator.generate_matrix(400, 0, profile)
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1091,7 +1262,7 @@ def test_bench_small_json_shape(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["sizes"] == [32, 64]
     assert set(report["medians"]) == {"32", "64"}
-    assert set(report["medians"]["32"]) == set(cli.BENCH_OPS)
+    assert set(report["medians"]["32"]) == set(bench.BENCH_OPS)
     assert set(report["ratios"]) == {"64/32"}
     assert all(v > 0 for v in report["medians"]["64"].values())
     assert set(report["generate_s"]) == {"32", "64"}

@@ -25,8 +25,8 @@ from conftest import (
     spine_with_block,
     symmetric_matrices,
 )
-from robinspace import cli, copoints as cop, core, mmodtree as mm, oracle, pqtree as pq, refine
-from robinspace import reference, translate
+from robinspace import cli, copoints as cop, core, formats, generator, mmodtree as mm, oracle
+from robinspace import pqtree as pq, reference, refine, translate
 from robinspace.core import DissimilarityMatrix
 from robinspace.pqtree import Leaf, P, Q
 
@@ -211,7 +211,7 @@ def test_recognize_rejects_with_witness_triple(capsys, tmp_path):
         d = m.rows
         assert d[x][z] < max(d[x][y], d[y][z])
         path = tmp_path / "m.txt"
-        path.write_text(cli.serialize_matrix(m))
+        path.write_text(formats.serialize_matrix(m))
         assert cli.main(["recognize", "-i", str(path)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["robinson"] is False
@@ -228,7 +228,7 @@ def refusal_probes(draw) -> DissimilarityMatrix:
         return draw(symmetric_matrices(max_n=7))
     if family == "profile":
         n = draw(st.integers(2, 40))
-        m = cli.generate_matrix(n, draw(st.integers(0, 10**6)), draw(st.sampled_from(cli.PROFILES)))
+        m = generator.generate_matrix(n, draw(st.integers(0, 10**6)), draw(st.sampled_from(generator.PROFILES)))
     else:
         m = draw(robinson_matrices(max_n=10))
     rows = [list(row) for row in m.rows]
@@ -259,7 +259,7 @@ def test_every_refusal_carries_a_checked_triple(m):
 def test_refusal_names_violating_triple_on_planted_obstruction(profile):
     # four consecutive middle points of a compatible order become a 4-cycle
     # a-b-d-c with short sides and long diagonals, which no order can hold
-    base = cli.generate_matrix(200, 0, profile)
+    base = generator.generate_matrix(200, 0, profile)
     order = cop.recognize_robinson(base).witness
     rows = [list(r) for r in base.rows]
     a, b, c, d = order[98:102]

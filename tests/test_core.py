@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import EQUAL3, FLAT3, NONROB4, SHAPES, WORKED12, robinson_matrices, shape_matrix
-from robinspace import cli, copoints, core, mmodtree as mm, pqtree as pq, reference, refine
+from robinspace import copoints, core, generator, mmodtree as mm, pqtree as pq, reference, refine
 from robinspace import translate
 from robinspace.core import (
     AsymmetricInput,
@@ -51,7 +51,7 @@ def test_validate_nonzero_diagonal():
 
 
 def test_validate_names_a_defect_in_the_last_rows_like_the_index_loop():
-    base = cli.generate_matrix(400, 3, "generic").rows
+    base = generator.generate_matrix(400, 3, "generic").rows
     cases = [((398, 399), 7), ((399, 399), 1), ((397, 397), 2), ((397, 399), 5), ((396, 398), 9)]
     for edits in itertools.chain.from_iterable(itertools.combinations(cases, k) for k in (1, 2)):
         rows = [list(r) for r in base]
@@ -153,7 +153,7 @@ def checked_orders(draw) -> tuple[DissimilarityMatrix, list[int]]:
                 rows[i][j] = rows[j][i] = draw(st.integers(0, size - 1))
         base = list(range(n))
     else:
-        m = cli.generate_matrix(n, draw(st.integers(0, 10**6)), draw(st.sampled_from(cli.PROFILES)))
+        m = generator.generate_matrix(n, draw(st.integers(0, 10**6)), draw(st.sampled_from(generator.PROFILES)))
         base = pq.canonical_order(copoints.pq_tree2(m, range(n)))
         rows = [list(row) for row in m.rows]
         if source == "perturbed" and n > 1:
@@ -197,11 +197,11 @@ def test_violating_triple_on_short_orders(length):
         assert core.violating_triple(NONROB4, order) == want, order
 
 
-@pytest.mark.parametrize("profile", cli.PROFILES)
+@pytest.mark.parametrize("profile", generator.PROFILES)
 def test_violating_triple_names_a_planted_obstruction_like_the_index_loop(profile):
     # four consecutive middle points of a compatible order become a 4-cycle
     # a-b-d-c with short sides and long diagonals, which no order can hold
-    base = cli.generate_matrix(200, 0, profile)
+    base = generator.generate_matrix(200, 0, profile)
     order = pq.canonical_order(copoints.pq_tree2(base, range(base.n)))
     rows = [list(r) for r in base.rows]
     a, b, c, d = order[98:102]
@@ -390,9 +390,9 @@ def _row_layouts(m: DissimilarityMatrix) -> list[DissimilarityMatrix]:
 
 @pytest.mark.parametrize(
     "make",
-    [partial(cli.generate_matrix, 90, 4, profile) for profile in cli.PROFILES]
+    [partial(generator.generate_matrix, 90, 4, profile) for profile in generator.PROFILES]
     + [partial(shape_matrix, name, 40) for name in sorted(SHAPES)],
-    ids=[*cli.PROFILES, *sorted(SHAPES)],
+    ids=[*generator.PROFILES, *sorted(SHAPES)],
 )
 def test_row_layout_changes_no_result(make):
     m = make()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import EQUAL3, FLAT3, WORKED12, robinson_matrices, symmetric_matrices
-from robinspace import cli, copoints, dendrogram as dg, oracle, reference
+from robinspace import copoints, dendrogram as dg, generator, oracle, reference
 from robinspace.core import DissimilarityMatrix
 from robinspace.core import iter_nodes, leaf_points
 from robinspace.dendrogram import EmptySubset, Internal, Leaf, NotALeaf
@@ -120,8 +120,8 @@ def _subsets(draw, n: int) -> list[int]:
 
 @st.composite
 def _profile_inputs(draw):
-    profile = draw(st.sampled_from(cli.PROFILES))
-    m = cli.generate_matrix(draw(st.integers(1, 48)), draw(st.integers(0, 10**6)), profile)
+    profile = draw(st.sampled_from(generator.PROFILES))
+    m = generator.generate_matrix(draw(st.integers(1, 48)), draw(st.integers(0, 10**6)), profile)
     return m, draw(_subsets(m.n))
 
 
@@ -148,10 +148,10 @@ def test_sweep_equals_plain_loop(case):
     assert dg.build_dendrogram(m, subset) == reference.prim_dendrogram_loop(m, subset)
 
 
-@pytest.mark.parametrize("profile", cli.PROFILES)
+@pytest.mark.parametrize("profile", generator.PROFILES)
 def test_clusters_match_witness_dendrogram_at_large_n(profile):
     n = 1024
-    m = cli.generate_matrix(n, 1, profile)
+    m = generator.generate_matrix(n, 1, profile)
     result = copoints.recognize_robinson(m)
     assert result.accepted
     want = dg.clusters(reference.witness_dendrogram(m, result.witness))

@@ -1,4 +1,4 @@
-"""The iterative tree-document layer of ``robinspace.cli`` against the
+"""The iterative tree-document layer of ``robinspace.formats`` against the
 recursive per-kind functions it replaced (``doc_reference``).
 
 Documents, trees, ascii and dot text must be equal byte for byte, and a
@@ -12,9 +12,9 @@ import json
 from hypothesis import given, settings, strategies as st
 
 import doc_reference as ref
-from robinspace import cli, copoints, dendrogram as dg, mmodtree as mm
-from robinspace.cli import DocumentError
+from robinspace import copoints, dendrogram as dg, formats, generator, mmodtree as mm
 from robinspace.core import DissimilarityMatrix
+from robinspace.formats import DocumentError
 
 KINDS = ("pq", "mmodule", "dendrogram")
 
@@ -22,9 +22,9 @@ KINDS = ("pq", "mmodule", "dendrogram")
 @st.composite
 def trees(draw):
     """(kind, tree, matrix) over a generated profile, at scale 1, 10 or 100."""
-    profile = draw(st.sampled_from(cli.PROFILES))
+    profile = draw(st.sampled_from(generator.PROFILES))
     n = draw(st.integers(1, 64))
-    base = cli.generate_matrix(n, draw(st.integers(0, 10**6)), profile)
+    base = generator.generate_matrix(n, draw(st.integers(0, 10**6)), profile)
     matrix = DissimilarityMatrix(base.rows, draw(st.sampled_from([1, 10, 100])))
     kind = draw(st.sampled_from(KINDS))
     if kind == "pq":
@@ -49,13 +49,13 @@ def _nodes(root: dict) -> list[dict]:
 @given(trees())
 def test_layer_equals_recursive_functions(case):
     kind, tree, matrix = case
-    doc = cli.tree_to_doc(kind, tree, matrix)
+    doc = formats.tree_to_doc(kind, tree, matrix)
     want = ref.tree_to_doc(kind, tree, matrix)
     assert doc == want
     assert json.dumps(doc) == json.dumps(want)  # key order too
-    assert cli.doc_to_tree(doc, matrix.scale) == ref.doc_to_tree(want, matrix.scale) == (kind, tree)
-    assert cli.ascii_tree(doc) == ref.ascii_tree(kind, tree, matrix.scale)
-    assert cli.dot_tree(doc) == ref.dot_tree(kind, tree, matrix.scale)
+    assert formats.doc_to_tree(doc, matrix.scale) == ref.doc_to_tree(want, matrix.scale) == (kind, tree)
+    assert formats.ascii_tree(doc) == ref.ascii_tree(kind, tree, matrix.scale)
+    assert formats.dot_tree(doc) == ref.dot_tree(kind, tree, matrix.scale)
 
 
 FOREIGN = {"pq": "cup", "mmodule": "internal", "dendrogram": "Q"}
@@ -114,9 +114,9 @@ DEFECTS = ("unary node", "boolean point", "bad largeChild", "missing weight", "f
 def test_defects_give_the_same_message(case, defects):
     # one defect, or several: the message names the one met first
     kind, tree, matrix = case
-    doc = json.loads(json.dumps(cli.tree_to_doc(kind, tree, matrix)))
+    doc = json.loads(json.dumps(formats.tree_to_doc(kind, tree, matrix)))
     planted = [_mutate(doc, defect, at) for defect, at in defects]
-    got = _outcome(cli.doc_to_tree, doc, matrix.scale)
+    got = _outcome(formats.doc_to_tree, doc, matrix.scale)
     assert got == _outcome(ref.doc_to_tree, doc, matrix.scale)
     if any(planted):
         assert isinstance(got, tuple) and got[0] in (DocumentError, ValueError)

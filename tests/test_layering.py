@@ -9,7 +9,10 @@ search, one spine reading serves construction and translation, and one
 slot rule places a block in a Q-spine.  ``tree`` and ``translate`` take
 their trees from one helper.  No production function calls itself, the
 tree queries walk their tree once, ``refine`` imports only ``core``, and
-no library module touches the recursion limit.
+no library module touches the recursion limit.  The library never reaches
+the command line's modules (``cli``, ``formats``, ``generator``,
+``bench``), the file formats reach none of the others, and the generator
+feeds only the commands and the bench.
 Every package name the benchmark reaches for still resolves.
 """
 
@@ -96,6 +99,23 @@ def _defined(name: str) -> set[str]:
 @pytest.mark.parametrize("name", PRODUCTION)
 def test_production_module_defines_no_test_only_name(name):
     assert not _defined(name) & TEST_ONLY_NAMES
+
+
+LIBRARY = ["core", "refine", "copoints", "pqtree", "mmodtree", "dendrogram", "translate"]
+COMMAND_LINE = {"cli", "formats", "generator", "bench"}
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_library_module_imports_no_command_line_module(name):
+    assert not _imported(name) & COMMAND_LINE
+
+
+def test_formats_import_no_command_generator_or_bench():
+    assert not _imported("formats") & {"cli", "generator", "bench"}
+
+
+def test_only_the_commands_and_the_bench_import_the_generator():
+    assert {name for name in MODULES if "generator" in _imported(name)} == {"cli", "bench"}
 
 
 def test_pqtree_sits_below_the_constructions():

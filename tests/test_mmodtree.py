@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import EQUAL3, FLAT3, WORKED12, canon_mm, mutated_documents, robinson_matrices
 from conftest import profile_subsets, shape_subsets, spine_with_block
-from robinspace import cli, core, mmodtree as mm, oracle, reference
+from robinspace import core, formats, generator, mmodtree as mm, oracle, reference
 from robinspace.mmodtree import Cap, Cup, Leaf
 
 
@@ -96,7 +96,7 @@ def test_is_mmodule_via_tree_worked_example():
 
 def test_ultrametric_trees_are_all_cap():
     for seed in range(5):
-        matrix = cli.generate_matrix(24, seed, "ultrametric")
+        matrix = generator.generate_matrix(24, seed, "ultrametric")
         tree = mm.mmodule_tree(matrix, range(24))
         for node in core.iter_nodes(tree):
             assert not isinstance(node, Cup)
@@ -182,8 +182,8 @@ def _same_as_carving(m, pts):
 # test_forward_translation_matches_direct_construction.
 def test_pq_route_matches_dendrogram_carving_at_size():
     for n in (200, 768):
-        for seed, profile in enumerate(cli.PROFILES):
-            m = cli.generate_matrix(n, seed, profile)
+        for seed, profile in enumerate(generator.PROFILES):
+            m = generator.generate_matrix(n, seed, profile)
             _same_as_carving(m, range(n))
             _same_as_carving(m, range(1, n, 3))
 
@@ -195,7 +195,7 @@ def test_pq_route_matches_dendrogram_carving_where_the_apex_dissolves():
     # draws reach this rarely, so the cases are fixed.
     cases = (("generic", 5, 14), ("tie-heavy", 6, 13), ("tie-heavy", 11, 18))
     for profile, n, seed in cases:
-        m = cli.generate_matrix(n, seed, profile)
+        m = generator.generate_matrix(n, seed, profile)
         _same_as_carving(m, range(n))
         assert any(
             isinstance(node, Cap) and node.special is not None and len(node.children) > 2
@@ -215,8 +215,8 @@ def test_normal_form_agrees_with_canon_mm(m, data):
     # the recursive ``canon_mm`` stays the reference for the iterative form;
     # every ``spine_with_block`` tree has a special node
     tree = mm.mmodule_tree(m, range(m.n))
-    doc = data.draw(mutated_documents(cli.tree_to_doc("mmodule", tree, m)))
-    _, other = cli.doc_to_tree(doc, m.scale)
+    doc = data.draw(mutated_documents(formats.tree_to_doc("mmodule", tree, m)))
+    _, other = formats.doc_to_tree(doc, m.scale)
     same = core.first_difference(mm.normal_form(tree), mm.normal_form(other)) is None
     assert same == (canon_mm(tree) == canon_mm(other))
 

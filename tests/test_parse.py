@@ -14,9 +14,9 @@ from typing import Iterator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from robinspace import cli, copoints, core, reference
-from robinspace.cli import MatrixParseError
+from robinspace import cli, copoints, core, formats, generator, reference
 from robinspace.core import DissimilarityMatrix
+from robinspace.formats import MatrixParseError
 
 # tokens the scan must refuse, or (the last one) accept in a surprising way:
 # "²" is a digit but not a decimal, so int() refuses it too, and "٣" is the
@@ -97,7 +97,8 @@ def _outcome(parse, text: str):
 @settings(max_examples=400, deadline=None)
 @given(matrix_files())
 def test_streamed_parse_matches_reference(text):
-    assert _outcome(cli.parse_matrix, text) == _outcome(reference.parse_matrix_all_tokens, text)
+    want = _outcome(reference.parse_matrix_all_tokens, text)
+    assert _outcome(formats.parse_matrix, text) == want
 
 
 @st.composite
@@ -113,9 +114,9 @@ def triangles(draw) -> list[list[int]]:
 @given(triangles(), st.integers(0, 2))
 def test_parsed_triangle_passes_validation(triangle, places):
     text = "".join(
-        " ".join(cli.weight_str(v, 10**places) for v in row) + "\n" for row in triangle
+        " ".join(formats.weight_str(v, 10**places) for v in row) + "\n" for row in triangle
     )
-    m = cli.parse_matrix(text)
+    m = formats.parse_matrix(text)
     core.validate(m)
     for i, row in enumerate(triangle):
         for k, v in enumerate(row):
@@ -123,24 +124,24 @@ def test_parsed_triangle_passes_validation(triangle, places):
 
 
 def _square_text(rows) -> str:
-    return cli.serialize_matrix(DissimilarityMatrix(rows))
+    return formats.serialize_matrix(DissimilarityMatrix(rows))
 
 
 def _triangle_text(rows) -> str:
     return "".join(" ".join(map(str, row[i + 1 :])) + "\n" for i, row in enumerate(rows[:-1]))
 
 
-@pytest.mark.parametrize("profile", cli.PROFILES)
+@pytest.mark.parametrize("profile", generator.PROFILES)
 @pytest.mark.parametrize("shape", ["square", "triangle"])
 def test_parse_peak_memory_is_a_few_grids(profile, shape):
     # the grid of n^2 references alone is 8 n^2 bytes; holding every token
     # string at once peaked at 8-9 times that (square) and 4 times (triangle)
     n = 512
-    rows = cli.generate_matrix(n, 3, profile).rows
+    rows = generator.generate_matrix(n, 3, profile).rows
     text = (_square_text if shape == "square" else _triangle_text)(rows)
     tracemalloc.start()
     try:
-        m = cli.parse_matrix(text)
+        m = formats.parse_matrix(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -177,7 +178,7 @@ BAD_X = "not a nonnegative decimal: 'x'"
     ],
 )
 def test_parse_when_the_scale_grows(text, want):
-    got = _outcome(cli.parse_matrix, text)
+    got = _outcome(formats.parse_matrix, text)
     assert got == want
     assert got == _outcome(reference.parse_matrix_all_tokens, text)
 
@@ -191,7 +192,7 @@ def test_parse_work_stays_linear_when_the_scale_grows_on_every_line(monkeypatch)
     text = "\n".join(lines) + "\n"
     entries = n * (n - 1) // 2
     calls = {"scan": 0, "spell": 0}
-    scan, spell = cli._scan_weight, cli.weight_str
+    scan, spell = formats._scan_weight, formats.weight_str
 
     def counted_scan(token):
         calls["scan"] += 1
@@ -201,9 +202,9 @@ def test_parse_work_stays_linear_when_the_scale_grows_on_every_line(monkeypatch)
         calls["spell"] += 1
         return spell(value, scale)
 
-    monkeypatch.setattr(cli, "_scan_weight", counted_scan)
-    monkeypatch.setattr(cli, "weight_str", counted_spell)
-    m = cli.parse_matrix(text)
+    monkeypatch.setattr(formats, "_scan_weight", counted_scan)
+    monkeypatch.setattr(formats, "weight_str", counted_spell)
+    m = formats.parse_matrix(text)
     assert calls["scan"] + calls["spell"] <= 4 * entries, calls
     assert m.scale == 10 ** (n - 1)
     assert (m.rows, m.scale) == _outcome(reference.parse_matrix_all_tokens, text)
@@ -238,7 +239,7 @@ def test_each_request_validates_a_square_file_once(argv, validate_calls, tmp_pat
     # a canonical square is read by its upper triangle and needs no check; a
     # square spelled otherwise from some line on is checked exactly once; a
     # triangle needs no check.  All four spell the same matrix.
-    rows = cli.generate_matrix(20, 4, "generic").rows
+    rows = generator.generate_matrix(20, 4, "generic").rows
     square = _square_text(rows)
     lines = square.splitlines(keepends=True)
     lines[5] = "0" + lines[5]  # a padded first entry, left of the diagonal
@@ -275,7 +276,7 @@ def canonical_squares(draw) -> tuple[str, str | None]:
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = draw(st.integers(0, 3 * scale))
-    text = cli.serialize_matrix(DissimilarityMatrix(rows, scale))
+    text = formats.serialize_matrix(DissimilarityMatrix(rows, scale))
     cells = [line.split(" ") for line in text.splitlines()]
     mutation = draw(st.sampled_from((None, *SQUARE_MUTATIONS)))
     lower = [(i, j) for i in range(n) for j in range(i)]
@@ -283,7 +284,7 @@ def canonical_squares(draw) -> tuple[str, str | None]:
         mutation = None
     if mutation == "asymmetric":
         i, j = draw(st.sampled_from(lower))
-        cells[i][j] = cli.weight_str(rows[i][j] + draw(st.integers(1, scale)), scale)
+        cells[i][j] = formats.weight_str(rows[i][j] + draw(st.integers(1, scale)), scale)
     elif mutation == "respelled":
         i, j = draw(st.sampled_from(lower))
         token = cells[i][j]
@@ -294,7 +295,7 @@ def canonical_squares(draw) -> tuple[str, str | None]:
         )
     elif mutation == "diagonal":
         i = draw(st.integers(0, n - 1))
-        cells[i][i] = cli.weight_str(draw(st.integers(1, 3 * scale)), scale)
+        cells[i][i] = formats.weight_str(draw(st.integers(1, 3 * scale)), scale)
     elif mutation == "bad tokens":  # the first in a lower half, the second after it
         i, j = draw(st.sampled_from(lower))
         cells[i][j] = draw(st.sampled_from(BAD_TOKENS[:-1]))
@@ -339,7 +340,7 @@ def _places(tokens) -> int:
 def test_upper_triangle_read_matches_reference(square):
     text, mutation = square
     with counted_validate() as calls:
-        got = _outcome(cli.parse_matrix, text)
+        got = _outcome(formats.parse_matrix, text)
     assert got == _outcome(reference.parse_matrix_all_tokens, text)
     if mutation is None:
         # read by its upper triangle unless a finer weight than row 0 holds
@@ -363,7 +364,7 @@ def test_parse_work_stays_linear_when_a_square_falls_back_on_its_last_row(monkey
     lines[-1] = "0" + lines[-1]
     text = "".join(lines)
     calls = {"scan": 0, "spell": 0}
-    scan, spell = cli._scan_weight, cli.weight_str
+    scan, spell = formats._scan_weight, formats.weight_str
 
     def counted_scan(token):
         calls["scan"] += 1
@@ -373,10 +374,10 @@ def test_parse_work_stays_linear_when_a_square_falls_back_on_its_last_row(monkey
         calls["spell"] += 1
         return spell(value, scale)
 
-    monkeypatch.setattr(cli, "_scan_weight", counted_scan)
-    monkeypatch.setattr(cli, "weight_str", counted_spell)
+    monkeypatch.setattr(formats, "_scan_weight", counted_scan)
+    monkeypatch.setattr(formats, "weight_str", counted_spell)
     with counted_validate() as validated:
-        m = cli.parse_matrix(text)
+        m = formats.parse_matrix(text)
     assert validated == [n]
     assert calls["scan"] + calls["spell"] <= 4 * n * n, calls
     assert m.rows == rows
@@ -391,10 +392,10 @@ def test_library_recognition_still_validates(validate_calls):
 
 @pytest.mark.parametrize("scale", [1, 100, 10**6])
 def test_serialize_spells_each_entry_like_weight_str(scale):
-    rows = [[v * 37 for v in row] for row in cli.generate_matrix(60, 5, "tie-heavy").rows]
+    rows = [[v * 37 for v in row] for row in generator.generate_matrix(60, 5, "tie-heavy").rows]
     m = DissimilarityMatrix(rows, scale)
-    want = "\n".join(" ".join(cli.weight_str(v, scale) for v in row) for row in rows) + "\n"
-    assert cli.serialize_matrix(m) == want
+    want = "\n".join(" ".join(formats.weight_str(v, scale) for v in row) for row in rows) + "\n"
+    assert formats.serialize_matrix(m) == want
 
 
 def test_a_digit_that_is_not_decimal_is_a_bad_token(tmp_path, capsys):
@@ -414,7 +415,7 @@ def test_a_digit_that_is_not_decimal_is_a_bad_token(tmp_path, capsys):
 
 def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch):
     # editors that save "UTF-8 with BOM" put U+FEFF before the first entry
-    text = _square_text(cli.generate_matrix(6, 2, "generic").rows)
+    text = _square_text(generator.generate_matrix(6, 2, "generic").rows)
     path = tmp_path / "m.txt"
     path.write_text(text, encoding="utf-8")
     assert cli.main(["recognize", "-i", str(path)]) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import refine_reference as reference
 from conftest import EQUAL3, WORKED12, profile_subsets, robinson_matrices, shape_subsets
-from robinspace import cli, core, dendrogram as dg, oracle, refine
+from robinspace import core, dendrogram as dg, generator, oracle, refine
 from robinspace import reference as rs_reference
 from robinspace.reference import is_mmodule
 from robinspace.refine import NotAPartition
@@ -169,7 +169,7 @@ def test_proximity_order_is_universal(m):
 def generated_partitions(draw, max_n: int = 64):
     """A generated matrix of any profile and an ordered partition of its points."""
     n = draw(st.integers(1, max_n))
-    m = cli.generate_matrix(n, draw(st.integers(0, 10**6)), draw(st.sampled_from(PROFILES)))
+    m = generator.generate_matrix(n, draw(st.integers(0, 10**6)), draw(st.sampled_from(PROFILES)))
     pts = draw(st.permutations(range(n)))
     cuts = draw(st.lists(st.integers(1, max(1, n - 1)), max_size=3, unique=True)) if n > 1 else []
     bounds = [0, *sorted(cuts), n]
@@ -201,14 +201,14 @@ def _with_reference_refinement(build):
 @pytest.mark.parametrize("profile", PROFILES)
 def test_mmodule_tree_matches_reference_loops(profile):
     for n, seed in ((2, 0), (13, 1), (64, 2), (200, 3)):
-        m = cli.generate_matrix(n, seed, profile)
+        m = generator.generate_matrix(n, seed, profile)
         build = rs_reference.mmodule_tree_from_dendrogram
         want = _with_reference_refinement(lambda: build(m, range(n)))
         assert build(m, range(n)) == want
 
 
 def test_tree_carve_runs_only_for_splitting_pivots(monkeypatch):
-    m = cli.generate_matrix(160, 3, "tie-heavy")
+    m = generator.generate_matrix(160, 3, "tie-heavy")
     pts = range(m.n)
 
     def counting(module, tally):

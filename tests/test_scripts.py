@@ -6,7 +6,7 @@ import runpy
 from pathlib import Path
 
 from conftest import WORKED12
-from robinspace import cli, dendrogram as dg
+from robinspace import dendrogram as dg, generator
 from robinspace.core import Leaf
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -19,4 +19,4 @@ def test_profile_survey_smoke(capsys):
     survey["main"](["-n", "8", "--batch", "2"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n=8 batch=2 seed=0"
-    assert [line.split()[0] for line in lines[2:]] == list(cli.PROFILES)
+    assert [line.split()[0] for line in lines[2:]] == list(generator.PROFILES)

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import refine_reference
 from conftest import SHAPES, robinson_matrices, shape_matrix, symmetric_matrices
-from robinspace import cli, copoints, core, mmodtree as mm, pqtree as pq, reference, refine
+from robinspace import copoints, core, generator, mmodtree as mm, pqtree as pq, reference, refine
 from robinspace import dendrogram as dg
 from robinspace.core import DissimilarityMatrix
 
@@ -82,10 +82,10 @@ def plant_constant_rows(
 
 
 GOLDEN_CASES = {
-    **{f"{p}-300": (lambda p=p: cli.generate_matrix(300, 1, p)) for p in cli.PROFILES},
+    **{f"{p}-300": (lambda p=p: generator.generate_matrix(300, 1, p)) for p in generator.PROFILES},
     **{f"{s}-150": (lambda s=s: shape_matrix(s, 150)) for s in sorted(SHAPES)},
-    "ultrametric-twins": lambda: plant_twins(cli.generate_matrix(120, 2, "ultrametric"), 80, 2, 6),
-    "flat-heavy-twins": lambda: plant_twins(cli.generate_matrix(120, 3, "flat-heavy"), 80, 3, 6),
+    "ultrametric-twins": lambda: plant_twins(generator.generate_matrix(120, 2, "ultrametric"), 80, 2, 6),
+    "flat-heavy-twins": lambda: plant_twins(generator.generate_matrix(120, 3, "flat-heavy"), 80, 3, 6),
     "random-twins": lambda: plant_twins(random_symmetric(60, 4, 1, 5), 60, 4, 4),
     "random-zeros-twins": lambda: plant_twins(random_symmetric(60, 5, 0, 3), 40, 5, 8),
     "zero-hub-100": lambda: zero_hub(100),
@@ -98,7 +98,7 @@ GOLDEN_CASES = {
         random_symmetric(80, 7, 0, 4), random.Random(7).sample(range(80), 30), 7, 3
     ),
     "constant-rows-ultrametric": lambda: plant_constant_rows(
-        cli.generate_matrix(120, 8, "ultrametric"), random.Random(8).sample(range(120), 40), 8, 4
+        generator.generate_matrix(120, 8, "ultrametric"), random.Random(8).sample(range(120), 40), 8, 4
     ),
 }
 
@@ -218,10 +218,10 @@ def twinned_matrices(draw, max_n: int = 9):
             robinson_matrices(max_n=max_n, max_bump=2),
             symmetric_matrices(max_n=max_n, max_value=3),
             st.builds(
-                cli.generate_matrix,
+                generator.generate_matrix,
                 st.integers(2, 40),
                 st.integers(0, 10**6),
-                st.sampled_from(cli.PROFILES),
+                st.sampled_from(generator.PROFILES),
             ),
         )
     )
@@ -393,5 +393,5 @@ def test_ultrametric_partition_count(monkeypatch):
     # pinned when the constant run landed; 178 before it, when every point
     # at one nonzero distance from all later points had its own partition
     calls = counting_partitions(monkeypatch)
-    copoints.pq_tree2(cli.generate_matrix(300, 1, "ultrametric"), range(300))
+    copoints.pq_tree2(generator.generate_matrix(300, 1, "ultrametric"), range(300))
     assert len(calls) == 62
