@@ -91,7 +91,7 @@ def admissible_hole(
     facing ends of adjacent children.  ``None`` when no child is that
     far or no gap that wide, which a Robinson space never shows.  The
     copoint construction, the translation of a special node and
-    ``reference.delta_pq_tree`` all place their block here.
+    ``delta_pq_tree`` in ``tests/reference.py`` place their block here.
     """
     rows = matrix.rows
     firsts = [first_leaf(c) for c in children]

@@ -109,10 +109,6 @@ def leaf_points(tree) -> list[int]:
     return [node.point for node in iter_nodes(tree) if isinstance(node, Leaf)]
 
 
-def leaf_set(tree) -> frozenset[int]:
-    return frozenset(leaf_points(tree))
-
-
 def first_leaf(tree) -> int:
     """Point of the leftmost leaf."""
     while not isinstance(tree, Leaf):
@@ -177,7 +173,7 @@ def validate(matrix: DissimilarityMatrix) -> None:
 
     The first defect is the one a walk over the rows meets first, reading
     each row's diagonal entry before its entries right of the diagonal
-    (``reference.first_defect_loop`` is that walk).  Every scan is in C:
+    (``first_defect_loop`` in ``tests/reference.py``).  Every scan is in C:
     the first nonzero diagonal entry k, the first row r unequal to its
     column, and in that row the first entry unequal to the column, which
     lies right of the diagonal because every earlier row equals its
@@ -248,10 +244,10 @@ def violating_triple(
     the order, which by symmetry is that point's row, and timsort confirms
     a sorted run in one C pass.
 
-    The triple named is the first one ``reference.violating_triple_loop``
-    meets: the loop visits pairs of positions (a, b) in order and checks
-    the row rule, d(a, b-1) <= d(a, b), before the column rule,
-    d(a+1, b) <= d(a, b).  So the row of the point at position p fails
+    The triple named is the first one ``violating_triple_loop`` in
+    ``tests/reference.py`` meets: it visits pairs of positions (a, b) in
+    order and checks the row rule, d(a, b-1) <= d(a, b), before the column
+    rule, d(a+1, b) <= d(a, b).  So the row of the point at position p fails
     with key (p, b, 0) at its first descent right of the diagonal and
     with key (a, p, 1) at its first ascent left of it; the smallest key
     over all failing rows is the loop's first failure.  Each failing row's

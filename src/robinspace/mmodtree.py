@@ -16,8 +16,8 @@ Construction reads the tree off the PQ-tree of the copoint construction
 (``copoints.pq_tree2``): P-nodes become plain copartition nodes,
 non-conical Q-nodes union nodes, and conical Q-nodes special
 copartition nodes.  The paper's other route, carving maximal mmodules
-out of the single-linkage dendrogram, is kept as
-``reference.mmodule_tree_from_dendrogram`` for the tests.
+out of the single-linkage dendrogram, is kept for the tests as
+``mmodule_tree_from_dendrogram`` in ``tests/reference.py``.
 """
 
 from __future__ import annotations

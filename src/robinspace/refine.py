@@ -3,10 +3,10 @@
 One engine (``_refine``) runs every refinement: the copoint partition at
 a point, which the copoint construction splits on, and the stable
 partition carved out of trees (``stable_trees``), which only the
-dendrogram carving in ``reference`` calls; it stays here because the
-benchmark's tracer names it as ``refine.stable_trees``.  Its carve is one
-``core.fold``, so the module imports only ``core``.  The stable partition
-of point classes is ``reference.stable_partition``, on the same engine.
+dendrogram carving in ``tests/reference.py`` calls; it stays here because
+the benchmark's tracer names it as ``refine.stable_trees``.  Its carve is
+one ``core.fold``, so the module imports only ``core``.  The stable
+partition of point classes is that file's ``stable_partition``.
 A class is a list of points with a FIFO queue of pivots from outside it.
 Classes are refined in order, each until it is a single point or its
 queue runs out.  The first queued pivot that sees the class at two
@@ -158,20 +158,20 @@ def _buckets(rq: Sequence[int], pts: Iterable[int]) -> dict[int, list[int]]:
     return out
 
 
-def _split_points(rows: Sequence[Sequence[int]], center: int | None = None) -> Split:
-    """Parts of a point class by distance to the pivot.
+def _split_points(rows: Sequence[Sequence[int]], center: int) -> Split:
+    """Parts of a point class by distance to the pivot, around ``center``.
 
-    Without a center, parts are laid out by increasing distance.  With
-    one, a pivot that is not in an earlier class splits radially: parts
-    within d(pivot, center) of the pivot sit between center and pivot,
-    nearest the center last; parts beyond d(pivot, center) are on the far
-    side of the center, nearest first.
+    A pivot in an earlier class lays the parts out by increasing
+    distance.  Any other pivot splits radially: parts within
+    d(pivot, center) of the pivot sit between center and pivot, nearest
+    the center last; parts beyond d(pivot, center) are on the far side
+    of the center, nearest first.
     """
 
     def split(_payload, pts: list[int], q: int, earlier: set[int]):
         rq = rows[q]
         buckets = _buckets(rq, pts)
-        if center is None or q in earlier:
+        if q in earlier:
             weights = sorted(buckets)
         else:
             s = rq[center]
@@ -251,8 +251,8 @@ def _pivot_forest(rows: Sequence[Sequence[int]], q: int, tree) -> list:
 
 
 def stable_trees(matrix: DissimilarityMatrix, trees: Sequence) -> list:
-    """Tree-shaped stable partition: the classes of
-    ``reference.stable_partition``, each carved out of the input trees.
+    """Tree-shaped stable partition: the classes of ``stable_partition``
+    in ``tests/reference.py``, each carved out of the input trees.
     The carve runs only for a pivot already known to split its tree."""
     leaf_sets = [leaf_points(t) for t in trees]
     _check_partition(leaf_sets)

@@ -5,7 +5,8 @@ import copy
 import pytest
 from hypothesis import strategies as st
 
-from robinspace import generator, mmodtree as mm, reference
+import reference
+from robinspace import generator, mmodtree as mm
 from robinspace.core import DissimilarityMatrix
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import DissimilarityMatrix, RobinsonError
+from robinspace.core import DissimilarityMatrix, RobinsonError
 
 
 class InstanceTooLarge(RobinsonError):

@@ -32,23 +32,29 @@ constructions against these, which follow the paper's other routes:
   order in linear time, a cross-check at sizes the oracles cannot reach;
 * ``parse_matrix_all_tokens`` parses a matrix file through one table
   built over every token at once, the streamed ``formats.parse_matrix``'s
-  differential reference.
+  differential reference;
+* ``leaf_set`` is a tree's points as a frozenset.
+
+The recursive constructions here run under ``_recursion_room``, which
+restores the recursion limit on exit; nothing here reaches the command
+line's ``robinspace.cli``.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from . import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, refine
-from .cli import _recursion_room
-from .core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError
-from .core import first_leaf, iter_nodes, leaf_points, leaf_set
-from .formats import MatrixParseError, _scan_weight
-from .pqtree import P, PQTree, Q
-from .refine import stable_trees
+from robinspace import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, refine
+from robinspace.core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError
+from robinspace.core import first_leaf, iter_nodes, leaf_points
+from robinspace.formats import MatrixParseError, _scan_weight
+from robinspace.pqtree import P, PQTree, Q
+from robinspace.refine import stable_trees
 
 # Self-audits in ``mmodule_tree_from_dendrogram`` (re-deriving the
 # component partition below the top weight, re-checking the diameters of
@@ -75,6 +81,22 @@ class NotAnMModulePartition(RobinsonError):
 
 
 IndexSet = tuple[int, ...]
+
+
+def leaf_set(tree) -> frozenset[int]:
+    return frozenset(leaf_points(tree))
+
+
+@contextmanager
+def _recursion_room(levels: int) -> Iterator[None]:
+    """The recursion limit raised by ``levels`` inside the block and
+    restored on exit, for the recursive constructions here."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + levels)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # --- PQ-tree by top-weight splits ---------------------------------------------
@@ -688,14 +710,24 @@ def stable_partition(
     Each class is refined by every point outside it until no pivot splits
     anything; when a class splits, its sibling parts join the front of the
     pivot queue before the leftover pivots.  The engine is
-    ``refine._refine``, laid out by ascending distance to the pivot; its
-    tree-carved form is ``refine.stable_trees``.
+    ``refine._refine``, laid out by ``ascending_split``; its tree-carved
+    form is ``refine.stable_trees``.
     """
     classes = [list(c) for c in partition]
     refine._check_partition(classes)
     rows = matrix.rows
-    final = refine._refine(rows, [(c, c) for c in classes], [], refine._split_points(rows))
+    final = refine._refine(rows, [(c, c) for c in classes], [], ascending_split(rows))
     return [tuple(c) for c in final]
+
+
+def ascending_split(rows: Sequence[Sequence[int]]) -> refine.Split:
+    """Parts of a point class by increasing distance to the pivot."""
+
+    def split(_payload, pts: list[int], q: int, _earlier: set[int]):
+        buckets = refine._buckets(rows[q], pts)
+        return [(buckets[w], buckets[w]) for w in sorted(buckets)]
+
+    return split
 
 
 def rho_components(matrix: DissimilarityMatrix, subset: Iterable[int]) -> list[tuple[int, ...]]:

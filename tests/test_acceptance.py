@@ -2,7 +2,7 @@
 
 Each test prints one PASS line (with wall time) when it succeeds; a failure
 shows up as an ordinary pytest failure.  Oracles are the brute-force
-implementations in ``robinspace.oracle``; nothing here trusts the fast path
+implementations in ``tests/oracle.py``; nothing here trusts the fast path
 against itself.
 """
 
@@ -13,6 +13,8 @@ import json
 import random
 import time
 
+import oracle
+import reference
 from conftest import WORKED12, canon_mm
 from robinspace import (
     cli,
@@ -21,9 +23,7 @@ from robinspace import (
     dendrogram as dg,
     generator,
     mmodtree as mm,
-    oracle,
     pqtree as pq,
-    reference,
     refine,
     translate,
 )
@@ -112,11 +112,11 @@ def test_01_worked_example(capsys):
         node
         for node in core.iter_nodes(built)
         if not isinstance(node, mm.Leaf)
-        and core.leaf_set(node) == frozenset({7, 8, 9, 10, 11})
+        and reference.leaf_set(node) == frozenset({7, 8, 9, 10, 11})
     )
     assert right_block.special == 2
     large = right_block.children[right_block.large_child]
-    assert core.leaf_set(large) == frozenset({7, 8, 11})
+    assert reference.leaf_set(large) == frozenset({7, 8, 11})
 
     for p in range(12):
         classes = refine.copoint_partition(WORKED12, p, pts)

@@ -16,13 +16,15 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import oracle
+import reference
 from conftest import NONROB4, WORKED12, canon_mm, mutated_documents, robinson_matrices
 from conftest import spine_with_block, symmetric_matrices
 from robinspace import bench, cli, copoints, core, dendrogram as dg, formats, generator
-from robinspace import mmodtree as mm, oracle, pqtree as pq, reference, refine, translate
+from robinspace import mmodtree as mm, pqtree as pq, refine, translate
 from robinspace.core import AsymmetricInput, DissimilarityMatrix, Leaf, NonzeroDiagonal
+from reference import mmodule_tree_from_dendrogram as carved
 from robinspace.formats import DocumentError, MatrixParseError
-from robinspace.reference import mmodule_tree_from_dendrogram as carved
 
 WORKED12_TEXT = formats.serialize_matrix(WORKED12)
 

@@ -11,6 +11,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
+import reference
 from conftest import (
     EQUAL3,
     FLAT3,
@@ -25,8 +27,8 @@ from conftest import (
     spine_with_block,
     symmetric_matrices,
 )
-from robinspace import cli, copoints as cop, core, formats, generator, mmodtree as mm, oracle
-from robinspace import pqtree as pq, reference, refine, translate
+from robinspace import cli, copoints as cop, core, formats, generator, mmodtree as mm
+from robinspace import pqtree as pq, refine, translate
 from robinspace.core import DissimilarityMatrix
 from robinspace.pqtree import Leaf, P, Q
 

@@ -9,8 +9,10 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from conftest import EQUAL3, FLAT3, NONROB4, SHAPES, WORKED12, robinson_matrices, shape_matrix
-from robinspace import copoints, core, generator, mmodtree as mm, pqtree as pq, reference, refine
+from reference import NotAnMModulePartition
+from robinspace import copoints, core, generator, mmodtree as mm, pqtree as pq, refine
 from robinspace import translate
 from robinspace.core import (
     AsymmetricInput,
@@ -20,7 +22,6 @@ from robinspace.core import (
     SubsetTooSmall,
 )
 from robinspace.dendrogram import build_dendrogram
-from robinspace.reference import NotAnMModulePartition
 
 
 def test_validate_accepts_worked_example():

@@ -13,10 +13,11 @@ import inspect
 import pytest
 from hypothesis import given
 
+import reference
 import test_mmodtree
 import test_pqtree
 from conftest import robinson_matrices
-from robinspace import core, pqtree as pq, reference
+from robinspace import core, pqtree as pq
 
 CASES = [
     fn

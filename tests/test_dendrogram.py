@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
+import reference
 from conftest import EQUAL3, FLAT3, WORKED12, robinson_matrices, symmetric_matrices
-from robinspace import copoints, dendrogram as dg, generator, oracle, reference
+from robinspace import copoints, dendrogram as dg, generator
 from robinspace.core import DissimilarityMatrix
 from robinspace.core import iter_nodes, leaf_points
 from robinspace.dendrogram import EmptySubset, Internal, Leaf, NotALeaf

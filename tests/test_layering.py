@@ -1,13 +1,15 @@
 """Import layering of the package, read from its source with ``ast``.
 
-The production modules never reach the test-side modules (``reference``,
-``oracle``) and define none of the helpers kept there, ``pqtree`` stays
-below the constructions that use it, and every import sits at module
-level, so the graph read here is the whole graph.  ``copoints`` builds
-its tree through ``pqtree.node`` with no normalizing pass or delta-graph
-search, one spine reading serves construction and translation, and one
-slot rule places a block in a Q-spine.  ``tree`` and ``translate`` take
-their trees from one helper.  No production function calls itself, the
+The package holds the production modules alone: the reference
+constructions and the brute oracles are ``tests/reference.py`` and
+``tests/oracle.py``, no package module imports a module of ``tests/`` or
+defines a helper kept there, and neither of the two reaches the command
+line.  ``pqtree`` stays below the constructions that use it, and every
+import sits at module level, so the graph read here is the whole graph.
+``copoints`` builds its tree through ``pqtree.node`` with no normalizing
+pass or delta-graph search, one spine reading serves construction and
+translation, and one slot rule places a block in a Q-spine.  ``tree`` and
+``translate`` take their trees from one helper.  No production function calls itself, the
 tree queries walk their tree once, ``refine`` imports only ``core``, and
 no library module touches the recursion limit.  The library never reaches
 the command line's modules (``cli``, ``formats``, ``generator``,
@@ -28,13 +30,18 @@ import pytest
 import robinspace
 
 PACKAGE = Path(robinspace.__file__).resolve().parent
-TEST_SIDE = {"reference", "oracle"}
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
-PRODUCTION = [name for name in MODULES if name not in TEST_SIDE]
+# top-level names under pytest, which puts ``tests/`` on ``sys.path``
+TEST_MODULES = {path.stem for path in TESTS.glob("*.py")}
+# the package and the reference constructions and oracles beside it
+SOURCES = [*MODULES, "reference", "oracle"]
 
 
 def _tree(name: str) -> ast.Module:
-    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    """Source of package module ``name``, else of ``tests/<name>.py``."""
+    path = (PACKAGE if name in MODULES else TESTS) / f"{name}.py"
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _imported(name: str) -> set[str]:
@@ -59,15 +66,37 @@ def _imported(name: str) -> set[str]:
     return out & set(MODULES)
 
 
+def _absolute(name: str) -> set[str]:
+    """First names of the absolute imports in ``name``'s source."""
+    out = set()
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
 def test_layering_sees_every_module():
-    assert {"core", "pqtree", "copoints", "reference", "oracle"} <= set(MODULES)
+    # a test-only module shipped in the package fails here
+    assert set(MODULES) == {
+        "__init__", "bench", "cli", "copoints", "core", "dendrogram", "formats",
+        "generator", "mmodtree", "pqtree", "refine", "translate",
+    }
+    assert TEST_MODULES >= {"reference", "oracle", "doc_reference", "refine_reference", "conftest"}
     assert _imported("reference") >= {"core", "copoints", "mmodtree", "pqtree"}
     assert _defined("reference") >= TEST_ONLY_NAMES
 
 
-@pytest.mark.parametrize("name", PRODUCTION)
+@pytest.mark.parametrize("name", MODULES)
 def test_production_module_imports_no_test_side_module(name):
-    assert not _imported(name) & TEST_SIDE
+    # such an import passes under pytest and breaks the installed package
+    assert not _absolute(name) & TEST_MODULES
+
+
+@pytest.mark.parametrize("name", ["reference", "oracle"])
+def test_test_side_reaches_no_command_line(name):
+    assert "cli" not in _imported(name)
 
 
 # test-only helpers that live beside the oracles
@@ -84,6 +113,8 @@ TEST_ONLY_NAMES = {
     "diameter_and_pair",
     "delta_graph_components",
     "_components",
+    "ascending_split",
+    "leaf_set",
 }
 
 
@@ -96,7 +127,7 @@ def _defined(name: str) -> set[str]:
     }
 
 
-@pytest.mark.parametrize("name", PRODUCTION)
+@pytest.mark.parametrize("name", MODULES)
 def test_production_module_defines_no_test_only_name(name):
     assert not _defined(name) & TEST_ONLY_NAMES
 
@@ -123,7 +154,7 @@ def test_pqtree_sits_below_the_constructions():
 
 
 def test_mmodule_tree_has_one_production_path():
-    # built from the PQ-tree; the dendrogram carving lives in ``reference``
+    # built from the PQ-tree; the dendrogram carving lives in ``tests/reference.py``
     assert not _imported("mmodtree") & {"dendrogram", "refine"}
 
 
@@ -166,13 +197,13 @@ def test_one_slot_rule_for_construction_and_translation():
     # ``copoints.admissible_hole`` alone
     assert "admissible_hole" in _called("copoints") & _called("translate")
     assert "admissible_hole" in _called("reference")
-    assert not any("find_bipartition" in _defined(name) for name in MODULES)
+    assert not any("find_bipartition" in _defined(name) for name in SOURCES)
 
 
 def test_one_spine_reading_for_construction_and_translation():
     # a subtree is read as a linear spine by ``copoints.spine_children`` alone
     assert "spine_children" in _called("copoints") & _called("translate")
-    assert not any("_spine_children" in _defined(name) for name in MODULES)
+    assert not any("_spine_children" in _defined(name) for name in SOURCES)
 
 
 def test_tree_and_translate_serve_one_recognized_tree():
@@ -205,7 +236,7 @@ def test_tree_queries_walk_the_tree_once(module, function, walker):
     assert not called & WALKERS - {walker}
 
 
-@pytest.mark.parametrize("name", PRODUCTION)
+@pytest.mark.parametrize("name", MODULES)
 def test_production_module_imports_only_at_module_level(name):
     tree = _tree(name)
     top = {id(node) for node in tree.body}
@@ -242,7 +273,7 @@ def _self_calling(scope: ast.AST, prefix: str) -> set[str]:
 
 
 def test_self_calling_functions_are_the_known_ones():
-    found = set().union(*(_self_calling(_tree(name), name) for name in PRODUCTION))
+    found = set().union(*(_self_calling(_tree(name), name) for name in MODULES))
     assert found == SELF_CALLING
 
 
@@ -257,7 +288,7 @@ def _named(name: str) -> set[str]:
     return out
 
 
-@pytest.mark.parametrize("name", [name for name in PRODUCTION if name != "cli"])
+@pytest.mark.parametrize("name", [name for name in MODULES if name != "cli"])
 def test_library_leaves_the_recursion_limit_alone(name):
     # only the CLI lifts it, scoped, for json's recursive C encoder and decoder
     assert "setrecursionlimit" not in _named(name)

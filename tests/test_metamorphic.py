@@ -1,0 +1,112 @@
+"""Metamorphic checks: a relabelled or re-weighted copy of a matrix gets
+the same answer, moved along with it.
+
+Relabelling by a permutation pi moves point x to pi(x), so the copy is
+d∘pi⁻¹ and its PQ-tree is the original's with every leaf moved by pi.
+The map w -> w² + 3w is strictly increasing on the weights, which are
+nonnegative, and keeps 0 at 0, so it keeps every comparison between
+distances: the verdict, the PQ-tree and the mmodule tree stay, apart from
+each special weight, which moves by the same map.  These hold at every n,
+so they reach sizes the brute oracles cannot.  Trees are compared only
+through ``pqtree.equivalent`` and ``core.first_difference``, which walk
+without recursion; the dataclass ``==`` recurses once per level.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import profile_subsets, robinson_matrices, shape_subsets, spine_with_block
+from conftest import symmetric_matrices
+from robinspace import copoints, core, mmodtree as mm, pqtree as pq
+from robinspace.core import DissimilarityMatrix, Leaf
+
+
+def _monotone(w: int) -> int:
+    return w * w + 3 * w
+
+
+def _relabelled(m: DissimilarityMatrix, pi: list[int]) -> DissimilarityMatrix:
+    """d∘pi⁻¹: point x of ``m`` is point pi[x] of the copy."""
+    inv = [0] * len(pi)
+    for x, y in enumerate(pi):
+        inv[y] = x
+    return DissimilarityMatrix([[m.rows[a][b] for b in inv] for a in inv], m.scale)
+
+
+def _reweighted(m: DissimilarityMatrix) -> DissimilarityMatrix:
+    return DissimilarityMatrix([[_monotone(w) for w in row] for row in m.rows], m.scale)
+
+
+def _mapped(tree, point=lambda x: x, weight=lambda w: w):
+    """The tree with every leaf point and every special weight mapped."""
+
+    def node(n, kids):
+        if isinstance(n, Leaf):
+            return Leaf(point(n.point))
+        if isinstance(n, mm.Cap) and n.special is not None:
+            return replace(n, children=tuple(kids), special=weight(n.special))
+        return replace(n, children=tuple(kids))
+
+    return core.fold(tree, node)
+
+
+def _same_mmodule_tree(t1, t2) -> bool:
+    return core.first_difference(mm.normal_form(t1), mm.normal_form(t2)) is None
+
+
+# Robinson spaces and point sets: the profiles and shapes up to n=64 (no
+# special node among them), random small spaces, and a spine with a block
+# in its slot, whose mmodule tree has a special node
+SPACES = st.one_of(
+    profile_subsets(max_n=64),
+    shape_subsets(max_n=64),
+    robinson_matrices(max_n=12).map(lambda m: (m, range(m.n))),
+    spine_with_block(),
+)
+
+
+@st.composite
+def relabelled_spaces(draw):
+    """A Robinson space, a point set of it and a relabelling."""
+    m, pts = draw(SPACES)
+    return m, pts, draw(st.permutations(range(m.n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_spaces())
+def test_relabelling_moves_the_trees_along(case):
+    m, pts, pi = case
+    copy = _relabelled(m, pi)
+    moved = [pi[x] for x in pts]
+    assert pq.equivalent(
+        copoints.pq_tree2(copy, moved), _mapped(copoints.pq_tree2(m, pts), pi.__getitem__)
+    )
+    assert _same_mmodule_tree(
+        mm.mmodule_tree(copy, moved), _mapped(mm.mmodule_tree(m, pts), pi.__getitem__)
+    )
+    assert copoints.recognize_robinson(copy).accepted
+
+
+@settings(max_examples=200, deadline=None)
+@given(SPACES)
+def test_reweighting_keeps_the_trees(case):
+    m, pts = case
+    heavy = _reweighted(m)
+    assert copoints.recognize_robinson(heavy).accepted
+    assert pq.equivalent(copoints.pq_tree2(heavy, pts), copoints.pq_tree2(m, pts))
+    assert _same_mmodule_tree(
+        mm.mmodule_tree(heavy, pts), _mapped(mm.mmodule_tree(m, pts), weight=_monotone)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices(max_n=8), st.randoms(use_true_random=False))
+def test_verdict_survives_relabelling_and_reweighting(m, rnd):
+    pi = list(range(m.n))
+    rnd.shuffle(pi)
+    verdict = copoints.recognize_robinson(m).accepted
+    assert copoints.recognize_robinson(_relabelled(m, pi)).accepted == verdict
+    assert copoints.recognize_robinson(_reweighted(m)).accepted == verdict

@@ -9,6 +9,8 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+import oracle
+import reference
 from conftest import (
     EQUAL3,
     FLAT3,
@@ -17,8 +19,8 @@ from conftest import (
     robinson_matrices,
     symmetric_matrices,
 )
-from robinspace import core, oracle, reference
-from robinspace.oracle import InstanceTooLarge
+from oracle import InstanceTooLarge
+from robinspace import core
 
 
 def test_orders_flat3():

@@ -14,7 +14,8 @@ from typing import Iterator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from robinspace import cli, copoints, core, formats, generator, reference
+import reference
+from robinspace import cli, copoints, core, formats, generator
 from robinspace.core import DissimilarityMatrix
 from robinspace.formats import MatrixParseError
 

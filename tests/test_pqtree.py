@@ -5,8 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+import reference
 from conftest import EQUAL3, FLAT3, WORKED12, robinson_matrices
-from robinspace import copoints, core, pqtree as pq, reference
+from robinspace import copoints, core, pqtree as pq
 from robinspace.pqtree import Leaf, P, Q, TooManyOrders
 
 # one P-group of three siblings at the head of a five-slot spine

@@ -5,11 +5,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
+import reference as rs_reference
 import refine_reference as reference
 from conftest import EQUAL3, WORKED12, profile_subsets, robinson_matrices, shape_subsets
-from robinspace import core, dendrogram as dg, generator, oracle, refine
-from robinspace import reference as rs_reference
-from robinspace.reference import is_mmodule
+from reference import is_mmodule
+from robinspace import core, dendrogram as dg, generator, refine
 from robinspace.refine import NotAPartition
 
 PROFILES = ("generic", "ultrametric", "flat-heavy", "tie-heavy")
@@ -17,7 +18,7 @@ PROFILES = ("generic", "ultrametric", "flat-heavy", "tie-heavy")
 
 def test_refine_by_pivot_orders_and_preserves():
     # ascending distance buckets, input order kept inside each bucket
-    split = refine._split_points(WORKED12.rows)
+    split = rs_reference.ascending_split(WORKED12.rows)
     assert [pts for _, pts in split(None, [4, 7, 1, 5], 0, set())] == [[1], [4, 5], [7]]
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from conftest import (
     EQUAL3,
     FLAT3,
@@ -12,11 +13,11 @@ from conftest import (
     robinson_matrices,
     spine_with_block,
 )
-from robinspace import copoints as cop, core, mmodtree as mm, pqtree as pq, reference
+from reference import CorrespondenceViolation
+from reference import mmodule_tree_from_dendrogram as carved
+from robinspace import copoints as cop, core, mmodtree as mm, pqtree as pq
 from robinspace import translate as tr
 from robinspace.dendrogram import build_dendrogram
-from robinspace.reference import CorrespondenceViolation
-from robinspace.reference import mmodule_tree_from_dendrogram as carved
 from robinspace.pqtree import Leaf, P, Q
 
 

@@ -21,9 +21,10 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 import refine_reference
 from conftest import SHAPES, robinson_matrices, shape_matrix, symmetric_matrices
-from robinspace import copoints, core, generator, mmodtree as mm, pqtree as pq, reference, refine
+from robinspace import copoints, core, generator, mmodtree as mm, pqtree as pq, refine
 from robinspace import dendrogram as dg
 from robinspace.core import DissimilarityMatrix
 
