@@ -235,8 +235,8 @@ def _hang(matrix: DissimilarityMatrix, t_p: PQTree, alpha: PQTree, delta: int) -
     if spine is not None:
         hit = pq.conical_apex(matrix, spine)
         if hit is not None and hit[0] == delta:
-            # the apex points fall apart at delta exactly when the apex is
-            # a P-node at delta, which ``node`` splices
+            # ``node`` splices the apex when it falls apart at delta
+            # (``pq.falls_apart``), the one apex rule
             a = hit[1]
             apex = pq.node(matrix, pq.P, (spine[a], t_p))
             return pq.node(matrix, pq.Q, (*spine[:a], apex, *spine[a + 1 :]))

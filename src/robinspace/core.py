@@ -27,6 +27,12 @@ class AsymmetricInput(RobinsonError):
         self.indices = (i, j)
 
 
+class RaggedMatrix(RobinsonError):
+    def __init__(self, i: int, length: int, n: int) -> None:
+        super().__init__(f"matrix row {i} has length {length}, but the matrix has {n} rows")
+        self.row = i
+
+
 class NonzeroDiagonal(RobinsonError):
     def __init__(self, i: int) -> None:
         super().__init__(f"nonzero diagonal entry at index {i}")
@@ -185,7 +191,7 @@ def validate(matrix: DissimilarityMatrix) -> None:
     n = len(rows)
     for i, row in enumerate(rows):
         if len(row) != n:
-            raise AsymmetricInput(i, len(row))
+            raise RaggedMatrix(i, len(row), n)
     k = next(compress(count(), map(operator.getitem, rows, range(n))), n)
     r = next(compress(count(), map(operator.ne, map(tuple, rows), zip(*rows))), n)
     if k < n and k <= r:

@@ -18,12 +18,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .core import DissimilarityMatrix, Leaf, RobinsonError, checked_subset, fold, iter_nodes
-from .core import leaf_points
-
-
-class EmptySubset(RobinsonError):
-    pass
+from .core import DissimilarityMatrix, Leaf, RobinsonError, SubsetTooSmall, checked_subset, fold
+from .core import iter_nodes, leaf_points
 
 
 class NotALeaf(RobinsonError):
@@ -77,7 +73,7 @@ def build_dendrogram(matrix: DissimilarityMatrix, subset: Iterable[int]) -> Tree
     """
     pts = checked_subset(matrix, subset)
     if not pts:
-        raise EmptySubset("cannot build a dendrogram on no points")
+        raise SubsetTooSmall("cannot build a dendrogram on no points")
     rows = matrix.rows
     tree: Tree = Leaf(pts[0])
     rem = pts[1:]

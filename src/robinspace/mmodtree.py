@@ -56,12 +56,11 @@ def mmodule_tree(matrix: DissimilarityMatrix, subset: Iterable[int]) -> MModuleT
     """Build the mmodule tree of the given points.
 
     The PQ-tree of the copoint construction, translated.  An empty
-    subset raises ``core.SubsetTooSmall`` (the dendrogram carving this
-    replaced raised ``dendrogram.EmptySubset``; both are
-    ``RobinsonError``), and a point that is no int index of the matrix,
-    or appears twice, ``core.BadSubsetPoint``.  The input is assumed
-    Robinson: the copoint construction is total, so a non-Robinson input
-    still gets a tree over its points, which carries no guarantee.
+    subset raises ``core.SubsetTooSmall``, and a point that is no int
+    index of the matrix, or appears twice, ``core.BadSubsetPoint``.  The
+    input is assumed Robinson: the copoint construction is total, so a
+    non-Robinson input still gets a tree over its points, which carries
+    no guarantee.
     """
     return pq_to_mmodule_tree(matrix, pq_tree2(matrix, subset))
 
@@ -72,35 +71,30 @@ def pq_to_mmodule_tree(matrix: DissimilarityMatrix, tree: pq.PQTree) -> MModuleT
     P-nodes become plain copartition nodes and non-conical Q-nodes
     become union nodes, each child converted in place.  A conical Q-node
     becomes a special copartition node: its non-apex children fuse into
-    the large child, and the apex either stays one child (when its own
-    top weight sits below the apex distance, or it has none) or
-    dissolves into its children (when the apex points fall apart at the
-    apex distance).
+    the large child, and the apex stays one child, unless its points
+    fall apart at the apex distance (``pqtree.falls_apart``, the rule by
+    which ``pqtree.node`` splices it), when it dissolves into its
+    children.
     """
-    return fold(tree, lambda t, kids: _to_mmodule(matrix, t, kids))[0]
+    return fold(tree, lambda t, kids: _to_mmodule(matrix, t, tuple(kids)))
 
 
-def _to_mmodule(matrix: DissimilarityMatrix, tree: pq.PQTree, kids: list[tuple]) -> tuple:
-    # (mmodule tree, its children) of ``tree`` from those of its children,
-    # so a dissolving apex hands over its children whatever it became
+def _to_mmodule(matrix: DissimilarityMatrix, tree: pq.PQTree, kids: tuple) -> MModuleTree:
+    # the mmodule tree of ``tree`` from those of its children
     if isinstance(tree, Leaf):
-        return tree, ()
-    converted = tuple(c for c, _ in kids)
+        return tree
     if isinstance(tree, pq.P):
-        return Cap(converted), converted
+        return Cap(kids)
     hit = pq.conical_apex(matrix, tree.children)
     if hit is None:
-        return Cup(converted), converted
+        return Cup(kids)
     delta, apex = hit
-    rest = converted[:apex] + converted[apex + 1 :]
+    rest = kids[:apex] + kids[apex + 1 :]
     # an arity-2 fusion is a copartition, like every arity-2 node
     base = Cap(rest) if len(rest) == 2 else Cup(rest)
-    inner, _ = pq.tree_delta_star(matrix, tree.children[apex])
-    if inner is None or inner < delta:
-        out = (base, converted[apex])
-    else:
-        out = (base, *kids[apex][1])
-    return Cap(out, special=delta, large_child=0), converted
+    split = pq.falls_apart(matrix, tree.children[apex], delta)
+    small = kids[apex].children if split else (kids[apex],)
+    return Cap((base, *small), special=delta, large_child=0)
 
 
 def normal_form(tree: MModuleTree) -> MModuleTree:

@@ -9,11 +9,13 @@ that normal form: the copoint construction builds every node through it,
 and ``normalize`` folds it over a tree assembled any other way.
 
 Beyond the order bookkeeping (counting, enumeration, equivalence), this
-module reads boundary weights off internal nodes: a Q-node is *conical*
-when one interior child sits at a single distance from all the others
-(``conical_apex``).  That is what lets the translation routines move
-between PQ-trees and mmodule trees without touching the matrix more than
-O(1) times per node.
+module holds the one apex rule that the construction and both
+translations share.  A Q-node is *conical* when one interior child, its
+apex, sits at a single distance δ from all the others (``conical_apex``),
+and the apex falls apart at δ exactly when it is a P-node whose children
+sit δ apart (``falls_apart``), the child ``node`` splices into a P parent
+at δ.  Both read O(1) distances per child, so the translations touch the
+matrix O(1) times per node.
 """
 
 from __future__ import annotations
@@ -145,25 +147,16 @@ def conical_apex(
     return None
 
 
-def tree_delta_star(
-    matrix: DissimilarityMatrix, tree: PQTree
-) -> tuple[int | None, int | None]:
-    """(top weight, apex index) read off the root in O(arity).
+def falls_apart(matrix: DissimilarityMatrix, tree: PQTree, delta: int) -> bool:
+    """True when ``tree`` is a P-node whose children sit ``delta`` apart.
 
-    P roots expose the top weight as their uniform cross distance; Q
-    roots only when conical.  Leaves and non-conical Q roots give
-    (None, None).
+    Its points then fall apart at ``delta``: ``node`` splices such a child
+    into a P parent at ``delta``, and the apex of a conical Q-node at
+    ``delta`` like it dissolves into its children in the mmodule tree.
     """
-    if isinstance(tree, Leaf):
-        return (None, None)
-    if isinstance(tree, P):
-        a = first_leaf(tree.children[0])
-        b = first_leaf(tree.children[1])
-        return (matrix.rows[a][b], None)
-    hit = conical_apex(matrix, tree.children)
-    if hit is None:
-        return (None, None)
-    return hit
+    if not isinstance(tree, P):
+        return False
+    return matrix.rows[first_leaf(tree.children[0])][first_leaf(tree.children[1])] == delta
 
 
 def node(
@@ -185,11 +178,10 @@ def node(
         return kids[0]
     if kind is Q and len(kids) > 2:
         return Q(tuple(kids))
-    rows = matrix.rows
-    delta = rows[first_leaf(kids[0])][first_leaf(kids[1])]
+    delta = matrix.rows[first_leaf(kids[0])][first_leaf(kids[1])]
     out: list[PQTree] = []
     for c in kids:
-        if isinstance(c, P) and rows[first_leaf(c.children[0])][first_leaf(c.children[1])] == delta:
+        if falls_apart(matrix, c, delta):
             out.extend(c.children)
         else:
             out.append(c)

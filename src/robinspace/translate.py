@@ -33,9 +33,9 @@ def mmodule_to_pq_tree(
     the recognizer on one representative apiece; a wrong claim of
     flatness gives a tree whose order the matrix refutes.  A special
     copartition node rebuilds the conical Q-node it came from: the large
-    child's spine is cut once and the remaining children, wrapped in a
-    P-node when there are several, take the gap, or ``NotRobinson``
-    is raised when the large child has no such spine.
+    child's spine is cut once and the remaining children, under one
+    P-node built by ``pq.node`` when there are several, take the gap, or
+    ``NotRobinson`` is raised when the large child has no such spine.
     """
     return fold(tree, lambda t, kids: _to_pq(matrix, t, kids))
 
@@ -54,8 +54,7 @@ def _to_pq(matrix: DissimilarityMatrix, tree: mm.MModuleTree, kids: list) -> pq.
     if j is None:
         raise NotRobinson("a special node's large child has no spine with a slot at its weight")
     small = [c for i, c in enumerate(kids) if i != tree.large_child]
-    filler = small[0] if len(small) == 1 else pq.P(tuple(small))
-    return pq.Q((*gammas[:j], filler, *gammas[j:]))
+    return pq.Q((*gammas[:j], pq.node(matrix, pq.P, small), *gammas[j:]))
 
 
 def _union_order(matrix: DissimilarityMatrix, children: tuple[mm.MModuleTree, ...]) -> list[int]:

@@ -67,6 +67,30 @@ def _whole_or_subset(draw, n: int) -> list[int]:
     return draw(st.one_of(st.just(whole), subset))
 
 
+def conical(b: int):
+    """d(i, j) of a space whose PQ-tree has a conical Q-node at every level.
+
+    Read i and j in base ``b``, and let l >= 1 be the highest digit
+    position where they differ (the units digit is 1), with digits a and
+    c there.  Then d(i, j) = 2l + 2 when {a, c} = {0, b - 1}, the two ends
+    of the level, and 2l + 1 otherwise.  Each block of one level is a
+    Q-node whose interior children sit at 2l + 1 from all their siblings,
+    so its mmodule node is special; with b = 3 the apex is a leaf or a
+    Q-node, with b = 4 a P-node at that weight, which falls apart.
+    """
+
+    def d(n: int, i: int, j: int) -> int:
+        level = 0
+        while i != j:
+            level += 1
+            if i % b != j % b:
+                top, ends = level, {i % b, j % b} == {0, b - 1}
+            i, j = i // b, j // b
+        return 2 * top + 1 + ends
+
+    return d
+
+
 # Robinson shapes outside the generator profiles, d(i, j) for i != j.  They
 # stay out of ``generator.PROFILES``: tests index that tuple and sample from it.
 SHAPES = {
@@ -75,6 +99,8 @@ SHAPES = {
     "blocks-of-8": lambda n, i, j: 1 if i // 8 == j // 8 else 2,
     "caterpillar": lambda n, i, j: max(i, j),
     "line": lambda n, i, j: abs(i - j),
+    "conical-3": conical(3),
+    "conical-4": conical(4),
 }
 
 

@@ -393,7 +393,11 @@ def classify(
     for node in iter_nodes(tree):
         if isinstance(node, Leaf):
             continue
-        delta, apex = pq.tree_delta_star(matrix, node)
+        if isinstance(node, P):
+            kids = node.children
+            delta, apex = matrix.rows[first_leaf(kids[0])][first_leaf(kids[1])], None
+        else:
+            delta, apex = pq.conical_apex(matrix, node.children) or (None, None)
         split = apex is not None and len(
             delta_graph_components(matrix, leaf_points(node.children[apex]), delta)
         ) > 1
@@ -815,7 +819,7 @@ def prim_dendrogram_loop(matrix: DissimilarityMatrix, subset: Iterable[int]) -> 
     """
     pts = sorted(subset)
     if not pts:
-        raise dg.EmptySubset("cannot build a dendrogram on no points")
+        raise core.SubsetTooSmall("cannot build a dendrogram on no points")
     if len(pts) == 1:
         return Leaf(pts[0])
     rows = matrix.rows

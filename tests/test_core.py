@@ -19,6 +19,7 @@ from robinspace.core import (
     DissimilarityMatrix,
     EmptyMatrix,
     NonzeroDiagonal,
+    RaggedMatrix,
     SubsetTooSmall,
 )
 from robinspace.dendrogram import build_dendrogram
@@ -34,8 +35,16 @@ def test_validate_empty():
 
 
 def test_validate_ragged():
-    with pytest.raises(AsymmetricInput):
-        core.validate(DissimilarityMatrix([[0, 1], [1, 0], [2, 2]]))
+    # the message names the short or long row, never an entry pair
+    cases = [
+        ([[0, 1], [1, 0], [2, 2]], 0, "matrix row 0 has length 2, but the matrix has 3 rows"),
+        ([[0, 1, 2], [1, 0]], 0, "matrix row 0 has length 3, but the matrix has 2 rows"),
+        ([[0, 1], [1]], 1, "matrix row 1 has length 1, but the matrix has 2 rows"),
+    ]
+    for rows, row, message in cases:
+        with pytest.raises(RaggedMatrix) as exc:
+            core.validate(DissimilarityMatrix(rows))
+        assert (exc.value.row, str(exc.value)) == (row, message)
 
 
 def test_validate_asymmetric_reports_indices():

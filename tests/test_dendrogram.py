@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 import oracle
 import reference
 from conftest import EQUAL3, FLAT3, WORKED12, robinson_matrices, symmetric_matrices
-from robinspace import copoints, dendrogram as dg, generator
+from robinspace import copoints, core, dendrogram as dg, generator
 from robinspace.core import DissimilarityMatrix
 from robinspace.core import iter_nodes, leaf_points
-from robinspace.dendrogram import EmptySubset, Internal, Leaf, NotALeaf
+from robinspace.dendrogram import Internal, Leaf, NotALeaf
 
 
 def test_worked_example_clusters():
@@ -44,7 +44,7 @@ def test_singleton_is_leaf():
 
 
 def test_empty_subset_rejected():
-    with pytest.raises(EmptySubset):
+    with pytest.raises(core.SubsetTooSmall):
         dg.build_dendrogram(WORKED12, [])
 
 

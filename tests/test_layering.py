@@ -8,10 +8,11 @@ line.  ``pqtree`` stays below the constructions that use it, and every
 import sits at module level, so the graph read here is the whole graph.
 ``copoints`` builds its tree through ``pqtree.node`` with no normalizing
 pass or delta-graph search, one spine reading serves construction and
-translation, and one slot rule places a block in a Q-spine.  ``tree`` and
-``translate`` take their trees from one helper.  No production function calls itself, the
-tree queries walk their tree once, ``refine`` imports only ``core``, and
-no library module touches the recursion limit.  The library never reaches
+translation, one slot rule places a block in a Q-spine, and one apex
+rule says when a conical apex falls apart.  ``tree`` and ``translate``
+take their trees from one helper.  No production function calls itself,
+the tree queries walk their tree once, ``refine`` imports only ``core``,
+and no library module touches the recursion limit.  The library never reaches
 the command line's modules (``cli``, ``formats``, ``generator``,
 ``bench``), the file formats reach none of the others, and the generator
 feeds only the commands and the bench.
@@ -198,6 +199,15 @@ def test_one_slot_rule_for_construction_and_translation():
     assert "admissible_hole" in _called("copoints") & _called("translate")
     assert "admissible_hole" in _called("reference")
     assert not any("find_bipartition" in _defined(name) for name in SOURCES)
+
+
+def test_one_apex_rule_for_construction_and_translation():
+    # a conical apex falls apart at its distance by ``pqtree.falls_apart``
+    # alone: ``node`` splices by it, the PQ→mmodule fold dissolves by it,
+    # and no root reading of a top weight stands beside it
+    assert "falls_apart" in _called("pqtree", "node") & _called("mmodtree", "_to_mmodule")
+    assert "node" in _called("translate", "_to_pq")
+    assert not any("tree_delta_star" in _defined(name) for name in SOURCES)
 
 
 def test_one_spine_reading_for_construction_and_translation():

@@ -6,10 +6,12 @@ d∘pi⁻¹ and its PQ-tree is the original's with every leaf moved by pi.
 The map w -> w² + 3w is strictly increasing on the weights, which are
 nonnegative, and keeps 0 at 0, so it keeps every comparison between
 distances: the verdict, the PQ-tree and the mmodule tree stay, apart from
-each special weight, which moves by the same map.  These hold at every n,
-so they reach sizes the brute oracles cannot.  Trees are compared only
-through ``pqtree.equivalent`` and ``core.first_difference``, which walk
-without recursion; the dataclass ``==`` recurses once per level.
+each special weight, which moves by the same map.  Both translations,
+PQ-tree to mmodule tree and back, move and keep their trees the same
+way.  These hold at every n, so they reach sizes the brute oracles
+cannot.  Trees are compared only through ``pqtree.equivalent`` and
+``core.first_difference``, which walk without recursion; the dataclass
+``==`` recurses once per level.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import profile_subsets, robinson_matrices, shape_subsets, spine_with_block
-from conftest import symmetric_matrices
-from robinspace import copoints, core, mmodtree as mm, pqtree as pq
+from conftest import profile_subsets, robinson_matrices, shape_matrix, shape_subsets
+from conftest import spine_with_block, symmetric_matrices
+from robinspace import copoints, core, mmodtree as mm, pqtree as pq, translate
 from robinspace.core import DissimilarityMatrix, Leaf
 
 
@@ -57,12 +59,19 @@ def _same_mmodule_tree(t1, t2) -> bool:
     return core.first_difference(mm.normal_form(t1), mm.normal_form(t2)) is None
 
 
-# Robinson spaces and point sets: the profiles and shapes up to n=64 (no
-# special node among them), random small spaces, and a spine with a block
-# in its slot, whose mmodule tree has a special node
+# Robinson spaces and point sets: the profiles and shapes up to n=64, random
+# small spaces, and a spine with a block in its slot.  The profiles and the
+# first five shapes have no special node; the conical shapes have them at
+# every level, and a spine with a block has one.  The conical shapes are
+# also drawn whole past n=12, where hypothesis seldom goes by itself.
 SPACES = st.one_of(
     profile_subsets(max_n=64),
     shape_subsets(max_n=64),
+    st.builds(
+        lambda name, n: (shape_matrix(name, n), range(n)),
+        st.sampled_from(["conical-3", "conical-4"]),
+        st.integers(13, 128),
+    ),
     robinson_matrices(max_n=12).map(lambda m: (m, range(m.n))),
     spine_with_block(),
 )
@@ -99,6 +108,35 @@ def test_reweighting_keeps_the_trees(case):
     assert pq.equivalent(copoints.pq_tree2(heavy, pts), copoints.pq_tree2(m, pts))
     assert _same_mmodule_tree(
         mm.mmodule_tree(heavy, pts), _mapped(mm.mmodule_tree(m, pts), weight=_monotone)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_spaces())
+def test_relabelling_moves_both_translations_along(case):
+    m, pts, pi = case
+    copy, move = _relabelled(m, pi), pi.__getitem__
+    t = copoints.pq_tree2(m, pts)
+    mt = translate.pq_to_mmodule_tree(m, t)
+    moved = translate.pq_to_mmodule_tree(copy, _mapped(t, move))
+    assert _same_mmodule_tree(moved, _mapped(mt, move))
+    assert pq.equivalent(
+        translate.mmodule_to_pq_tree(copy, _mapped(mt, move)),
+        _mapped(translate.mmodule_to_pq_tree(m, mt), move),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(SPACES)
+def test_reweighting_keeps_both_translations(case):
+    m, pts = case
+    heavy = _reweighted(m)
+    t = copoints.pq_tree2(m, pts)
+    mt = translate.pq_to_mmodule_tree(m, t)
+    heavy_mt = _mapped(mt, weight=_monotone)
+    assert _same_mmodule_tree(translate.pq_to_mmodule_tree(heavy, t), heavy_mt)
+    assert pq.equivalent(
+        translate.mmodule_to_pq_tree(heavy, heavy_mt), translate.mmodule_to_pq_tree(m, mt)
     )
 
 

@@ -138,14 +138,6 @@ def test_classify_frozen():
     assert (middle.delta, middle.apex) == (1, None)
 
 
-def test_tree_delta_star_frozen():
-    t12 = copoints.pq_tree2(WORKED12, range(12))
-    assert pq.tree_delta_star(WORKED12, t12) == (None, None)
-    assert pq.tree_delta_star(WORKED12, t12.children[0]) == (2, 1)
-    assert pq.tree_delta_star(WORKED12, t12.children[2]) == (2, 2)
-    assert pq.tree_delta_star(WORKED12, Leaf(3)) == (None, None)
-
-
 def test_delta_pq_tree_worked_example():
     t = reference.delta_pq_tree(WORKED12, range(12))
     assert pq.equivalent(t, copoints.pq_tree2(WORKED12, range(12)))

@@ -11,6 +11,7 @@ from conftest import (
     canon_mm,
     profile_subsets,
     robinson_matrices,
+    shape_matrix,
     spine_with_block,
 )
 from reference import CorrespondenceViolation
@@ -152,3 +153,39 @@ def test_special_weight_is_subset_top_weight(m):
         if isinstance(node, mm.Cap) and node.special is not None:
             pts = core.leaf_points(node)
             assert node.special == build_dendrogram(m, pts).weight
+
+
+def _apex_kinds(m, tree) -> set[str]:
+    """What the apex of each conical Q-node of ``tree`` is: a leaf, a
+    Q-node, or a P-node whose points fall apart at the apex distance."""
+    kinds = set()
+    for node in core.iter_nodes(tree):
+        hit = isinstance(node, Q) and pq.conical_apex(m, node.children)
+        if hit:
+            apex = node.children[hit[1]]
+            assert not isinstance(apex, P) or pq.falls_apart(m, apex, hit[0])
+            kinds.add(type(apex).__name__)
+    return kinds
+
+
+# every apex kind each conical shape carries at n=1024
+CONICAL_APEXES = {"conical-3": {"Leaf", "Q"}, "conical-4": {"P"}}
+
+
+@pytest.mark.parametrize("shape", sorted(CONICAL_APEXES))
+def test_conical_shapes_match_both_references_and_round_trip(shape):
+    # special nodes at every level, where the generated profiles have none
+    m = shape_matrix(shape, 256)
+    t, mt = cop.pq_tree2(m, range(256)), mm.mmodule_tree(m, range(256))
+    same = core.first_difference(mm.normal_form(mt), mm.normal_form(carved(m, range(256))))
+    assert same is None
+    assert pq.equivalent(t, reference.delta_pq_tree(m, range(256)))
+    reference.node_correspondence(m, t, mt)
+    m = shape_matrix(shape, 1024)
+    t, mt = cop.pq_tree2(m, range(1024)), mm.mmodule_tree(m, range(1024))
+    assert pq.equivalent(tr.mmodule_to_pq_tree(m, tr.pq_to_mmodule_tree(m, t)), t)
+    back = tr.pq_to_mmodule_tree(m, tr.mmodule_to_pq_tree(m, mt))
+    assert core.first_difference(mm.normal_form(back), mm.normal_form(mt)) is None
+    specials = [x for x in core.iter_nodes(mt) if isinstance(x, mm.Cap) and x.special is not None]
+    assert len(specials) >= 300
+    assert _apex_kinds(m, t) == CONICAL_APEXES[shape]

@@ -137,6 +137,17 @@ GOLDEN_TREES = {
         "fbac3518d351a2427e1703f8702f2eeb6ab9f0c0a924796ab9f3415ecca5762a",
         "aec09a86ab222ecded51f472d29216d9259e7c871754c414c59a1ec253338a6d",
     ),
+    # pinned before the PQ→mmodule fold read the apex by the P weight alone
+    "conical-3-150": (
+        "72dbd98e93b10586e92cd9bfa690d16269fcb22489207501f559851e58e734f9",
+        "a2ef3a5d2c6a41bc0c45d6652edbc221499f6d59982ecccca01e1b860f6df7c3",
+        "5a1ba3bed4f113ff7c25a45bd046846cd2a974ec138dfaaf13125841a3bc47b0",
+    ),
+    "conical-4-150": (
+        "b1069b7912c31cf1f66767826e9bf520d2e3a9c57add439ea339292870db4797",
+        "9f7fa8e5d65a8f1e9c6d911fad0fafe793c46a9f6b9a45fe0d318920b7f5c37d",
+        "3013943f3b0cb8a52914eded848352390a00a81ebf40664aa5cf167099ca1a26",
+    ),
     "line-150": (
         "7cf63eb679d8745644df3bf84d845e634c224bf899f7459ee12431487e70881f",
         "f8b5c59c17ec268f3eb3a1365d9be88b12c07a694be7a70e0cb085584e040314",
