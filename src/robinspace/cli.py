@@ -7,12 +7,13 @@ other kind), ``generate`` (seeded random Robinson matrices) and ``bench``
 (median wall times and doubling ratios).
 
 The file formats live in ``formats``, the generator in ``generator`` and
-the timing in ``bench``; this module reads the files, calls the library
-and writes the answer.  JSON output is compact, one line per report
-(``python -m json.tool`` indents it), and json's recursion is the only
-one that gets a scoped limit (``_recursion_room``).  Exit status is 0
-for success, 1 when the space is not Robinson, 2 for unusable input
-(an input too large for the memory at hand included).
+the timing in ``bench``, which the ``bench`` command alone imports, so no
+other command pays for loading ``statistics``; this module reads the
+files, calls the library and writes the answer.  JSON output is compact,
+one line per report (``python -m json.tool`` indents it), and json's
+recursion is the only one that gets a scoped limit (``_recursion_room``).
+Exit status is 0 for success, 1 when the space is not Robinson, 2 for
+unusable input (an input too large for the memory at hand included).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cache
 from textwrap import shorten
 from typing import Iterator, Sequence
 
-from . import bench, copoints, dendrogram as dg, mmodtree as mm, pqtree as pq
+from . import copoints, dendrogram as dg, mmodtree as mm, pqtree as pq
 from .core import DissimilarityMatrix, NotRobinson, RobinsonError, first_difference, leaf_points
 from .formats import DocumentError, MatrixParseError, ascii_tree, doc_to_tree, dot_tree
 from .formats import matrix_lines, parse_matrix, tree_to_doc
@@ -156,6 +157,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # imported here, so no other command loads its timing and statistics modules
+    from . import bench
+
     report = bench.measure(args.sizes, args.reps, args.seed, args.profile)
     if args.format == "json":
         _print_json(report)

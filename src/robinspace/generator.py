@@ -1,5 +1,31 @@
 """Seeded random Robinson matrices in four profiles (``PROFILES``), the
-inputs of the ``generate`` and ``bench`` commands, the tests and the benchmark."""
+inputs of the ``generate`` and ``bench`` commands, the tests and the benchmark.
+
+The stream.  One ``random.Random(f"{seed}:{profile}:{n}")`` makes every
+draw, in this order:
+
+* ``ultrametric``: per merge, the height step ``randint(1, 3)``, a
+  ``shuffle`` of the clusters, then the part count ``randint(2, k)`` for
+  k = min(4, clusters);
+* the other profiles: n - 1 ``random()`` that mark the duplicated points,
+  one ``randrange(m)`` per duplicate, the staircase column by column, each
+  entry one ``random()`` and, where the bump is ranged, ``randint(1, 4)``
+  (generic) or ``randint(2, 3)`` (flat-heavy), then a ``shuffle`` of the
+  n output points.
+
+Under ``randrange``, ``randint`` and ``shuffle`` lies ``_randbelow(k)``,
+which CPython 3.10 to 3.13 draw as ``getrandbits(k.bit_length())`` until
+the result is below k.  The generator runs that loop itself (``_below``,
+``_shuffle`` and inline in the staircase loops), so each draw of a swap
+or a staircase entry is one C call with no Python-level call around it,
+and the numbers are the same;
+``tests/test_generator.py`` holds the loop to the interpreter's own draws
+and the output to ``generate_matrix_reference`` in ``tests/reference.py``,
+which makes one library call per draw.  The ultrametric rows are filled by
+constant runs.  On a 2-CPU host with Python 3.11, one n=2048 matrix takes
+0.41 s generic, 0.21 s ultrametric, 0.45 s flat-heavy and 0.17 s tie-heavy
+(the median ``generate_s`` of ``robinspace bench --sizes 2048 --reps 3``).
+"""
 
 from __future__ import annotations
 
@@ -34,16 +60,17 @@ def generate_matrix(n: int, seed: int, profile: str) -> DissimilarityMatrix:
     rng = random.Random(f"{seed}:{profile}:{n}")
     if profile == "ultrametric":
         return _generate_ultrametric(n, rng)
+    getrandbits = rng.getrandbits
     dup_rate = {"generic": 0.1, "flat-heavy": 0.0, "tie-heavy": 0.35}[profile]
     m = max(1, n - sum(rng.random() < dup_rate for _ in range(n - 1)))
     multiplicity = [1] * m
     for _ in range(n - m):
-        multiplicity[rng.randrange(m)] += 1
+        multiplicity[_below(m, getrandbits)] += 1  # rng.randrange(m)
     base = _staircase(m, rng, profile)
     # duplicated points stay adjacent, so the identity order remains compatible
     spread = [i for i, k in enumerate(multiplicity) for _ in range(k)]
     perm = list(range(n))
-    rng.shuffle(perm)
+    _shuffle(perm, getrandbits)
     index = [spread[p] for p in perm]  # the base point of each output point
     gather = itemgetter(*index)
     copies: list[list[int]] = [[] for _ in range(m)]  # the output points of each base point
@@ -61,34 +88,93 @@ def generate_matrix(n: int, seed: int, profile: str) -> DissimilarityMatrix:
     return DissimilarityMatrix(rows, 1)
 
 
+def _below(k: int, getrandbits) -> int:
+    """``rng._randbelow(k)`` for k >= 1, the draw under ``randrange`` and
+    ``randint``: draws of ``k.bit_length()`` bits until one is below k."""
+    bits = k.bit_length()
+    r = getrandbits(bits)
+    while r >= k:
+        r = getrandbits(bits)
+    return r
+
+
+def _shuffle(x: list, getrandbits) -> None:
+    """``rng.shuffle(x)``: from the end, swap x[i] with x[j] for j =
+    ``_below(i + 1)``, whose loop is inlined; j > i is j >= i + 1."""
+    for i in reversed(range(1, len(x))):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
+
+
 def _staircase(m: int, rng: random.Random, profile: str) -> list[list[int]]:
     """Symmetric m x m grid grown outward from the diagonal, column by
     column, so each entry dominates its inner pair; each distinct weight
-    is one int object.  A ranged bump calls ``randint``'s own draw,
-    ``_randbelow``, directly: ``randint(1, k)`` is ``1 + _randbelow(k)``, so
-    the stream is the same, at one call per draw instead of three."""
-    random_, randbelow = rng.random, rng._randbelow
-    if profile == "flat-heavy":
-        bump = lambda: 2 + randbelow(2) if random_() < 0.15 else 1
-    elif profile == "tie-heavy":
-        bump = lambda: 0 if random_() < 0.6 else 1
-    else:
-        bump = lambda: 0 if random_() < 0.35 else 1 + randbelow(4)
-    intern = {}.setdefault
+    is one int object, taken from ``weights``.  Each profile draws its
+    bumps in its own loop, with ``_below``'s loop inlined where a bump is
+    ranged; a bump of 0 leaves the entry the object it already is."""
+    random_, getrandbits = rng.random, rng.getrandbits
+    # no bump passes ``top``, and each entry is one bump above an entry one
+    # step nearer the diagonal, so d(i, j) <= top * (j - i) < top * m
+    top = {"generic": 4, "flat-heavy": 3, "tie-heavy": 1}[profile]
+    weights = list(range(top * m))
+
+    def generic(above: list[int]) -> list[int]:
+        # bump 0 with probability 0.35, else randint(1, 4) = 1 + _below(4)
+        column = []
+        append = column.append
+        below = 0
+        for left in reversed(above):
+            if left > below:
+                below = left
+            if random_() >= 0.35:
+                r = getrandbits(3)
+                while r >= 4:
+                    r = getrandbits(3)
+                below = weights[below + 1 + r]
+            append(below)
+        return column
+
+    def flat_heavy(above: list[int]) -> list[int]:
+        # bump randint(2, 3) = 2 + _below(2) with probability 0.15, else 1
+        column = []
+        append = column.append
+        below = 0
+        for left in reversed(above):
+            if left > below:
+                below = left
+            if random_() < 0.15:
+                r = getrandbits(2)
+                while r >= 2:
+                    r = getrandbits(2)
+                below = weights[below + 2 + r]
+            else:
+                below = weights[below + 1]
+            append(below)
+        return column
+
+    def tie_heavy(above: list[int]) -> list[int]:
+        # bump 0 with probability 0.6, else 1
+        column = []
+        append = column.append
+        below = 0
+        for left in reversed(above):
+            if left > below:
+                below = left
+            if random_() >= 0.6:
+                below = weights[below + 1]
+            append(below)
+        return column
+
+    draw = {"generic": generic, "flat-heavy": flat_heavy, "tie-heavy": tie_heavy}[profile]
     # row j first holds d(i, j) for i <= j, column j of the upper triangle,
     # drawn from the diagonal outward: d(i, j) is one bump above the larger
     # of d(i, j - 1), read from row j - 1, and d(i + 1, j), drawn just before
     rows = [[0]]
     for _ in range(1, m):
-        column = []
-        append = column.append
-        below = 0
-        for left in reversed(rows[-1]):
-            if left > below:
-                below = left
-            below += bump()
-            below = intern(below, below)
-            append(below)
+        column = draw(rows[-1])
         column.reverse()
         column.append(0)
         rows.append(column)
@@ -103,23 +189,50 @@ def _staircase(m: int, rng: random.Random, profile: str) -> list[list[int]]:
 
 
 def _generate_ultrametric(n: int, rng: random.Random) -> DissimilarityMatrix:
-    """Random merges at rising heights; each merge writes its one height
-    object, so equal weights already share one int.  The rows become
-    tuples one at a time, so the peak stays one grid."""
-    rows = [[0] * n for _ in range(n)]
-    clusters = [[i] for i in range(n)]
+    """Random merges at rising heights, then the rows by blocks.
+
+    Laid out in the merge tree's leaf order, every cluster is one run of
+    places, and a row is constant runs: going down from a merge to one of
+    its parts leaves the rest of the merge's run at the merge's height.
+    So one buffer, filled in preorder, holds the row of each leaf in turn,
+    and one gather puts it in point order as a tuple.  Each merge writes
+    its one height object, so equal weights share one int.
+    """
+    getrandbits = rng.getrandbits
+    clusters: list = list(range(n))  # a point, or a merge (height, size, parts)
     height = 0
     while len(clusters) > 1:
-        height += rng.randint(1, 3)
-        rng.shuffle(clusters)
-        take = rng.randint(2, min(4, len(clusters)))
-        merged, clusters = clusters[:take], clusters[take:]
-        for a in range(take):
-            for b in range(a + 1, take):
-                for x in merged[a]:
-                    for y in merged[b]:
-                        rows[x][y] = rows[y][x] = height
-        clusters.append([x for part in merged for x in part])
-    for i, row in enumerate(rows):
-        rows[i] = tuple(row)
+        height += 1 + _below(3, getrandbits)  # rng.randint(1, 3)
+        _shuffle(clusters, getrandbits)
+        take = 2 + _below(min(4, len(clusters)) - 1, getrandbits)  # rng.randint(2, ...)
+        parts = clusters[:take]
+        del clusters[:take]
+        size = sum(1 if type(part) is int else part[1] for part in parts)
+        clusters.append((height, size, parts))
+    # in preorder: each node's run [lo, hi), its parent's height h and run
+    # [a, b), and its point, or -1 for a merge
+    place = [0] * n  # of each point, in leaf order
+    steps = []
+    stack = [(clusters[0], 0, 0, 0, 0)]
+    while stack:
+        node, lo, h, a, b = stack.pop()
+        if type(node) is int:
+            place[node] = lo
+            steps.append((lo, lo + 1, h, a, b, node))
+            continue
+        merge_height, size, parts = node
+        hi = lo + size
+        steps.append((lo, hi, h, a, b, -1))
+        for part in reversed(parts):
+            hi -= 1 if type(part) is int else part[1]
+            stack.append((part, hi, merge_height, lo, lo + size))
+    gather = itemgetter(*place)
+    row = [0] * n
+    rows: list = [None] * n
+    for lo, hi, h, a, b, x in steps[1:]:  # the root has no parent to fill from
+        row[a:lo] = [h] * (lo - a)
+        row[hi:b] = [h] * (b - hi)
+        if x >= 0:
+            row[lo] = 0
+            rows[x] = gather(row)
     return DissimilarityMatrix(rows, 1)

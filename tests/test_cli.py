@@ -1251,6 +1251,26 @@ def test_generation_holds_one_grid(profile):
 # --- bench ---------------------------------------------------------------------
 
 
+def test_importing_the_commands_leaves_statistics_unloaded():
+    # only ``bench`` needs ``statistics`` (and the fractions and decimal
+    # modules it loads), so no other command pays for them
+    code = (
+        "import sys, robinspace.cli; "
+        "print(sorted({'statistics', 'robinspace.bench'} & {*sys.modules}))"
+    )
+    proc = _python_fresh("-c", code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_importing_the_package_exposes_the_library_modules():
+    # the benchmark's workloads call ``rs.<module>.<name>`` on the package
+    # after importing ``robinspace.cli``, which no longer loads ``translate``
+    library = ("copoints", "core", "dendrogram", "mmodtree", "pqtree", "refine", "translate")
+    code = f"import robinspace; print([m for m in {library} if not hasattr(robinspace, m)])"
+    proc = _python_fresh("-c", code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_bench_zero_reps(capsys):
     assert cli.main(["bench", "--sizes", "32", "--reps", "0", "-f", "json"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -5,7 +5,8 @@ constructions and the brute oracles are ``tests/reference.py`` and
 ``tests/oracle.py``, no package module imports a module of ``tests/`` or
 defines a helper kept there, and neither of the two reaches the command
 line.  ``pqtree`` stays below the constructions that use it, and every
-import sits at module level, so the graph read here is the whole graph.
+import but the known ones in ``NESTED_IMPORTS`` sits at module level; the
+graph is read from the whole source, nested imports included.
 ``copoints`` builds its tree through ``pqtree.node`` with no normalizing
 pass or delta-graph search, one spine reading serves construction and
 translation, one slot rule places a block in a Q-spine, and one apex
@@ -116,6 +117,7 @@ TEST_ONLY_NAMES = {
     "_components",
     "ascending_split",
     "leaf_set",
+    "generate_matrix_reference",
 }
 
 
@@ -246,16 +248,23 @@ def test_tree_queries_walk_the_tree_once(module, function, walker):
     assert not called & WALKERS - {walker}
 
 
+# Imports inside a function, per module: ``cli`` loads ``bench``, and the
+# ``statistics`` module under it, for the ``bench`` command alone.  None may
+# join the list unnoticed.
+NESTED_IMPORTS = {"cli": {"bench"}}
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_production_module_imports_only_at_module_level(name):
     tree = _tree(name)
     top = {id(node) for node in tree.body}
-    nested = [
-        node.lineno
+    nested = {
+        node.lineno: {alias.name for alias in node.names}
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
-    ]
-    assert not nested, f"{name}.py imports inside a block at lines {nested}"
+    }
+    names = set().union(*nested.values())
+    assert names == NESTED_IMPORTS.get(name, set()), f"{name}.py imports inside a block: {nested}"
 
 
 # Production functions that call themselves by name: none, since every

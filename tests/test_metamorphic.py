@@ -3,31 +3,46 @@ the same answer, moved along with it.
 
 Relabelling by a permutation pi moves point x to pi(x), so the copy is
 d∘pi⁻¹ and its PQ-tree is the original's with every leaf moved by pi.
-The map w -> w² + 3w is strictly increasing on the weights, which are
-nonnegative, and keeps 0 at 0, so it keeps every comparison between
-distances: the verdict, the PQ-tree and the mmodule tree stay, apart from
-each special weight, which moves by the same map.  Both translations,
-PQ-tree to mmodule tree and back, move and keep their trees the same
-way.  These hold at every n, so they reach sizes the brute oracles
-cannot.  Trees are compared only through ``pqtree.equivalent`` and
-``core.first_difference``, which walk without recursion; the dataclass
-``==`` recurses once per level.
+Two weight maps are strictly increasing on the weights, which are
+nonnegative, and keep 0 at 0: w -> w² + 3w, which spreads them, and each
+weight's dense rank among the matrix's distinct weights, which packs them
+into 0, 1, 2, ...  Either keeps every comparison between distances: the
+verdict, the PQ-tree and the mmodule tree stay, apart from each special
+weight, which moves by the same map.  Both translations, PQ-tree to
+mmodule tree and back, move and keep their trees the same way, and the
+single-linkage dendrogram keeps its clusters, each at its mapped weight,
+and moves them by pi.  These hold at every n, so they reach sizes the
+brute oracles cannot.  Trees are compared only through
+``pqtree.equivalent`` and ``core.first_difference``, which walk without
+recursion; the dataclass ``==`` recurses once per level.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Callable
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import profile_subsets, robinson_matrices, shape_matrix, shape_subsets
 from conftest import spine_with_block, symmetric_matrices
-from robinspace import copoints, core, mmodtree as mm, pqtree as pq, translate
+from robinspace import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, translate
 from robinspace.core import DissimilarityMatrix, Leaf
 
 
 def _monotone(w: int) -> int:
     return w * w + 3 * w
+
+
+def _dense_ranks(m: DissimilarityMatrix) -> Callable[[int], int]:
+    """Each weight of ``m`` to its place among the distinct weights: 0 stays 0."""
+    ranks = {w: r for r, w in enumerate(sorted({w for row in m.rows for w in row}))}
+    return ranks.__getitem__
+
+
+def _weight_maps(m: DissimilarityMatrix) -> list[Callable[[int], int]]:
+    """The strictly increasing maps, 0 to 0, for the weights of ``m``."""
+    return [_monotone, _dense_ranks(m)]
 
 
 def _relabelled(m: DissimilarityMatrix, pi: list[int]) -> DissimilarityMatrix:
@@ -38,8 +53,8 @@ def _relabelled(m: DissimilarityMatrix, pi: list[int]) -> DissimilarityMatrix:
     return DissimilarityMatrix([[m.rows[a][b] for b in inv] for a in inv], m.scale)
 
 
-def _reweighted(m: DissimilarityMatrix) -> DissimilarityMatrix:
-    return DissimilarityMatrix([[_monotone(w) for w in row] for row in m.rows], m.scale)
+def _reweighted(m: DissimilarityMatrix, weight: Callable[[int], int]) -> DissimilarityMatrix:
+    return DissimilarityMatrix([[weight(w) for w in row] for row in m.rows], m.scale)
 
 
 def _mapped(tree, point=lambda x: x, weight=lambda w: w):
@@ -57,6 +72,14 @@ def _mapped(tree, point=lambda x: x, weight=lambda w: w):
 
 def _same_mmodule_tree(t1, t2) -> bool:
     return core.first_difference(mm.normal_form(t1), mm.normal_form(t2)) is None
+
+
+def _clusters(m: DissimilarityMatrix, pts, point=lambda x: x, weight=lambda w: w) -> set:
+    """The dendrogram's clusters on ``pts``, each point and weight mapped."""
+    return {
+        (tuple(sorted(map(point, leaves))), weight(w))
+        for leaves, w in dg.clusters(dg.build_dendrogram(m, pts))
+    }
 
 
 # Robinson spaces and point sets: the profiles and shapes up to n=64, random
@@ -96,6 +119,7 @@ def test_relabelling_moves_the_trees_along(case):
     assert _same_mmodule_tree(
         mm.mmodule_tree(copy, moved), _mapped(mm.mmodule_tree(m, pts), pi.__getitem__)
     )
+    assert _clusters(copy, moved) == _clusters(m, pts, point=pi.__getitem__)
     assert copoints.recognize_robinson(copy).accepted
 
 
@@ -103,12 +127,13 @@ def test_relabelling_moves_the_trees_along(case):
 @given(SPACES)
 def test_reweighting_keeps_the_trees(case):
     m, pts = case
-    heavy = _reweighted(m)
-    assert copoints.recognize_robinson(heavy).accepted
-    assert pq.equivalent(copoints.pq_tree2(heavy, pts), copoints.pq_tree2(m, pts))
-    assert _same_mmodule_tree(
-        mm.mmodule_tree(heavy, pts), _mapped(mm.mmodule_tree(m, pts), weight=_monotone)
-    )
+    t, mt = copoints.pq_tree2(m, pts), mm.mmodule_tree(m, pts)
+    for weight in _weight_maps(m):
+        heavy = _reweighted(m, weight)
+        assert copoints.recognize_robinson(heavy).accepted
+        assert pq.equivalent(copoints.pq_tree2(heavy, pts), t)
+        assert _same_mmodule_tree(mm.mmodule_tree(heavy, pts), _mapped(mt, weight=weight))
+        assert _clusters(heavy, pts) == _clusters(m, pts, weight=weight)
 
 
 @settings(max_examples=150, deadline=None)
@@ -130,14 +155,14 @@ def test_relabelling_moves_both_translations_along(case):
 @given(SPACES)
 def test_reweighting_keeps_both_translations(case):
     m, pts = case
-    heavy = _reweighted(m)
     t = copoints.pq_tree2(m, pts)
     mt = translate.pq_to_mmodule_tree(m, t)
-    heavy_mt = _mapped(mt, weight=_monotone)
-    assert _same_mmodule_tree(translate.pq_to_mmodule_tree(heavy, t), heavy_mt)
-    assert pq.equivalent(
-        translate.mmodule_to_pq_tree(heavy, heavy_mt), translate.mmodule_to_pq_tree(m, mt)
-    )
+    back = translate.mmodule_to_pq_tree(m, mt)
+    for weight in _weight_maps(m):
+        heavy = _reweighted(m, weight)
+        heavy_mt = _mapped(mt, weight=weight)
+        assert _same_mmodule_tree(translate.pq_to_mmodule_tree(heavy, t), heavy_mt)
+        assert pq.equivalent(translate.mmodule_to_pq_tree(heavy, heavy_mt), back)
 
 
 @settings(max_examples=100, deadline=None)
@@ -147,4 +172,5 @@ def test_verdict_survives_relabelling_and_reweighting(m, rnd):
     rnd.shuffle(pi)
     verdict = copoints.recognize_robinson(m).accepted
     assert copoints.recognize_robinson(_relabelled(m, pi)).accepted == verdict
-    assert copoints.recognize_robinson(_reweighted(m)).accepted == verdict
+    for weight in _weight_maps(m):
+        assert copoints.recognize_robinson(_reweighted(m, weight)).accepted == verdict
