@@ -77,21 +77,31 @@ def iter_nodes(tree) -> Iterator:
             stack.extend(reversed(node.children))
 
 
+_LEAVE = object()  # on ``fold``'s stack, above the (node, start) of a node to leave
+
+
 def fold(tree, combine: Callable[[Any, list], Any], children=operator.attrgetter("children")):
     """``combine(node, child_values)`` bottom-up, the values in child order;
-    returns the root's.  A ``Leaf`` has no children, any other node
-    ``children(node)``.  Reversed preorder, children pushed in order, is
-    the left-to-right postorder a recursive walk would combine in."""
-    nodes, stack = [], [tree]
+    returns the root's.  One depth-first walk in a recursive walk's order:
+    ``children(node)`` when it enters a node (preorder, left to right),
+    ``combine`` when it leaves it (postorder); a ``Leaf`` or a childless
+    node is left as soon as it is entered.  So ``children`` may check a
+    node on the way down, and the first error raised is a recursive walk's.
+    Tree documents are read and drawn through it: ``formats`` has no walk."""
+    done: list = []  # values of the subtrees left under open nodes, last on top
+    stack = [tree]
     while stack:
         node = stack.pop()
-        kids = () if isinstance(node, Leaf) else children(node)
-        nodes.append((node, len(kids)))
-        stack.extend(kids)
-    done: list = []  # values of finished subtrees, last child on top
-    for node, k in reversed(nodes):
-        cut = len(done) - k
-        done[cut:] = [combine(node, done[cut:])]
+        if node is _LEAVE:
+            node, start = stack.pop()
+            values = done[start:]
+            del done[start:]
+            done.append(combine(node, values))
+        elif isinstance(node, Leaf) or not (kids := children(node)):
+            done.append(combine(node, []))
+        else:
+            stack += (node, len(done)), _LEAVE
+            stack.extend(reversed(kids))
     return done[0]
 
 

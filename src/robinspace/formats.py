@@ -18,7 +18,7 @@ places dropped are trailing zeros.  JSON tree documents are the
 canonical interchange; weights inside them stay decimal strings so
 nothing is lost to binary floats.  One layer converts between trees and
 documents, and the ascii and dot renderings are drawn from the document;
-every walk over a tree or a document runs on an explicit stack.
+every walk over a tree or a document is one ``core.fold``.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def matrix_lines(matrix: DissimilarityMatrix) -> Iterator[str]:
 # "point": p} and an internal node lists its fields in a fixed key order:
 # P/Q: type, children, apex; cup/cap: type, children, special, largeChild;
 # internal: type, weight, children.  Weights are decimal strings.  Every
-# walk runs over an explicit stack, so no depth meets the recursion limit.
+# walk is a ``core.fold``, so no depth meets the recursion limit.
 
 NODE_TYPES = {"pq": ("P", "Q"), "mmodule": ("cup", "cap"), "dendrogram": ("internal",)}
 
@@ -334,61 +334,48 @@ def tree_to_doc(kind: str, tree, matrix: DissimilarityMatrix) -> dict:
     return {"kind": kind, "root": fold(tree, doc_node)}
 
 
-_ENTER = object()  # marks a document node that ``doc_to_tree`` has yet to check
-
-
 def doc_to_tree(doc, scale: int):
-    """(kind, tree) from a parsed JSON document.
-
-    One pass checks each node's shape before going down into it and builds
-    each internal node once its children are built, so a document with
-    several defects names the one a preorder reading meets first.
-    """
+    """(kind, tree) from a parsed JSON document, in one ``fold`` that checks
+    each node's shape when it enters it and builds the node (``_build``)
+    when it leaves it, so a document with several defects names the one a
+    recursive reading meets first."""
     if not isinstance(doc, dict) or "kind" not in doc or "root" not in doc:
         raise DocumentError("document must be an object with 'kind' and 'root'")
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in NODE_TYPES:
         raise DocumentError(f"unknown tree kind {kind!r}")
     wanted = NODE_TYPES[kind]
-    done: list = []  # finished subtrees, last child on top
-    # (node, _ENTER) to check a node; (node, its parsed weight or None) to build it
-    todo: list[tuple] = [(doc["root"], _ENTER)]
-    while todo:
-        node, weight = todo.pop()
-        if weight is not _ENTER:
-            k = len(node["children"])
-            children = tuple(done[-k:])
-            del done[-k:]
-            done.append(_build(node, children, weight, scale))
-            continue
+
+    def checked_children(node) -> list:
         if not isinstance(node, dict) or "type" not in node:
             raise DocumentError("tree nodes must be objects with a 'type'")
         if node["type"] == "leaf":
             point = node.get("point")
             if not isinstance(point, int) or isinstance(point, bool):
                 raise DocumentError("leaf nodes need an integer 'point'")
-            done.append(Leaf(point))
-            continue
+            return []
         if node["type"] not in wanted:
             raise DocumentError(f"unexpected node type {node['type']!r}")
         kids = node.get("children")
         if not isinstance(kids, list) or len(kids) < 2:
             raise DocumentError(f"{node['type']} node needs at least two children")
-        weight = None
         if kind == "dendrogram":
             if "weight" not in node:
                 raise DocumentError("internal dendrogram nodes need a 'weight'")
-            weight = _doc_weight(node["weight"], scale)
-        todo.append((node, weight))
-        todo.extend((child, _ENTER) for child in reversed(kids))
-    return kind, done[0]
+            _doc_weight(node["weight"], scale)  # a bad weight is named before its subtree's
+        return kids
+
+    return kind, fold(doc["root"], lambda node, kids: _build(node, kids, scale), checked_children)
 
 
-def _build(node: dict, children: tuple, weight, scale: int):
-    """The internal node ``node`` describes, over its built ``children``."""
+def _build(node: dict, children: list, scale: int):
+    """The tree node ``node`` describes, over its built ``children``."""
     kind = node["type"]
+    if kind == "leaf":
+        return Leaf(node["point"])
     if kind == "internal":
-        return dg.Internal(weight, list(children))
+        return dg.Internal(_doc_weight(node["weight"], scale), children)
+    children = tuple(children)
     if kind == "P":
         return pq.P(children)
     if kind == "Q":
@@ -432,19 +419,15 @@ def ascii_tree(doc: dict) -> str:
 
 
 def dot_tree(doc: dict) -> str:
-    """Graphviz text; nodes are numbered in preorder, and the edge to a
-    child follows the lines of the child's subtree."""
+    """Graphviz text, in one ``fold``: a node's line is written when the
+    walk enters it, so nodes are numbered in preorder, and its edge from
+    its parent when the walk leaves it, after the lines of its subtree."""
     lines = ["graph tree {", "  node [shape=plaintext];"]
-    count = 0
-    todo: list = [(doc["root"], None)]  # (node, parent number), or an edge line
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            lines.append(item)
-            continue
-        node, parent = item
-        me = count
-        count += 1
+    entered = 0
+
+    def enter(item: tuple) -> list:
+        nonlocal entered
+        node, me, entered = item[0], entered, entered + 1
         kind = node["type"]
         if kind == "leaf":
             label = node["point"]
@@ -455,8 +438,15 @@ def dot_tree(doc: dict) -> str:
         else:
             label = kind
         lines.append(f'  n{me} [label="{label}"];')
+        return [(child, me) for child in node.get("children", ())]
+
+    def leave(item: tuple, sizes: list[int]) -> int:
+        # a subtree's nodes are the last ones entered, its root the first of them
+        size, parent = 1 + sum(sizes), item[1]
         if parent is not None:
-            todo.append(f"  n{parent} -- n{me};")
-        todo.extend((child, me) for child in reversed(node.get("children", ())))
+            lines.append(f"  n{parent} -- n{entered - size};")
+        return size
+
+    fold((doc["root"], None), leave, enter)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1215,6 +1215,111 @@ def test_command_outputs_match_golden_digests(tmp_path, profile, form):
     assert (codes, digest.hexdigest()) == COMMAND_DIGESTS[profile, form]
 
 
+# --- the exit-code contract ----------------------------------------------------
+
+HOSTILE_TOKENS = ("nan", "1e309", "-0", "\u00b2")
+
+
+@st.composite
+def _damaged(draw, text: str) -> bytes:
+    """The UTF-8 bytes of ``text``, whole (half the time) or with one
+    damage: cut short, one byte replaced, or one token replaced by a
+    hostile one."""
+    data = text.encode()
+    damage = draw(st.sampled_from(["truncate", "byte", "token"])) if draw(st.booleans()) else None
+    if damage == "truncate":
+        return data[: draw(st.integers(0, max(0, len(data) - 1)))]
+    if damage == "byte" and data:
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1 :]
+    if damage == "token":
+        tokens = text.split(" ")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(HOSTILE_TOKENS))
+        return " ".join(tokens).encode()
+    return data
+
+
+def _served_document(matrix: DissimilarityMatrix, kind: str) -> dict:
+    """The document ``tree`` serves for ``matrix``; a P-node over every
+    point when there is no such tree to serve."""
+    if kind == "dendrogram":
+        return formats.tree_to_doc(kind, dg.build_dendrogram(matrix, range(matrix.n)), matrix)
+    result = copoints.recognize_robinson(matrix)
+    if not result.accepted or matrix.n < 2:
+        leaves = [{"type": "leaf", "point": p} for p in range(matrix.n)]
+        return {"kind": kind, "root": {"type": "P", "children": leaves} if len(leaves) > 1 else leaves[0]}
+    tree = result.tree if kind == "pq" else mm.pq_to_mmodule_tree(matrix, result.tree)
+    return formats.tree_to_doc(kind, tree, matrix)
+
+
+def _violated(mbytes: bytes, triple) -> bool:
+    """Whether the triple x, y, z breaks the matrix the file holds."""
+    rows = formats.parse_matrix(mbytes.decode("utf-8").removeprefix("\ufeff")).rows
+    x, y, z = triple
+    return rows[x][z] < max(rows[x][y], rows[y][z])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(generator.PROFILES),
+    st.integers(1, 24),
+    st.sampled_from(["square", "triangle", "refusal"]),
+    st.sampled_from(
+        [("recognize", None)]
+        + [("tree", kind) for kind in ("pq", "mmodule", "dendrogram")]
+        + [("translate", kind) for kind in ("pq", "mmodule", "dendrogram")]
+    ),
+    st.sampled_from(["json", "dot", "ascii"]),
+    st.data(),
+)
+def test_every_request_keeps_the_exit_code_contract(profile, n, form, command, fmt, data):
+    # 0: one document on stdout and an empty stderr; 1: a refusal whose
+    # triple breaks the matrix; 2: no stdout and one line ``error: ...``
+    matrix = generator.generate_matrix(n, 1, profile)
+    if form == "square" or form == "refusal" and n < 4:
+        text = formats.serialize_matrix(matrix)
+    else:
+        text = _decimal_triangle(matrix) if form == "triangle" else _planted_refusal(matrix)
+    mbytes = data.draw(_damaged(text))
+    name, kind = command
+    with tempfile.TemporaryDirectory() as tmp:
+        mpath = Path(tmp) / "m.txt"
+        mpath.write_bytes(mbytes)
+        if name == "recognize":
+            argv = ["recognize", "-i", str(mpath)]
+        elif name == "tree":
+            argv = ["tree", "-i", str(mpath), "-t", kind, "-f", fmt]
+        else:
+            scaled = DissimilarityMatrix(matrix.rows, 100 if form == "triangle" else 1)
+            doc = _served_document(scaled, kind)
+            if kind != "dendrogram" and "children" in doc["root"] and data.draw(st.booleans()):
+                doc = data.draw(mutated_documents(doc))
+            dpath = Path(tmp) / "doc.json"
+            dpath.write_bytes(data.draw(_damaged(json.dumps(doc))))
+            argv = ["translate", "-i", str(dpath), "-m", str(mpath), "-f", fmt]
+        code, out, err = _cli(argv)
+    event(f"{name} exit {code}")
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    elif code == 1:
+        if name == "recognize":
+            report = json.loads(out)
+            assert err == "" and report["robinson"] is False
+            triple = report["violation"]
+        else:
+            assert out == "" and err.startswith("not Robinson: ") and err.count("\n") == 1, err
+            triple = [int(x) for x in err.rpartition("violating triple ")[2].split(", ")]
+        assert _violated(mbytes, triple), (argv, triple)
+    else:
+        assert code == 0 and err == "", (argv, code, err)
+        if name == "recognize" or fmt == "json":
+            assert out.count("\n") == 1 and isinstance(json.loads(out), dict)
+        elif fmt == "dot":
+            assert out.startswith("graph tree {\n") and out.endswith("\n}\n")
+        else:
+            assert out.count("\n") == 1
+
+
 @pytest.mark.parametrize("profile", generator.PROFILES)
 def test_generated_weights_are_interned(profile):
     rows = generator.generate_matrix(200, 3, profile).rows

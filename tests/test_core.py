@@ -437,3 +437,54 @@ def test_rho_components_cover_and_separate(m):
         for a, ca in enumerate(comps):
             for cb in comps[a + 1 :]:
                 assert all(m.rows[x][y] >= rho for x in ca for y in cb)
+
+
+def _recorded_fold(tree, walk) -> list:
+    """The enter and leave events of ``walk(tree, combine, children)``: the
+    getter records an entry, ``combine`` a leaving with its child values."""
+    events = []
+
+    def children(node):
+        events.append(("enter", node))
+        return node.children
+
+    def combine(node, values):
+        events.append(("leave", node, values))
+        return len(events)
+
+    walk(tree, combine, children)
+    return events
+
+
+def _recursive_fold(tree, combine, children):
+    # the reference order: a leaf is left at once, a node entered, then its
+    # children walked left to right, then left
+    if isinstance(tree, core.Leaf):
+        return combine(tree, [])
+    return combine(tree, [_recursive_fold(child, combine, children) for child in children(tree)])
+
+
+def test_fold_enters_and_leaves_as_a_recursive_walk():
+    # children are asked for on the way down, each node combined on the way
+    # up, so a node is entered only after its left siblings' subtrees are left
+    tree = pq.Q((pq.P((core.Leaf(0), core.Leaf(1))), core.Leaf(2), pq.P((core.Leaf(3), pq.Q((
+        core.Leaf(4), core.Leaf(5), core.Leaf(6))))), core.Leaf(7)))
+    events = _recorded_fold(tree, core.fold)
+    assert events == _recorded_fold(tree, _recursive_fold)
+    assert [e[0] for e in events[:5]] == ["enter", "enter", "leave", "leave", "leave"]
+
+
+def test_fold_walks_a_deep_chain_in_recursive_order():
+    depth = 3000
+    chain = core.Leaf(0)
+    for p in range(1, depth + 1):
+        chain = pq.P((core.Leaf(p), chain))
+    limit = sys.getrecursionlimit()
+    events = _recorded_fold(chain, core.fold)  # at the default limit
+    assert sys.getrecursionlimit() == limit
+    sys.setrecursionlimit(limit + 2 * depth)
+    try:
+        want = _recorded_fold(chain, _recursive_fold)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert events == want

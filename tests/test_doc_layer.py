@@ -120,3 +120,16 @@ def test_defects_give_the_same_message(case, defects):
     assert got == _outcome(ref.doc_to_tree, doc, matrix.scale)
     if any(planted):
         assert isinstance(got, tuple) and got[0] in (DocumentError, ValueError)
+
+
+def test_a_defect_found_on_leaving_beats_a_later_subtree():
+    # the bad largeChild is found when the walk leaves the first subtree, the
+    # node without a type when it enters the second: a reader that checked
+    # every node on the way down before building any would name the second
+    doc = {"kind": "mmodule", "root": {"type": "cup", "children": [
+        {"type": "cap", "children": [{"type": "leaf", "point": 0}, {"type": "leaf", "point": 1}],
+         "special": "1", "largeChild": 2},
+        {"type": "cap", "children": [{"type": "leaf", "point": 2}, {"point": 3}]},
+    ]}}
+    want = (DocumentError, "special cap nodes need a valid 'largeChild' index")
+    assert _outcome(formats.doc_to_tree, doc, 1) == _outcome(ref.doc_to_tree, doc, 1) == want

@@ -12,7 +12,8 @@ pass or delta-graph search, one spine reading serves construction and
 translation, one slot rule places a block in a Q-spine, and one apex
 rule says when a conical apex falls apart.  ``tree`` and ``translate``
 take their trees from one helper.  No production function calls itself,
-the tree queries walk their tree once, ``refine`` imports only ``core``,
+the tree queries walk their tree once, the tree documents are read and
+drawn through ``core.fold`` alone, ``refine`` imports only ``core``,
 and no library module touches the recursion limit.  The library never reaches
 the command line's modules (``cli``, ``formats``, ``generator``,
 ``bench``), the file formats reach none of the others, and the generator
@@ -246,6 +247,15 @@ def test_tree_queries_walk_the_tree_once(module, function, walker):
     called = _called(module, function)
     assert walker in called
     assert not called & WALKERS - {walker}
+
+
+def test_tree_documents_are_read_and_drawn_through_fold():
+    # the writer, the reader and both renderings are each a ``core.fold``,
+    # and no ``formats`` function keeps a walk of its own
+    for function in ("tree_to_doc", "doc_to_tree", "ascii_tree", "dot_tree"):
+        assert "fold" in _called("formats", function), function
+    loops = [node.lineno for node in ast.walk(_tree("formats")) if isinstance(node, ast.While)]
+    assert not loops, f"formats.py has while loops at lines {loops}"
 
 
 # Imports inside a function, per module: ``cli`` loads ``bench``, and the

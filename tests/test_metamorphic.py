@@ -11,8 +11,11 @@ verdict, the PQ-tree and the mmodule tree stay, apart from each special
 weight, which moves by the same map.  Both translations, PQ-tree to
 mmodule tree and back, move and keep their trees the same way, and the
 single-linkage dendrogram keeps its clusters, each at its mapped weight,
-and moves them by pi.  These hold at every n, so they reach sizes the
-brute oracles cannot.  Trees are compared only through
+and moves them by pi.  A refusal stays a refusal under either change,
+and the triple it reports violates the changed matrix.  The tree of a
+point set equals the tree of its submatrix with the points mapped back,
+since the submatrix keeps the set's order.  These hold at every n, so
+they reach sizes the brute oracles cannot.  Trees are compared only through
 ``pqtree.equivalent`` and ``core.first_difference``, which walk without
 recursion; the dataclass ``==`` recurses once per level.
 """
@@ -24,9 +27,10 @@ from typing import Callable
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import profile_subsets, robinson_matrices, shape_matrix, shape_subsets
+from conftest import SHAPES, profile_subsets, robinson_matrices, shape_matrix, shape_subsets
 from conftest import spine_with_block, symmetric_matrices
-from robinspace import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, translate
+from robinspace import copoints, core, dendrogram as dg, generator, mmodtree as mm, pqtree as pq
+from robinspace import translate
 from robinspace.core import DissimilarityMatrix, Leaf
 
 
@@ -174,3 +178,57 @@ def test_verdict_survives_relabelling_and_reweighting(m, rnd):
     assert copoints.recognize_robinson(_relabelled(m, pi)).accepted == verdict
     for weight in _weight_maps(m):
         assert copoints.recognize_robinson(_reweighted(m, weight)).accepted == verdict
+
+
+@st.composite
+def sources(draw, min_n: int = 1, max_n: int = 200):
+    """The n-point matrix of a generator profile or of one of ``SHAPES``."""
+    n = draw(st.integers(min_n, max_n))
+    name = draw(st.sampled_from([*generator.PROFILES, *sorted(SHAPES)]))
+    if name in generator.PROFILES:
+        return generator.generate_matrix(n, draw(st.integers(0, 10**6)), name)
+    return shape_matrix(name, n)
+
+
+def _planted(m: DissimilarityMatrix) -> DissimilarityMatrix:
+    """``m`` with points 0, 1, 3, 2 made a 4-cycle of short sides and long
+    diagonals, as ``test_cli``'s refused inputs: no order of the four is
+    compatible, so no order of the whole matrix is."""
+    rows = [list(row) for row in m.rows]
+    short, long = 1, 2 + max(map(max, rows))
+    for x, y in ((0, 1), (1, 3), (3, 2), (2, 0)):
+        rows[x][y] = rows[y][x] = short
+    for x, y in ((0, 3), (1, 2)):
+        rows[x][y] = rows[y][x] = long
+    return DissimilarityMatrix(rows, m.scale)
+
+
+def _refused_with_a_violation(m: DissimilarityMatrix) -> bool:
+    result = copoints.recognize_robinson(m)
+    if result.accepted:
+        return False
+    x, y, z = result.violation
+    return m.rows[x][z] < max(m.rows[x][y], m.rows[y][z])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sources(min_n=4, max_n=120).map(_planted), st.randoms(use_true_random=False))
+def test_a_planted_refusal_survives_relabelling_and_reweighting(m, rnd):
+    pi = list(range(m.n))
+    rnd.shuffle(pi)
+    assert _refused_with_a_violation(m)
+    assert _refused_with_a_violation(_relabelled(m, pi))
+    for weight in _weight_maps(m):
+        assert _refused_with_a_violation(_reweighted(m, weight))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sources(min_n=3), st.randoms(use_true_random=False))
+def test_a_subset_has_the_tree_of_its_submatrix(m, rnd):
+    # a third of the points; the submatrix's point i is the set's i-th smallest
+    pts = sorted(rnd.sample(range(m.n), m.n // 3))
+    sub = DissimilarityMatrix([[m.rows[a][b] for b in pts] for a in pts], m.scale)
+    back = pts.__getitem__
+    mapped = _mapped(copoints.pq_tree2(sub, range(len(pts))), back)
+    assert repr(copoints.pq_tree2(m, pts)) == repr(mapped)
+    assert _clusters(m, pts) == _clusters(sub, range(len(pts)), point=back)
