@@ -2,11 +2,15 @@
 growth per doubling of the point count.
 
 ``measure`` runs the ops and returns the report that ``robinspace bench
--f json`` prints; ``text`` lays the same report out as a table.
+-f json`` prints, headed by the host it ran on (CPU count and Python
+version), since figures from different hosts do not compare; ``text``
+lays the same report out as a table.
 """
 
 from __future__ import annotations
 
+import os
+import platform
 import statistics
 import time
 import timeit
@@ -30,9 +34,9 @@ BENCH_OPS: dict[str, Callable[[DissimilarityMatrix, dict], Callable[[], Any]]] =
 
 
 def measure(sizes: list[int], reps: int, seed: int, profile: str) -> dict:
-    """The report: per size the median of each op's best of five calls,
-    the ratio of the medians of each doubling in ``sizes``, and the median
-    time of one ``generate_matrix`` call."""
+    """The report: the host, per size the median of each op's best of five
+    calls, the ratio of the medians of each doubling in ``sizes``, and the
+    median time of one ``generate_matrix`` call."""
     # reps are interleaved across sizes so load drift on the host cannot
     # land on one size coherently and distort the growth ratios
     samples: dict[int, dict[str, list[float]]] = {
@@ -68,6 +72,7 @@ def measure(sizes: list[int], reps: int, seed: int, profile: str) -> dict:
                 for op in BENCH_OPS
             }
     return {
+        "host": {"cpus": os.cpu_count(), "python": platform.python_version()},
         "profile": profile,
         "sizes": sizes,
         "reps": reps,
@@ -78,13 +83,15 @@ def measure(sizes: list[int], reps: int, seed: int, profile: str) -> dict:
 
 
 def text(report: dict) -> str:
-    """``report`` as a table of medians, one line per op, then the ratios
-    and the generator's times."""
+    """``report`` as its host on one line, then a table of medians, one
+    line per op, then the ratios and the generator's times."""
     sizes, medians, generate_s = report["sizes"], report["medians"], report["generate_s"]
+    host = report["host"]
+    lines = [f"host: {host['cpus']} CPUs, Python {host['python']}"]
     if not medians:
-        return "no repetitions requested"
+        return "\n".join([*lines, "no repetitions requested"])
     width = max(len(op) for op in BENCH_OPS)
-    lines = ["op".ljust(width) + "".join(f"  n={s:<8}" for s in sizes)]
+    lines.append("op".ljust(width) + "".join(f"  n={s:<8}" for s in sizes))
     for op in BENCH_OPS:
         cells = "".join(f"  {medians[str(s)][op]:<10.4f}" for s in sizes)
         lines.append(op.ljust(width) + cells)

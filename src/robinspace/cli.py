@@ -103,7 +103,13 @@ def _recursion_room(levels: int) -> Iterator[None]:
     restored on exit.  json's C encoder and decoder recurse once per
     nested container (Python 3.11), and a document over n points nests
     at most n - 1 levels of two containers, so the CLI asks for 2n + 10
-    around them; anything nested deeper still fails."""
+    around them; anything nested deeper still fails.
+
+    This stops working on Python 3.12: there json's C encoder and decoder
+    count against a C recursion limit that ``sys.setrecursionlimit`` does
+    not raise.  So on 3.12.1, ``recognize`` and ``tree -f json`` on trees
+    800 or more levels deep exit 1 with a traceback, and ``translate``
+    refuses deep documents; 3.11 and 3.13 are not affected."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + levels)
     try:

@@ -18,14 +18,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .core import DissimilarityMatrix, Leaf, RobinsonError, SubsetTooSmall, checked_subset, fold
-from .core import iter_nodes, leaf_points
-
-
-class NotALeaf(RobinsonError):
-    def __init__(self, point: int) -> None:
-        super().__init__(f"point {point} is not a leaf of this tree")
-        self.point = point
+from .core import DissimilarityMatrix, Leaf, SubsetTooSmall, checked_subset
 
 
 @dataclass
@@ -98,32 +91,3 @@ def _gather(row: Sequence[int], pts: list[int]) -> Sequence[int]:
     entry, takes twice as long on a tuple).  ``itemgetter`` of one index
     returns the bare entry, so one point gets a tuple of its own."""
     return itemgetter(*pts)(row) if len(pts) > 1 else tuple(row[x] for x in pts)
-
-
-def subdominant_distance(tree: Tree, x: int, y: int) -> int:
-    """Weight of the lowest common ancestor of leaves x and y (0 if x == y)."""
-
-    def meet(node, kids: list[tuple]) -> tuple:
-        # (holds x, holds y, weight of the lowest node that holds both)
-        if isinstance(node, Leaf):
-            return node.point == x, node.point == y, None
-        hx = any(k[0] for k in kids)
-        hy = any(k[1] for k in kids)
-        low = next((k[2] for k in kids if k[2] is not None), None)
-        return hx, hy, node.weight if low is None and hx and hy else low
-
-    hx, hy, weight = fold(tree, meet)
-    if not hx:
-        raise NotALeaf(x)
-    if not hy:
-        raise NotALeaf(y)
-    return 0 if x == y else weight
-
-
-def clusters(tree: Tree) -> set[tuple[tuple[int, ...], int]]:
-    """All (sorted leaf set, weight) pairs of internal nodes — handy in tests."""
-    out = set()
-    for node in iter_nodes(tree):
-        if isinstance(node, Internal):
-            out.add((tuple(sorted(leaf_points(node))), node.weight))
-    return out

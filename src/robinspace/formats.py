@@ -3,7 +3,7 @@
 Matrix files hold one row per line, full square or upper-triangular,
 whitespace- or comma-separated, with nonnegative decimal weights;
 ``#`` starts a comment.  Points are the 0-based row indices.  A square
-file spelled as ``serialize_matrix`` writes it is read by its upper
+file spelled as ``matrix_lines`` writes it is read by its upper
 triangle: the part of each row left of the diagonal is checked as one
 string against the canonical spelling of the column above it, so it is
 never split, and the square needs no validation.  From the first line
@@ -143,7 +143,7 @@ class _Spellings(dict):
 
 def _read_square(lines: list[str]) -> tuple[_Weights, list[list[int]]]:
     """(table, rows): the leading rows of a square file spelled the way
-    ``serialize_matrix`` writes it, popped off ``lines`` (the file's lines,
+    ``matrix_lines`` writes it, popped off ``lines`` (the file's lines,
     last first), and the table they were read through.
 
     Row 0 is split in full, as the general path splits a first line, and
@@ -191,7 +191,7 @@ def parse_matrix(text: str) -> DissimilarityMatrix:
 
     The text is split into lines once, and each line is dropped once
     read.  The leading rows of a square spelled the way
-    ``serialize_matrix`` writes it are read by their upper triangle
+    ``matrix_lines`` writes it are read by their upper triangle
     (``_read_square``); a square read whole that way is symmetric by
     construction, and only its diagonal is checked.  From the first line
     that does not fit, the general path reads the rest through the same
@@ -281,12 +281,9 @@ def parse_matrix(text: str) -> DissimilarityMatrix:
     return matrix
 
 
-def serialize_matrix(matrix: DissimilarityMatrix) -> str:
-    return "".join(matrix_lines(matrix))
-
-
 def matrix_lines(matrix: DissimilarityMatrix) -> Iterator[str]:
-    """The lines of ``serialize_matrix``, one per row, newline included."""
+    """The lines of the matrix file, one per row, newline included: the
+    canonical spelling (``weight_str``) of each entry, one space between."""
     # each distinct weight is spelled once
     spell = _Spellings(matrix.scale).__getitem__
     return (" ".join(map(spell, row)) + "\n" for row in matrix.rows)

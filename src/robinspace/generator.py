@@ -41,7 +41,7 @@ def generate_matrix(n: int, seed: int, profile: str) -> DissimilarityMatrix:
     """Seeded random Robinson matrix; see the profile table in the README.
 
     The same (n, seed, profile) gives the same matrix, so the same bytes
-    from ``formats.serialize_matrix``; ``test_cli`` pins their sha256
+    from ``formats.matrix_lines``; ``test_cli`` pins their sha256
     digests.  Each distinct weight is one int object, shared by every
     entry that holds it.
     One grid is alive at a time: the output rows are gathered base point by

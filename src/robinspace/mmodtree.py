@@ -114,29 +114,3 @@ def _normal_node(tree: MModuleTree, kids: list[tuple[int, MModuleTree]]) -> tupl
         return kids[order[0]][0], Cup(children)
     large = None if tree.large_child is None else order.index(tree.large_child)
     return kids[order[0]][0], Cap(children, tree.special, large)
-
-
-def is_mmodule_via_tree(tree: MModuleTree, candidate: Iterable[int]) -> bool:
-    """Answer an mmodule query from the tree alone, no matrix needed.
-
-    True exactly for: the empty set, singletons, the whole set, and —
-    at the deepest node whose leaf set contains the candidate — the
-    node's own leaf set or a union of a proper subset of a Cap node's
-    children.  One fold counts each subtree's leaves and candidate
-    points; the first node it finishes that holds them all is the deepest.
-    """
-    cand = frozenset(candidate)
-    k = len(cand)
-    deepest: list[bool] = []  # the verdict at the deepest node
-
-    def count(node, kids: list[tuple[int, int]]) -> tuple[int, int]:
-        if isinstance(node, Leaf):
-            return 1, int(node.point in cand)
-        size, hits = map(sum, zip(*kids))
-        if hits == k and not deepest:
-            deepest.append(size == k or isinstance(node, Cap) and all(h in (0, s) for s, h in kids))
-        return size, hits
-
-    if fold(tree, count)[1] < k:
-        raise ValueError("candidate contains points outside the tree")
-    return k <= 1 or deepest[0]

@@ -8,9 +8,10 @@ have arity at least 3.  ``node`` is the one rule that keeps a tree in
 that normal form: the copoint construction builds every node through it,
 and ``normalize`` folds it over a tree assembled any other way.
 
-Beyond the order bookkeeping (counting, enumeration, equivalence), this
+Beyond the order bookkeeping (counting, normal form, equivalence), this
 module holds the one apex rule that the construction and both
-translations share.  A Q-node is *conical* when one interior child, its
+translations share; enumerating the orders is the tests' oracle
+(``tests/oracle.py``).  A Q-node is *conical* when one interior child, its
 apex, sits at a single distance δ from all the others (``conical_apex``),
 and the apex falls apart at δ exactly when it is a P-node whose children
 sit δ apart (``falls_apart``), the child ``node`` splices into a P parent
@@ -21,19 +22,11 @@ matrix O(1) times per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 from math import factorial
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
-from .core import DissimilarityMatrix, Leaf, RobinsonError
+from .core import DissimilarityMatrix, Leaf
 from .core import first_difference, first_leaf, fold, iter_nodes, leaf_points
-
-
-class TooManyOrders(RobinsonError):
-    def __init__(self, count: int, cap: int) -> None:
-        super().__init__(f"tree represents {count} orders, cap is {cap}")
-        self.count = count
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -63,34 +56,6 @@ def count_orders(tree: PQTree) -> int:
         elif isinstance(node, Q):
             total *= 2
     return total
-
-
-def enumerate_orders(tree: PQTree, cap: int = 10_000) -> Iterator[Order]:
-    """All represented orders, each exactly once.
-
-    The count is checked against ``cap`` before anything is produced, so
-    an oversized tree fails fast instead of mid-stream.
-    """
-    total = count_orders(tree)
-    if total > cap:
-        raise TooManyOrders(total, cap)
-    return iter(fold(tree, _orders))
-
-
-def _orders(node: PQTree, per_child: list[list[Order]]) -> list[Order]:
-    if isinstance(node, Leaf):
-        return [(node.point,)]
-    out: list[Order] = []
-    if isinstance(node, P):
-        for perm in permutations(range(len(per_child))):
-            for parts in product(*(per_child[i] for i in perm)):
-                out.append(sum(parts, ()))
-    else:
-        for parts in product(*per_child):
-            out.append(sum(parts, ()))
-        for parts in product(*reversed(per_child)):
-            out.append(sum(parts, ()))
-    return out
 
 
 def normal_form(tree: PQTree) -> PQTree:

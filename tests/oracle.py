@@ -3,19 +3,60 @@
 Everything here is definitional and deliberately slow: permutation scans,
 subset scans, closure to fixpoint.  None of it shares code with the real
 algorithms, so agreement between the two routes is evidence of correctness
-rather than a tautology.
+rather than a tautology.  ``enumerate_orders`` lists the orders a PQ-tree
+represents, by permutations and products, so a tree can be held against
+``brute_compatible_orders``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import permutations, product
+from typing import Iterable, Iterator
 
-from robinspace.core import DissimilarityMatrix, RobinsonError
+from robinspace.core import DissimilarityMatrix, Leaf, RobinsonError, fold
+from robinspace.pqtree import P, PQTree, count_orders
+
+Order = tuple[int, ...]
 
 
 class InstanceTooLarge(RobinsonError):
     def __init__(self, what: str, size: int, cap: int) -> None:
         super().__init__(f"{what}: {size} points exceeds the cap of {cap}")
+
+
+class TooManyOrders(RobinsonError):
+    def __init__(self, count: int, cap: int) -> None:
+        super().__init__(f"tree represents {count} orders, cap is {cap}")
+        self.count = count
+        self.cap = cap
+
+
+def enumerate_orders(tree: PQTree, cap: int = 10_000) -> Iterator[Order]:
+    """All orders the PQ-tree represents, each exactly once.
+
+    The count is checked against ``cap`` before anything is produced, so
+    an oversized tree fails fast instead of mid-stream.
+    """
+    total = count_orders(tree)
+    if total > cap:
+        raise TooManyOrders(total, cap)
+    return iter(fold(tree, _orders))
+
+
+def _orders(node: PQTree, per_child: list[list[Order]]) -> list[Order]:
+    if isinstance(node, Leaf):
+        return [(node.point,)]
+    out: list[Order] = []
+    if isinstance(node, P):
+        for perm in permutations(range(len(per_child))):
+            for parts in product(*(per_child[i] for i in perm)):
+                out.append(sum(parts, ()))
+    else:
+        for parts in product(*per_child):
+            out.append(sum(parts, ()))
+        for parts in product(*reversed(per_child)):
+            out.append(sum(parts, ()))
+    return out
 
 
 def brute_compatible_orders(

@@ -15,7 +15,9 @@ constructions against these, which follow the paper's other routes:
 * ``frontiers``, ``upsilon_frontier_check`` and
   ``copoints_from_mmodule_tree`` relate copoints to tree nodes;
 * ``is_mmodule`` and ``quotient`` test an mmodule and build the quotient
-  over a partition into mmodules from their definitions;
+  over a partition into mmodules from their definitions, and
+  ``is_mmodule_via_tree`` answers the mmodule query from the mmodule tree
+  alone;
 * ``delta_graph_components`` and ``components_below`` are quadratic BFS
   components (pairs at distance other than delta, or below a bound),
   which ``delta_pq_tree`` and ``classify`` read;
@@ -30,9 +32,12 @@ constructions against these, which follow the paper's other routes:
 * ``prim_dendrogram_loop`` is the single-linkage sweep as a plain index
   loop, and ``witness_dendrogram`` reads the dendrogram off a compatible
   order in linear time, a cross-check at sizes the oracles cannot reach;
+  ``subdominant_distance`` and ``clusters`` read the subdominant
+  ultrametric and the clusters off a dendrogram;
 * ``parse_matrix_all_tokens`` parses a matrix file through one table
   built over every token at once, the streamed ``formats.parse_matrix``'s
-  differential reference;
+  differential reference, and ``serialize_matrix`` is the file
+  ``formats.matrix_lines`` streams, as one string;
 * ``generate_matrix_reference`` is the seeded generator as it stood
   before its random draws were inlined, one library call per draw and two
   stores per ultrametric pair: ``generator.generate_matrix`` must give the
@@ -57,8 +62,8 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from robinspace import copoints, core, dendrogram as dg, mmodtree as mm, pqtree as pq, refine
 from robinspace.core import DissimilarityMatrix, Leaf, NotRobinson, RobinsonError
-from robinspace.core import first_leaf, iter_nodes, leaf_points
-from robinspace.formats import MatrixParseError, _scan_weight
+from robinspace.core import first_leaf, fold, iter_nodes, leaf_points
+from robinspace.formats import MatrixParseError, _scan_weight, matrix_lines
 from robinspace.generator import PROFILES
 from robinspace.pqtree import P, PQTree, Q
 from robinspace.refine import stable_trees
@@ -85,6 +90,12 @@ class NotAnMModulePartition(RobinsonError):
     def __init__(self, z: int, x: int, y: int) -> None:
         super().__init__(f"point {z} separates {x} and {y}")
         self.witness = (z, x, y)
+
+
+class NotALeaf(RobinsonError):
+    def __init__(self, point: int) -> None:
+        super().__init__(f"point {point} is not a leaf of this tree")
+        self.point = point
 
 
 IndexSet = tuple[int, ...]
@@ -650,6 +661,32 @@ def quotient(
     return DissimilarityMatrix(out, matrix.scale)
 
 
+def is_mmodule_via_tree(tree: mm.MModuleTree, candidate: Iterable[int]) -> bool:
+    """Answer an mmodule query from the tree alone, no matrix needed.
+
+    True exactly for: the empty set, singletons, the whole set, and —
+    at the deepest node whose leaf set contains the candidate — the
+    node's own leaf set or a union of a proper subset of a Cap node's
+    children.  One fold counts each subtree's leaves and candidate
+    points; the first node it finishes that holds them all is the deepest.
+    """
+    cand = frozenset(candidate)
+    k = len(cand)
+    deepest: list[bool] = []  # the verdict at the deepest node
+
+    def count(node, kids: list[tuple[int, int]]) -> tuple[int, int]:
+        if isinstance(node, Leaf):
+            return 1, int(node.point in cand)
+        size, hits = map(sum, zip(*kids))
+        if hits == k and not deepest:
+            deepest.append(size == k or isinstance(node, mm.Cap) and all(h in (0, s) for s, h in kids))
+        return size, hits
+
+    if fold(tree, count)[1] < k:
+        raise ValueError("candidate contains points outside the tree")
+    return k <= 1 or deepest[0]
+
+
 # --- components, diameters, stable partitions and maximal mmodules ----------------
 
 
@@ -882,7 +919,41 @@ def witness_dendrogram(matrix: DissimilarityMatrix, order: Sequence[int]) -> dg.
     return current
 
 
+def subdominant_distance(tree: dg.Tree, x: int, y: int) -> int:
+    """Weight of the lowest common ancestor of leaves x and y (0 if x == y)."""
+
+    def meet(node, kids: list[tuple]) -> tuple:
+        # (holds x, holds y, weight of the lowest node that holds both)
+        if isinstance(node, Leaf):
+            return node.point == x, node.point == y, None
+        hx = any(k[0] for k in kids)
+        hy = any(k[1] for k in kids)
+        low = next((k[2] for k in kids if k[2] is not None), None)
+        return hx, hy, node.weight if low is None and hx and hy else low
+
+    hx, hy, weight = fold(tree, meet)
+    if not hx:
+        raise NotALeaf(x)
+    if not hy:
+        raise NotALeaf(y)
+    return 0 if x == y else weight
+
+
+def clusters(tree: dg.Tree) -> set[tuple[tuple[int, ...], int]]:
+    """All (sorted leaf set, weight) pairs of the dendrogram's internal nodes."""
+    out = set()
+    for node in iter_nodes(tree):
+        if isinstance(node, dg.Internal):
+            out.add((tuple(sorted(leaf_points(node))), node.weight))
+    return out
+
+
 # --- matrix files, every token held at once ------------------------------------------
+
+
+def serialize_matrix(matrix: DissimilarityMatrix) -> str:
+    """The matrix file ``formats.matrix_lines`` streams, as one string."""
+    return "".join(matrix_lines(matrix))
 
 
 def parse_matrix_all_tokens(text: str) -> DissimilarityMatrix:
@@ -954,7 +1025,7 @@ def generate_matrix_reference(n: int, seed: int, profile: str) -> DissimilarityM
     """Seeded random Robinson matrix; see the profile table in the README.
 
     The same (n, seed, profile) gives the same matrix, so the same bytes
-    from ``formats.serialize_matrix``; ``test_cli`` pins their sha256
+    from ``formats.matrix_lines``; ``test_cli`` pins their sha256
     digests.  Each distinct weight is one int object, shared by every
     entry that holds it.
     One grid is alive at a time: the output rows are gathered base point by

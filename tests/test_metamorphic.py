@@ -27,6 +27,7 @@ from typing import Callable
 
 from hypothesis import given, settings, strategies as st
 
+import reference
 from conftest import SHAPES, profile_subsets, robinson_matrices, shape_matrix, shape_subsets
 from conftest import spine_with_block, symmetric_matrices
 from robinspace import copoints, core, dendrogram as dg, generator, mmodtree as mm, pqtree as pq
@@ -82,7 +83,7 @@ def _clusters(m: DissimilarityMatrix, pts, point=lambda x: x, weight=lambda w: w
     """The dendrogram's clusters on ``pts``, each point and weight mapped."""
     return {
         (tuple(sorted(map(point, leaves))), weight(w))
-        for leaves, w in dg.clusters(dg.build_dendrogram(m, pts))
+        for leaves, w in reference.clusters(dg.build_dendrogram(m, pts))
     }
 
 

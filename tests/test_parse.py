@@ -125,7 +125,7 @@ def test_parsed_triangle_passes_validation(triangle, places):
 
 
 def _square_text(rows) -> str:
-    return formats.serialize_matrix(DissimilarityMatrix(rows))
+    return reference.serialize_matrix(DissimilarityMatrix(rows))
 
 
 def _triangle_text(rows) -> str:
@@ -277,7 +277,7 @@ def canonical_squares(draw) -> tuple[str, str | None]:
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = draw(st.integers(0, 3 * scale))
-    text = formats.serialize_matrix(DissimilarityMatrix(rows, scale))
+    text = reference.serialize_matrix(DissimilarityMatrix(rows, scale))
     cells = [line.split(" ") for line in text.splitlines()]
     mutation = draw(st.sampled_from((None, *SQUARE_MUTATIONS)))
     lower = [(i, j) for i in range(n) for j in range(i)]
@@ -396,7 +396,7 @@ def test_serialize_spells_each_entry_like_weight_str(scale):
     rows = [[v * 37 for v in row] for row in generator.generate_matrix(60, 5, "tie-heavy").rows]
     m = DissimilarityMatrix(rows, scale)
     want = "\n".join(" ".join(formats.weight_str(v, scale) for v in row) for row in rows) + "\n"
-    assert formats.serialize_matrix(m) == want
+    assert reference.serialize_matrix(m) == want
 
 
 def test_a_digit_that_is_not_decimal_is_a_bad_token(tmp_path, capsys):
